@@ -17,8 +17,8 @@ space is the affine constraint
     a_v = phi0(u, v)  (when sum_v phi0 = 1),
 
 solve the resulting convex program (SLSQP with exact gradients from the
-forward-mode Jacobian), renormalize, re-condense, and repeat until the
-objective stops improving.
+forward-mode load Jacobian of :mod:`repro.kernel.flowgrad`), renormalize,
+re-condense, and repeat until the objective stops improving.
 
 Complexity note: the SLSQP subproblem materializes a dense constraint
 Jacobian of shape (|E| * K) x (#ratios), so this solver targets small
@@ -38,12 +38,12 @@ import numpy as np
 from scipy.optimize import minimize
 
 from repro.config import DEFAULT_CONFIG, SolverConfig
-from repro.core._flowgrad import FlowGraph, max_utilization
 from repro.core.softmax_opt import SplittingSolution
 from repro.demands.matrix import DemandMatrix
 from repro.exceptions import SolverError
 from repro.graph.dag import Dag
 from repro.graph.network import Edge, Network, Node
+from repro.kernel.flowgrad import FlowProgram
 from repro.routing.splitting import Routing, uniform_ratios
 
 _LOG_FLOOR = -16.0  # ratios below e^-16 are effectively pruned edges
@@ -61,43 +61,18 @@ class _GpProblem:
     ):
         if not matrices:
             raise SolverError("GP optimizer needs at least one demand matrix")
-        self.network = network
-        self.dags = dict(dags)
-        self.matrices = list(matrices)
-        self.flowgraphs = {t: FlowGraph(dag, self.matrices) for t, dag in self.dags.items()}
-        self.groups: list[tuple[Node, Node, list[Edge]]] = []
+        self.program = FlowProgram(network, dags, matrices)
+        self.groups = self.program.groups
         self.var_index: dict[tuple[Node, Edge], int] = {}
-        for t in sorted(self.dags, key=str):
-            dag = self.dags[t]
-            for node in dag.topological_order():
-                if node == t:
-                    continue
-                heads = dag.out_neighbors(node)
-                if len(heads) >= 2:
-                    edges = [(node, h) for h in heads]
-                    self.groups.append((t, node, edges))
-                    for edge in edges:
-                        self.var_index[(t, edge)] = len(self.var_index)
+        for t, _node, edges in self.groups:
+            for edge in edges:
+                self.var_index[(t, edge)] = len(self.var_index)
         self.size = len(self.var_index)
-        # Constraint rows: finite-capacity edges x batch entries.
-        self.capacities = {
-            e: network.capacity(*e) for e in network.finite_capacity_edges()
-        }
 
     # -- conversions ------------------------------------------------------
 
     def ratios_from_x(self, x: np.ndarray) -> dict[Node, dict[Edge, float]]:
-        ratios: dict[Node, dict[Edge, float]] = {t: {} for t in self.dags}
-        for (t, edge), index in self.var_index.items():
-            ratios[t][edge] = math.exp(x[index])
-        for t, dag in self.dags.items():
-            for node in dag.nodes():
-                if node == t:
-                    continue
-                heads = dag.out_neighbors(node)
-                if len(heads) == 1:
-                    ratios[t][(node, heads[0])] = 1.0
-        return ratios
+        return self.program.ratio_dicts(self.program.instance_ratios(np.exp(x)))
 
     def x_from_ratios(self, ratios: Mapping[Node, Mapping[Edge, float]]) -> np.ndarray:
         x = np.zeros(self.size)
@@ -122,38 +97,33 @@ class _GpProblem:
 
     # -- evaluation -----------------------------------------------------------
 
-    def loads_and_jacobian(self, x: np.ndarray):
-        """Loads (per edge, per matrix) and d(load)/d(log ratio) Jacobians."""
-        ratios = self.ratios_from_x(x)
-        loads: dict[Edge, np.ndarray] = {}
-        jacobians: dict[Edge, dict[int, np.ndarray]] = {}
-        for t, graph in self.flowgraphs.items():
-            phi = ratios.get(t, {})
-            arrivals, dest_loads = graph.forward(phi)
-            variables = [e for (tt, e) in self.var_index if tt == t]
-            jac = graph.load_jacobian(phi, arrivals, variables)
-            for edge, vector in dest_loads.items():
-                if edge in loads:
-                    loads[edge] = loads[edge] + vector
-                else:
-                    loads[edge] = vector.copy()
-            for var_edge, derivs in jac.items():
-                index = self.var_index[(t, var_edge)]
-                for edge, dvec in derivs.items():
-                    jacobians.setdefault(edge, {}).setdefault(index, np.zeros(len(self.matrices)))
-                    jacobians[edge][index] = jacobians[edge][index] + dvec
-        return ratios, loads, jacobians
+    def load_constraints(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ``alpha_tilde - log(load / c) >= 0`` and their Jacobian.
+
+        One row per (finite-capacity edge carrying load, matrix), in
+        terms of ``z = [x..., alpha_tilde]``.
+        """
+        program = self.program
+        phi = program.instance_ratios(np.exp(z[:-1]))
+        arrivals, flows = program.forward(phi)
+        loads = program.edge_loads(flows)
+        loaded = program.loaded(loads)
+        if loaded.size == 0:
+            return np.array([1.0]), np.zeros((1, self.size + 1))
+        active = loads[loaded]
+        capacity = program.capacity[loaded, np.newaxis]
+        values = z[-1] - np.log(np.maximum(active, _LOAD_EPS) / capacity)
+        # d(-log load) / dx = -(d load / dx) / load, zero for vanishing loads.
+        jacobian = program.load_jacobian(phi, arrivals)[:, loaded, :]
+        scale = np.divide(-1.0, active, out=np.zeros_like(active), where=active > _LOAD_EPS)
+        rows = np.empty((active.size, self.size + 1))
+        rows[:, :-1] = (jacobian * scale).reshape(self.size, active.size).T
+        rows[:, -1] = 1.0
+        return values.ravel(), rows
 
     def true_objective(self, ratios: Mapping[Node, Mapping[Edge, float]]) -> float:
-        combined: dict[Edge, np.ndarray] = {}
-        for t, graph in self.flowgraphs.items():
-            _, dest_loads = graph.forward(ratios.get(t, {}))
-            for edge, vector in dest_loads.items():
-                if edge in combined:
-                    combined[edge] = combined[edge] + vector
-                else:
-                    combined[edge] = vector.copy()
-        return max_utilization(self.network, combined)
+        _, flows = self.program.forward(self.program.ratios_vector(ratios))
+        return self.program.max_utilization(self.program.edge_loads(flows))
 
 
 def optimize_splitting_gp(
@@ -214,28 +184,7 @@ def optimize_splitting_gp(
         def load_constraints(z: np.ndarray):
             nonlocal evaluations
             evaluations += 1
-            x = z[:n]
-            _, loads, jacobians = problem.loads_and_jacobian(x)
-            values: list[float] = []
-            rows: list[np.ndarray] = []
-            for edge, vector in loads.items():
-                capacity = problem.capacities.get(edge)
-                if capacity is None:
-                    continue
-                jac = jacobians.get(edge, {})
-                for k in range(len(problem.matrices)):
-                    load = float(vector[k])
-                    # alpha_tilde - log(load / c) >= 0
-                    values.append(z[-1] - math.log(max(load, _LOAD_EPS) / capacity))
-                    row = np.zeros(n + 1)
-                    row[-1] = 1.0
-                    if load > _LOAD_EPS:
-                        for index, dvec in jac.items():
-                            row[index] = -float(dvec[k]) / load
-                    rows.append(row)
-            if not values:
-                return np.array([1.0]), np.zeros((1, n + 1))
-            return np.array(values), np.vstack(rows)
+            return problem.load_constraints(z)
 
         cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 

@@ -18,8 +18,8 @@ Two ideas make the problem unconstrained and smooth:
   annealed soft maximum whose gap to the true maximum is at most
   ``log(N) / tau``.  We anneal ``tau`` upward, warm-starting each stage.
 
-Gradients are exact (hand-derived adjoint sweeps in
-:mod:`repro.core._flowgrad`); the stages run L-BFGS-B.  The true
+Gradients are exact (adjoint level sweeps over flat edge arrays in
+:mod:`repro.kernel.flowgrad`); the stages run L-BFGS-B.  The true
 (unsmoothed) objective of the best iterate across all stages and starts
 is what the caller receives, so smoothing never inflates the reported
 quality.
@@ -37,9 +37,9 @@ from scipy.optimize import minimize
 from repro.config import DEFAULT_CONFIG, SolverConfig
 from repro.demands.matrix import DemandMatrix
 from repro.exceptions import SolverError
-from repro.core._flowgrad import FlowGraph, max_utilization
 from repro.graph.dag import Dag
 from repro.graph.network import Edge, Network, Node
+from repro.kernel.flowgrad import FlowProgram
 from repro.routing.splitting import Routing
 
 #: Bounds on theta keep exp() well-behaved; the ratio floor this implies
@@ -63,7 +63,7 @@ class SplittingSolution:
 
 
 class _Problem:
-    """Flattened variable layout + objective/gradient plumbing."""
+    """Softmax variable layout + objective/gradient plumbing on a :class:`FlowProgram`."""
 
     def __init__(
         self,
@@ -73,25 +73,8 @@ class _Problem:
     ):
         if not matrices:
             raise SolverError("softmax optimizer needs at least one demand matrix")
-        self.network = network
-        self.dags = dict(dags)
-        self.matrices = list(matrices)
-        self.flowgraphs: dict[Node, FlowGraph] = {
-            t: FlowGraph(dag, self.matrices) for t, dag in self.dags.items()
-        }
-        # Variable slots: (destination, node, ordered out-edges).
-        self.groups: list[tuple[Node, Node, list[Edge]]] = []
-        self.size = 0
-        for t in sorted(self.dags, key=str):
-            dag = self.dags[t]
-            for node in dag.topological_order():
-                if node == t:
-                    continue
-                heads = dag.out_neighbors(node)
-                if len(heads) >= 2:
-                    edges = [(node, h) for h in heads]
-                    self.groups.append((t, node, edges))
-                    self.size += len(edges)
+        self.program = FlowProgram(network, dags, matrices)
+        self.size = self.program.size
         self.evaluations = 0
 
     # -- parameter conversion ----------------------------------------------
@@ -101,7 +84,7 @@ class _Problem:
     ) -> np.ndarray:
         theta = np.zeros(self.size)
         offset = 0
-        for t, _node, edges in self.groups:
+        for t, _node, edges in self.program.groups:
             per_dest = ratios.get(t, {})
             block = np.array(
                 [math.log(max(per_dest.get(edge, 0.0), floor)) for edge in edges]
@@ -114,127 +97,63 @@ class _Problem:
         return np.clip(theta, -_THETA_BOUND, _THETA_BOUND)
 
     def ratios_from_theta(self, theta: np.ndarray) -> dict[Node, dict[Edge, float]]:
-        ratios: dict[Node, dict[Edge, float]] = {t: {} for t in self.dags}
-        offset = 0
-        for t, _node, edges in self.groups:
-            block = theta[offset : offset + len(edges)]
-            shifted = np.exp(block - block.max())
-            shares = shifted / shifted.sum()
-            for edge, share in zip(edges, shares):
-                ratios[t][edge] = float(share)
-            offset += len(edges)
         # Nodes with a single out-edge always forward everything there.
-        for t, dag in self.dags.items():
-            for node in dag.nodes():
-                if node == t:
-                    continue
-                heads = dag.out_neighbors(node)
-                if len(heads) == 1:
-                    ratios[t][(node, heads[0])] = 1.0
-        return ratios
+        phi = self.program.instance_ratios(self.program.softmax(theta))
+        return self.program.ratio_dicts(phi)
 
     # -- objective -----------------------------------------------------------
 
-    def loads(self, ratios: Mapping[Node, Mapping[Edge, float]]):
-        per_destination = {}
-        combined: dict[Edge, np.ndarray] = {}
-        for t, graph in self.flowgraphs.items():
-            arrivals, loads = graph.forward(ratios.get(t, {}))
-            per_destination[t] = (arrivals, loads)
-            for edge, vector in loads.items():
-                if edge in combined:
-                    combined[edge] = combined[edge] + vector
-                else:
-                    combined[edge] = vector.copy()
-        return per_destination, combined
+    def _propagate(self, theta: np.ndarray):
+        """Shares, per-instance ratios, arrivals and per-edge loads at ``theta``."""
+        shares = self.program.softmax(theta)
+        phi = self.program.instance_ratios(shares)
+        arrivals, flows = self.program.forward(phi)
+        return shares, phi, arrivals, self.program.edge_loads(flows)
 
     def true_objective(self, theta: np.ndarray) -> float:
-        ratios = self.ratios_from_theta(theta)
-        _, combined = self.loads(ratios)
-        return max_utilization(self.network, combined)
+        *_, loads = self._propagate(theta)
+        return self.program.max_utilization(loads)
 
     def mean_utilization(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """Average utilization over (finite edges x batch) and its gradient."""
         self.evaluations += 1
-        ratios = self.ratios_from_theta(theta)
-        per_destination, combined = self.loads(ratios)
-        finite = [
-            (edge, self.network.capacity(*edge))
-            for edge in combined
-            if math.isfinite(self.network.capacity(*edge))
-        ]
-        if not finite:
+        shares, phi, arrivals, loads = self._propagate(theta)
+        loaded = self.program.loaded(loads)
+        if loaded.size == 0:
             return 0.0, np.zeros(self.size)
-        entries = sum(combined[edge].size for edge, _c in finite)
-        value = sum(float(combined[edge].sum()) / c for edge, c in finite) / entries
-        psi = {
-            edge: np.full(len(self.matrices), 1.0 / (entries * c))
-            for edge, c in finite
-        }
-        grad_phi: dict[Node, dict[Edge, float]] = {}
-        for t, graph in self.flowgraphs.items():
-            arrivals, loads = per_destination[t]
-            relevant = {e: psi[e] for e in loads if e in psi}
-            grad_phi[t] = graph.backward(ratios.get(t, {}), arrivals, relevant)
-        gradient = np.zeros(self.size)
-        offset = 0
-        for t, _node, edges in self.groups:
-            shares = np.array([ratios[t].get(e, 0.0) for e in edges])
-            raw = np.array([grad_phi[t].get(e, 0.0) for e in edges])
-            inner = float(np.dot(shares, raw))
-            gradient[offset : offset + len(edges)] = shares * (raw - inner)
-            offset += len(edges)
-        return value, gradient
+        capacity = self.program.capacity[loaded]
+        entries = loads[loaded].size
+        value = float((loads[loaded].sum(axis=1) / capacity).sum()) / entries
+        psi = np.zeros_like(loads)
+        psi[loaded] = (1.0 / (entries * capacity))[:, np.newaxis]
+        grad_phi = self.program.backward(phi, arrivals, psi)
+        return value, self.program.softmax_gradient(shares, grad_phi)
 
     def smoothed(
         self, theta: np.ndarray, temperature: float, regularization: float = 0.0
     ) -> tuple[float, np.ndarray]:
         """Soft maximum (plus mean-utilization tie-breaker) and its gradient."""
         self.evaluations += 1
-        ratios = self.ratios_from_theta(theta)
-        per_destination, combined = self.loads(ratios)
-        utilizations: list[tuple[Edge, np.ndarray]] = []
-        for edge, vector in combined.items():
-            capacity = self.network.capacity(*edge)
-            if math.isfinite(capacity):
-                utilizations.append((edge, vector / capacity))
-        if not utilizations:
+        shares, phi, arrivals, loads = self._propagate(theta)
+        loaded = self.program.loaded(loads)
+        if loaded.size == 0:
             return 0.0, np.zeros(self.size)
-        peak = max(float(v.max()) for _e, v in utilizations)
-        exp_sum = 0.0
-        weights: dict[Edge, np.ndarray] = {}
-        for edge, values in utilizations:
-            w = np.exp(temperature * (values - peak))
-            weights[edge] = w
-            exp_sum += float(w.sum())
+        capacity = self.program.capacity[loaded, np.newaxis]
+        utilizations = loads[loaded] / capacity
+        peak = float(utilizations.max())
+        weights = np.exp(temperature * (utilizations - peak))
+        exp_sum = float(weights.sum())
         value = peak + math.log(exp_sum) / temperature
         # psi[e][k] = dS/dload = (w / exp_sum) / c_e, plus the mean-
         # utilization regularizer's uniform share (see SolverConfig).
-        entries = sum(v.size for _e, v in utilizations)
+        entries = utilizations.size
+        psi = np.zeros_like(loads)
+        psi[loaded] = weights / (exp_sum * capacity)
         if regularization > 0.0:
-            mean_util = sum(float(v.sum()) for _e, v in utilizations) / entries
-            value += regularization * mean_util
-        psi: dict[Edge, np.ndarray] = {}
-        for edge, w in weights.items():
-            capacity = self.network.capacity(*edge)
-            psi[edge] = w / (exp_sum * capacity)
-            if regularization > 0.0:
-                psi[edge] = psi[edge] + regularization / (entries * capacity)
-        # Reverse-mode sweep per destination, then softmax chain rule.
-        grad_phi: dict[Node, dict[Edge, float]] = {}
-        for t, graph in self.flowgraphs.items():
-            arrivals, loads = per_destination[t]
-            relevant = {e: psi[e] for e in loads if e in psi}
-            grad_phi[t] = graph.backward(ratios.get(t, {}), arrivals, relevant)
-        gradient = np.zeros(self.size)
-        offset = 0
-        for t, _node, edges in self.groups:
-            shares = np.array([ratios[t].get(e, 0.0) for e in edges])
-            raw = np.array([grad_phi[t].get(e, 0.0) for e in edges])
-            inner = float(np.dot(shares, raw))
-            gradient[offset : offset + len(edges)] = shares * (raw - inner)
-            offset += len(edges)
-        return value, gradient
+            value += regularization * (float(utilizations.sum()) / entries)
+            psi[loaded] += regularization / (entries * capacity)
+        grad_phi = self.program.backward(phi, arrivals, psi)
+        return value, self.program.softmax_gradient(shares, grad_phi)
 
 
 def polish_balanced(

@@ -18,13 +18,19 @@ vectorized re-implementation of exactly that kernel:
   oracle's per-edge objective coefficients (``f_st(u) * phi_t(e)``);
 * :mod:`repro.kernel.delta` — delta re-evaluation for the local search's
   weight step: a single-link weight change recomputes only the destinations
-  whose shortest-path DAG actually changed.
+  whose shortest-path DAG actually changed;
+* :mod:`repro.kernel.flowgrad` — the splitting optimizers' engine: loads,
+  adjoint gradients and the forward-mode load Jacobian for a compiled
+  (DAGs, demand batch) pair, as level sweeps over flat edge arrays.
 
 The pure-Python implementations remain in place as the reference oracle: the
 swap-in points dispatch through :func:`kernel_enabled`, and the differential
 test suite (``tests/test_kernel_differential.py``) pins kernel-vs-reference
 equivalence (identical DAG edge sets, ratios and loads within 1e-9).  Set
 ``REPRO_KERNEL=0`` to force every caller onto the reference path.
+:mod:`repro.kernel.flowgrad` is the exception: it is the only engine the
+optimizers have, with :mod:`repro.routing.propagation` as its load oracle
+and finite differences as its gradient oracle (``tests/test_flowgrad.py``).
 """
 
 from __future__ import annotations

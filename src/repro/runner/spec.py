@@ -41,7 +41,10 @@ from repro.exceptions import ExperimentError
 #: ``linprog`` path on every family tested (same engine, same effective
 #: options), fingerprints gained ``lp_backend`` / ``lp_warm`` fields,
 #: and every ``runner-v3`` key is stale by construction.
-CACHE_VERSION = "runner-v4"
+#: ``runner-v5`` moved the splitting optimizers onto the flat-array flow
+#: engine (:mod:`repro.kernel.flowgrad`), whose ulp-level gradient
+#: differences can move non-converged robust solves, so cached ratios change.
+CACHE_VERSION = "runner-v5"
 
 
 @dataclass(frozen=True)

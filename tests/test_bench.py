@@ -161,7 +161,7 @@ class TestHarness:
         assert payload["schema"] == BENCH_SCHEMA
         assert payload["benchmark"] == "stub-bench"
         assert payload["experiment"] == "stub-bench"
-        assert payload["cache_version"] == "runner-v4"
+        assert payload["cache_version"] == "runner-v5"
         assert payload["jobs"] == 1 and payload["full"] is False
         assert payload["wall_clock_seconds"] >= 0
         assert payload["cache"] == {"hits": 0, "misses": 3}

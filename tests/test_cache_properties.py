@@ -146,10 +146,11 @@ class TestCacheVersion:
         # entry when fingerprints gained kind/params/columns; runner-v3
         # when the vectorized kernel re-implemented the solver hot path;
         # runner-v4 when the LP backend layer replaced the one-shot
-        # linprog path.  If this assertion fails you changed cache
-        # semantics — update it *and* leave a CHANGES/ROADMAP note
-        # explaining the invalidation.
-        assert spec_module.CACHE_VERSION == "runner-v4"
+        # linprog path; runner-v5 when the splitting optimizers moved
+        # onto the flat-array flow engine.  If this assertion fails you
+        # changed cache semantics — update it *and* leave a
+        # CHANGES/ROADMAP note explaining the invalidation.
+        assert spec_module.CACHE_VERSION == "runner-v5"
 
     @settings(max_examples=25)
     @given(version=st.text(min_size=1, max_size=16),

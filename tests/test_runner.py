@@ -102,13 +102,15 @@ class TestCellKey:
         monkeypatch.setattr("repro.runner.spec.CACHE_VERSION", "runner-v999")
         assert cell_key(make_cell()) != base
 
-    def test_version_tag_is_runner_v4(self):
+    def test_version_tag_is_runner_v5(self):
         # runner-v2: the kind/params generalization orphaned runner-v1;
         # runner-v3: the vectorized kernel re-implemented the solver hot
         # path; runner-v4: the LP backend layer replaced the one-shot
-        # linprog path and made the backend part of the fingerprint.
-        assert spec_module.CACHE_VERSION == "runner-v4"
-        assert make_cell().fingerprint()["version"] == "runner-v4"
+        # linprog path and made the backend part of the fingerprint;
+        # runner-v5: the splitting optimizers moved onto the flat-array
+        # flow engine, which can move non-converged solves.
+        assert spec_module.CACHE_VERSION == "runner-v5"
+        assert make_cell().fingerprint()["version"] == "runner-v5"
 
     def test_kind_columns_change_key(self, monkeypatch):
         # A renamed/added scheme must invalidate entries that would
