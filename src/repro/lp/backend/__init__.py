@@ -15,10 +15,13 @@ Selection knobs:
 * ``REPRO_LP_WARM`` — ``1`` opts reusable instances into warm-basis
   chaining (faster, but solution vectors become solve-order dependent
   at degenerate optima); also fingerprinted.
-* ``REPRO_LP_JOBS`` — thread count for embarrassingly parallel LP
-  sweeps (the worst-case oracle's per-edge solves); **not**
-  fingerprinted, because isolated solves make results independent of
-  how work is partitioned.
+
+Embarrassingly parallel LP sweeps (the worst-case oracle's per-edge
+solves) use every usable core, :func:`lp_threads`; there is no knob for
+it, and it is **not** fingerprinted, because isolated solves make
+results independent of how work is partitioned.  The sweep runner
+lowers the count per worker process with :func:`set_lp_threads` so
+``--jobs N`` does not oversubscribe the host.
 
 Registering a third-party backend::
 
@@ -56,12 +59,14 @@ from repro.lp.backend.base import (  # noqa: F401  (re-exported interface)
 BACKEND_ENV = "REPRO_LP_BACKEND"
 #: Environment variable opting reusable instances into warm-basis chaining.
 WARM_ENV = "REPRO_LP_WARM"
-#: Environment variable setting the LP sweep thread count.
-JOBS_ENV = "REPRO_LP_JOBS"
 
 DEFAULT_BACKEND = "highs"
 
 _BACKENDS: dict[str, SolverBackend] = {}
+
+#: LP sweep thread count installed by :func:`set_lp_threads`; ``None``
+#: means every usable core.
+_THREADS: int | None = None
 
 
 def register_backend(backend: SolverBackend) -> SolverBackend:
@@ -108,13 +113,23 @@ def warm_starts_enabled() -> bool:
     return os.environ.get(WARM_ENV, "").strip().lower() in {"1", "true", "yes", "on"}
 
 
-def lp_jobs() -> int:
-    """The LP sweep thread count (``REPRO_LP_JOBS``, default 1)."""
-    raw = os.environ.get(JOBS_ENV, "").strip()
+def usable_cores() -> int:
+    """The cores this process may run on (its CPU affinity mask)."""
     try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def lp_threads() -> int:
+    """Threads an LP sweep may use (default: :func:`usable_cores`)."""
+    return _THREADS if _THREADS is not None else usable_cores()
+
+
+def set_lp_threads(threads: int | None) -> None:
+    """Cap LP sweep threads (``None`` restores the every-core default)."""
+    global _THREADS
+    _THREADS = threads
 
 
 def get_backend(name: str | None = None) -> SolverBackend:

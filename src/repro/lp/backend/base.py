@@ -38,6 +38,10 @@ engine solved the problem.  The contract every backend must honor:
   end :data:`OPTIMAL` and when :meth:`BackendInstance.invalidate_basis`
   is called; the constraint matrix of an instance never changes (only
   objectives and equality right-hand sides may be swapped).
+* **Threads.** A backend sets :attr:`SolverBackend.thread_safe` only
+  when separate instances share no engine state, so they may solve at
+  once on separate threads.  LP sweeps run serially on any other
+  backend.
 """
 
 from __future__ import annotations
@@ -204,6 +208,9 @@ class SolverBackend(abc.ABC):
 
     #: Registry identifier (the ``REPRO_LP_BACKEND`` value selecting it).
     name: str = "abstract"
+    #: Whether separate instances may solve concurrently on separate
+    #: threads (see the module docstring); off unless a backend opts in.
+    thread_safe: bool = False
 
     @abc.abstractmethod
     def available(self) -> bool:

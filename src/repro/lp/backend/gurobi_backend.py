@@ -153,6 +153,9 @@ class GurobiBackend(base.SolverBackend):
     """Optional ``gurobi`` backend (requires gurobipy and a license)."""
 
     name = "gurobi"
+    # Every model shares one Env, which gurobi does not allow threads to
+    # use at once, and each solve defaults to every core anyway.
+    thread_safe = False
 
     def available(self) -> bool:
         return _environment() is not None

@@ -205,6 +205,7 @@ class HighsBackend(base.SolverBackend):
     """Direct vendored-HiGHS backend (the default, ``highs``)."""
 
     name = "highs"
+    thread_safe = True
 
     def available(self) -> bool:
         return _highs_core is not None

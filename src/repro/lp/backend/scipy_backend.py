@@ -27,6 +27,7 @@ class ScipyBackend(base.SolverBackend):
     """``scipy.optimize.linprog`` with the HiGHS method."""
 
     name = "scipy"
+    thread_safe = True
 
     def available(self) -> bool:
         return True

@@ -32,9 +32,12 @@ routing only swaps the (sparse) objective, so a sweep over all edges
 costs one re-solve of the factorized LP per edge and nothing more.
 Per-edge solves are isolated (cold basis, see
 :mod:`repro.lp.backend`) so results are independent of sweep order and
-of how ``REPRO_LP_JOBS`` partitions the sweep across threads; solves
-run at the backend engine's default tolerances (HiGHS 1e-7) and demand
-entries below 1e-10 are dropped from extracted worst-case matrices.
+of how the sweep is split across threads: it runs on every usable core
+(:func:`repro.lp.backend.lp_threads`), serially on one core, on a
+backend that is not thread-safe, or under ``REPRO_LP_WARM``, whose
+chained bases would make results depend on the split.  Solves run at
+the backend engine's default tolerances (HiGHS 1e-7) and demand entries
+below 1e-10 are dropped from extracted worst-case matrices.
 """
 
 from __future__ import annotations
@@ -175,9 +178,11 @@ class WorstCaseOracle:
 
         self._model = model
         self._compiled = model.compile()
-        # One persistent backend instance for the serial path; parallel
-        # sweeps build one per worker thread (instances are stateful).
+        # One persistent backend instance for the calling thread; each
+        # helper thread of a parallel sweep gets one of its own
+        # (instances are stateful), built on first use and kept.
         self._reusable: ReusableLP = self._compiled.reusable()
+        self._helper_lps: list[ReusableLP] = []
 
     # -- queries ----------------------------------------------------------
 
@@ -271,32 +276,45 @@ class WorstCaseOracle:
     def _sweep(
         self, loaded: list[tuple[Edge, Mapping[Pair, float]]]
     ) -> list[tuple[float, DemandMatrix]]:
-        """Solve the per-edge LPs, threading them when ``REPRO_LP_JOBS`` > 1.
+        """Solve the per-edge LPs, one strided share per usable core.
 
-        Each worker thread gets its own backend instance (instances are
-        stateful); because per-edge solves are isolated, the result list
-        is identical to the serial sweep regardless of partitioning —
-        which is why the job count stays out of cell fingerprints.
+        The calling thread solves share 0 on the oracle's own instance;
+        helper threads solve the others, each on an instance of its own.
+        Results land by index, so the list is the serial sweep's, bit
+        for bit: per-edge solves are isolated.  The sweep stays serial
+        under ``REPRO_LP_WARM`` (bases chain from solve to solve) and on
+        a backend that does not declare itself thread-safe.
         """
-        jobs = lp_backend.lp_jobs()
-        if jobs <= 1 or len(loaded) <= 1:
+        shares = min(lp_backend.lp_threads(), len(loaded))
+        if (
+            shares <= 1
+            or lp_backend.warm_starts_enabled()
+            or not lp_backend.get_backend().thread_safe
+        ):
             return [
                 self.worst_utilization_for_edge(edge, coeffs)
                 for edge, coeffs in loaded
             ]
-        import threading
+        while len(self._helper_lps) < shares - 1:
+            self._helper_lps.append(self._compiled.reusable())
+        results: list = [None] * len(loaded)
 
-        local = threading.local()
+        def solve_share(share: int, reusable: ReusableLP) -> None:
+            for index in range(share, len(loaded), shares):
+                edge, coeffs = loaded[index]
+                results[index] = self.worst_utilization_for_edge(edge, coeffs, reusable)
 
-        def solve_one(item: tuple[Edge, Mapping[Pair, float]]):
-            instance = getattr(local, "reusable", None)
-            if instance is None:
-                instance = self._compiled.reusable()
-                local.reusable = instance
-            return self.worst_utilization_for_edge(item[0], item[1], reusable=instance)
-
-        with ThreadPoolExecutor(max_workers=min(jobs, len(loaded))) as pool:
-            return list(pool.map(solve_one, loaded))
+        # Leaving the block waits for every helper, even when share 0
+        # raised, so no helper still holds its instance after a sweep.
+        with ThreadPoolExecutor(shares - 1, thread_name_prefix="lp-sweep") as pool:
+            futures = [
+                pool.submit(solve_share, share, self._helper_lps[share - 1])
+                for share in range(1, shares)
+            ]
+            solve_share(0, self._reusable)
+        for future in futures:
+            future.result()
+        return results
 
     def check_membership(self, demand: DemandMatrix) -> bool:
         """True when ``demand`` lies in the uncertainty cone (direction-wise)."""

@@ -123,6 +123,7 @@ def _solve_chunk(
     solve: Callable[[SweepCell], dict[str, float]],
     cells: list[tuple[str, SweepCell]],
     kernel_mode: bool | None = None,
+    lp_threads: int | None = None,
 ) -> list[tuple[str, object, str | None, dict[str, float]]]:
     """Solve same-setup cells serially in one worker, stopping at a failure.
 
@@ -141,11 +142,19 @@ def _solve_chunk(
     under it, so the worker must solve under it too — a spawn-start
     worker would otherwise re-derive the mode from its own (fresh)
     process state and could cache one mode's rows under the other's keys.
+
+    ``lp_threads`` is this worker's share of the coordinator's LP sweep
+    threads (:func:`repro.lp.backend.set_lp_threads`), so ``jobs``
+    workers sweeping at once do not oversubscribe the host.
     """
     if kernel_mode is not None:
         from repro.kernel import set_kernel_enabled
 
         set_kernel_enabled(kernel_mode)
+    if lp_threads is not None:
+        from repro.lp.backend import set_lp_threads
+
+        set_lp_threads(lp_threads)
     outcomes: list[tuple[str, object, str | None, dict[str, float]]] = []
     for key, cell in cells:
         try:
@@ -807,10 +816,12 @@ def _run_parallel(
     serial and parallel paths share one retry/quarantine policy.
     """
     from repro.kernel import kernel_enabled
+    from repro.lp.backend import lp_threads
 
     kernel_mode = kernel_enabled()
     queue: deque[list[tuple[int, SweepCell]]] = deque(_chunk_pending(worklist, jobs))
     workers = min(jobs, max(1, len(queue)))
+    lp_budget = max(1, lp_threads() // workers)
     # Retries wait out their backoff in this heap (ready-time ordered)
     # without blocking dispatch of other work; the tickets break ties.
     retries: list[tuple[float, int, list[tuple[int, SweepCell]]]] = []
@@ -956,7 +967,8 @@ def _run_parallel(
             if not runnable:
                 continue
             future = pool.submit(
-                _solve_chunk, solve, [(keys[i], c) for i, c in runnable], kernel_mode
+                _solve_chunk, solve, [(keys[i], c) for i, c in runnable],
+                kernel_mode, lp_budget,
             )
             in_flight[future] = (runnable, chunk_deadline(runnable))
 

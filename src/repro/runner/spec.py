@@ -197,8 +197,8 @@ class SweepCell:
             # Same reasoning for the LP layer: different engines (and
             # warm-basis chaining) can return different optimal vertices
             # for degenerate LPs, which steers cutting-plane trajectories.
-            # REPRO_LP_JOBS is deliberately absent — isolated solves make
-            # results independent of sweep partitioning.
+            # The LP sweep's thread count is deliberately absent —
+            # isolated solves make results independent of partitioning.
             "lp_backend": lp_backend.active_backend_name(),
             "lp_warm": lp_backend.warm_starts_enabled(),
             "kind": self.kind,

@@ -268,10 +268,14 @@ class TestFingerprints:
         assert cell.fingerprint()["lp_warm"] is True
         assert cell_key(cell) != cold_key
 
-    def test_jobs_not_in_fingerprint(self, monkeypatch):
+    def test_lp_threads_not_in_fingerprint(self, monkeypatch):
         monkeypatch.delenv(lp_backend.BACKEND_ENV, raising=False)
         monkeypatch.delenv(lp_backend.WARM_ENV, raising=False)
         cell = self._cell()
-        serial_key = cell_key(cell)
-        monkeypatch.setenv(lp_backend.JOBS_ENV, "8")
-        assert cell_key(cell) == serial_key
+        lp_backend.set_lp_threads(1)
+        try:
+            serial_key = cell_key(cell)
+            lp_backend.set_lp_threads(8)
+            assert cell_key(cell) == serial_key
+        finally:
+            lp_backend.set_lp_threads(None)
