@@ -404,8 +404,6 @@ def _cmd_backends(_args: argparse.Namespace) -> int:
             marks.append("active")
         marks.append("available" if available else "unavailable")
         print(f"{name:<{width}}  [{', '.join(marks)}]")
-    if lp_backend.warm_starts_enabled():
-        print("warm starts: enabled (REPRO_LP_WARM)")
     return 0
 
 

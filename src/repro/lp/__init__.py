@@ -3,27 +3,26 @@
 The paper's toolchain was AMPL + MOSEK; this package replaces it with a
 small modeling layer (:mod:`repro.lp.model`), a solver-backend registry
 (:mod:`repro.lp.backend` — direct HiGHS by default, scipy's ``linprog``
-as the reference engine, gurobi optional), and problem-specific builders:
+as the reference engine), and problem-specific builders:
 
 * :mod:`repro.lp.mcf` — min-congestion multicommodity flow (``OPTU``);
 * :mod:`repro.lp.dag_flow` — demands-aware optimum restricted to DAGs;
 * :mod:`repro.lp.worst_case` — the per-edge adversarial ("slave") LP;
 * :mod:`repro.lp.certificate` — the Theorem 5 dual certificate.
 
-Numerical contract (details in ``docs/lp_backends.md``): every backend
-runs at its engine's default tolerances — HiGHS (both the direct and
-scipy paths) at 1e-7 primal/dual feasibility, Gurobi at 1e-6 — and the
-parity suite pins cross-backend objective agreement to 1e-7 on the
-repository's LP families.  Normalized statuses map onto engines as
+Numerical contract (details in ``docs/lp_backends.md``): both bundled
+backends run HiGHS at its default tolerances (1e-7 primal/dual
+feasibility), every solve is an isolated cold solve, and the parity
+suite pins cross-backend objective agreement to 1e-7 on the
+repository's LP families.  Normalized statuses map onto ``linprog``
+statuses as
 
-    normalized      linprog.status      gurobi Status
-    ------------    ----------------    --------------------------
-    optimal         0                   OPTIMAL (2)
-    infeasible      2                   INFEASIBLE (3)
-    unbounded       3                   UNBOUNDED (5)
-    error           1, 4 (limits/       anything else; INF_OR_UNBD
-                    numerical)          only after a DualReductions=0
-                                        re-solve stays ambiguous
+    normalized      linprog.status
+    ------------    ----------------------------
+    optimal         0
+    infeasible      2
+    unbounded       3
+    error           1, 4 (limits/numerical)
 
 and surface as ``InfeasibleError`` / ``UnboundedError`` / ``SolverError``
 at the modeling layer.

@@ -10,11 +10,11 @@ cached results never cross a backend boundary.
 
 Selection knobs:
 
-* ``REPRO_LP_BACKEND`` — ``highs`` (default), ``scipy``, ``gurobi``, or
-  any third-party name registered via :func:`register_backend`.
-* ``REPRO_LP_WARM`` — ``1`` opts reusable instances into warm-basis
-  chaining (faster, but solution vectors become solve-order dependent
-  at degenerate optima); also fingerprinted.
+* ``REPRO_LP_BACKEND`` — ``highs`` (default), ``scipy``, or any
+  third-party name registered via :func:`register_backend`.
+
+Every solve is an isolated cold solve, so results never depend on
+solve order.
 
 Embarrassingly parallel LP sweeps (the worst-case oracle's per-edge
 solves) use every usable core, :func:`lp_threads`; there is no knob for
@@ -36,7 +36,7 @@ Registering a third-party backend::
     # then: REPRO_LP_BACKEND=mine repro run fig9
 
 See ``docs/lp_backends.md`` for the full contract (statuses, duals,
-tolerances, warm-start and basis-invalidation semantics).
+tolerances, isolated solves, thread safety).
 """
 
 from __future__ import annotations
@@ -57,8 +57,6 @@ from repro.lp.backend.base import (  # noqa: F401  (re-exported interface)
 
 #: Environment variable naming the active backend.
 BACKEND_ENV = "REPRO_LP_BACKEND"
-#: Environment variable opting reusable instances into warm-basis chaining.
-WARM_ENV = "REPRO_LP_WARM"
 
 DEFAULT_BACKEND = "highs"
 
@@ -78,13 +76,11 @@ def register_backend(backend: SolverBackend) -> SolverBackend:
 def _ensure_builtin_backends() -> None:
     if _BACKENDS:
         return
-    from repro.lp.backend.gurobi_backend import GurobiBackend
     from repro.lp.backend.highs_backend import HighsBackend
     from repro.lp.backend.scipy_backend import ScipyBackend
 
     register_backend(HighsBackend())
     register_backend(ScipyBackend())
-    register_backend(GurobiBackend())
 
 
 def backend_names() -> tuple[str, ...]:
@@ -106,11 +102,6 @@ def available_backends() -> tuple[str, ...]:
 def active_backend_name() -> str:
     """The backend name the environment selects (not validated)."""
     return os.environ.get(BACKEND_ENV, DEFAULT_BACKEND).strip() or DEFAULT_BACKEND
-
-
-def warm_starts_enabled() -> bool:
-    """Whether ``REPRO_LP_WARM`` opts reusable instances into warm bases."""
-    return os.environ.get(WARM_ENV, "").strip().lower() in {"1", "true", "yes", "on"}
 
 
 def usable_cores() -> int:

@@ -22,22 +22,17 @@ engine solved the problem.  The contract every backend must honor:
   use the opposite sign (none of the bundled ones do) must flip before
   returning.
 * **Numerical tolerances.** Backends run at their engine's default
-  feasibility/optimality tolerances (HiGHS and Gurobi both default to
-  1e-7); the cross-backend parity suite asserts objective agreement
-  within 1e-7 on the repository's LP families, and callers must not
-  expect agreement tighter than that between *different* engines.
-* **Instances and warm starts.** :meth:`SolverBackend.instance` returns
-  a stateful :class:`BackendInstance` bound to one constraint matrix.
-  In the default *isolated* mode every ``solve`` must return exactly
-  what a fresh one-shot solve would (bit-identical for the same engine)
-  — any internal basis is discarded per call.  With ``warm=True`` the
-  instance may chain the previous solve's basis: objectives still match
-  a cold solve within the engine tolerance, but *solution vectors may
-  differ at degenerate optima* and depend on the solve sequence.  An
-  instance must invalidate its cached basis whenever a solve does not
-  end :data:`OPTIMAL` and when :meth:`BackendInstance.invalidate_basis`
-  is called; the constraint matrix of an instance never changes (only
-  objectives and equality right-hand sides may be swapped).
+  feasibility/optimality tolerances (1e-7 for HiGHS); the cross-backend
+  parity suite asserts objective agreement within 1e-7 on the
+  repository's LP families, and callers must not expect agreement
+  tighter than that between *different* engines.
+* **Instances.** :meth:`SolverBackend.instance` returns a stateful
+  :class:`BackendInstance` bound to one constraint matrix.  Every
+  ``solve`` must return exactly what a fresh one-shot solve would
+  (bit-identical for the same engine): no basis or other engine state
+  carries over from one solve to the next, so results never depend on
+  solve order.  The constraint matrix of an instance never changes
+  (only objectives and equality right-hand sides may be swapped).
 * **Threads.** A backend sets :attr:`SolverBackend.thread_safe` only
   when separate instances share no engine state, so they may solve at
   once on separate threads.  LP sweeps run serially on any other
@@ -53,6 +48,8 @@ from typing import Mapping
 
 import numpy as np
 from scipy import sparse
+
+from repro.exceptions import SolverError
 
 #: Normalized solve statuses shared by every backend.
 OPTIMAL = "optimal"
@@ -167,20 +164,46 @@ class BackendSolution:
 def dense_objective(
     num_vars: int, objective: "np.ndarray | Mapping[int, float]"
 ) -> np.ndarray:
-    """Normalize a dense vector or sparse ``{column: coef}`` objective."""
+    """Normalize a dense vector or sparse ``{column: coef}`` objective.
+
+    Raises:
+        SolverError: a sparse objective names a column outside
+            ``0 <= index < num_vars``.
+    """
     if isinstance(objective, Mapping):
         vec = np.zeros(num_vars)
         for index, coef in objective.items():
+            if not 0 <= index < num_vars:
+                raise SolverError(
+                    f"objective names column {index}, model has {num_vars} variables"
+                )
             vec[index] = coef
         return vec
     return np.asarray(objective, dtype=float)
 
 
+def equality_rhs(program: LinearProgram, b_eq) -> np.ndarray:
+    """``b_eq`` as a float vector, checked against ``program``'s ``==`` rows.
+
+    Raises:
+        ValueError: ``program`` has no equality rows, or ``b_eq`` does
+            not have one entry per row.
+    """
+    if program.b_eq is None:
+        raise ValueError("program has no equality rows to update")
+    rhs = np.asarray(b_eq, dtype=float)
+    if rhs.shape != program.b_eq.shape:
+        raise ValueError(
+            f"b_eq has shape {rhs.shape}, program has {program.num_eq} equality rows"
+        )
+    return rhs
+
+
 class BackendInstance(abc.ABC):
     """A stateful handle on one LP: fixed matrix, swappable objective/RHS.
 
-    Obtained from :meth:`SolverBackend.instance`; see the module
-    docstring for the isolated/warm contract.
+    Obtained from :meth:`SolverBackend.instance`; every solve is
+    isolated (see the module docstring).
     """
 
     @abc.abstractmethod
@@ -196,11 +219,10 @@ class BackendInstance(abc.ABC):
                 mapping (absent columns are zero).
             b_eq: replacement equality right-hand sides; ``None`` keeps
                 the current ones.
-        """
 
-    @abc.abstractmethod
-    def invalidate_basis(self) -> None:
-        """Drop any cached basis; the next solve starts cold."""
+        Raises:
+            ValueError: ``b_eq`` does not have one entry per equality row.
+        """
 
 
 class SolverBackend(abc.ABC):
@@ -222,8 +244,8 @@ class SolverBackend(abc.ABC):
     ) -> BackendSolution:
         """One-shot cold solve (minimize)."""
 
-    def instance(self, program: LinearProgram, warm: bool = False) -> BackendInstance:
-        """A reusable handle on ``program`` (default: cold per solve).
+    def instance(self, program: LinearProgram) -> BackendInstance:
+        """A reusable handle on ``program``; every solve is cold.
 
         Backends without an incremental engine interface inherit this
         wrapper, which re-enters :meth:`solve` each call — correct, just
@@ -242,7 +264,7 @@ class _OneShotInstance(BackendInstance):
 
     def solve(self, objective, b_eq=None):
         if b_eq is not None:
-            self._b_eq = np.asarray(b_eq, dtype=float)
+            self._b_eq = equality_rhs(self._program, b_eq)
         program = self._program
         if self._b_eq is not program.b_eq:
             from dataclasses import replace
@@ -251,6 +273,3 @@ class _OneShotInstance(BackendInstance):
         return self._backend.solve(
             program, dense_objective(program.num_vars, objective)
         )
-
-    def invalidate_basis(self) -> None:  # cold every call already
-        return None

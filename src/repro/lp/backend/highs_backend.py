@@ -4,9 +4,9 @@
 ``linprog(method="highs")`` itself runs on.  Driving them directly
 skips linprog's per-call wrapper work (bounds normalization, model
 re-validation, result marshalling) and — the real win — lets one
-:class:`HighsInstance` keep the factorized constraint matrix loaded
-across the hundreds of objective/RHS swaps the worst-case oracle and
-margin sweeps perform.
+:class:`HighsInstance` keep the assembled ``HighsLp`` model across the
+hundreds of objective/RHS swaps the worst-case oracle and margin sweeps
+perform.
 
 Semantics relative to the scipy backend:
 
@@ -21,20 +21,16 @@ Semantics relative to the scipy backend:
 * **Duals.** Raw HiGHS row duals, split at the ub/eq boundary of the
   stacked row order — exactly how scipy derives ``marginals``, with no
   sign adjustment.
-* **Determinism.** In the default isolated mode each solve fully
-  resets the engine (``clear()``) and re-passes the prepared model, so
-  every solve *is* a cold solve by construction — bit-identical to this
-  backend's one-shot path and independent of solve order, safe for
-  golden tables and parallel sweeps.  (``clearSolver()`` is not
-  enough: HiGHS retains internal state, e.g. its cost-perturbation
-  stream, that steers degenerate vertex selection at the last ulp.)
-  Because the engine and effective options exactly match linprog's,
-  isolated solves are also bit-identical to the ``scipy`` backend on
-  every family tested — pinned as a canary by the parity suite, with
-  backend fingerprints kept as defense-in-depth.  With ``warm=True``
-  the previous optimal basis is kept: same objectives within engine
-  tolerance, but degenerate optima may pick different vertices
-  depending on history (see ``docs/lp_backends.md``).
+* **Determinism.** Each solve fully resets the engine (``clear()``)
+  and re-passes the prepared model, so every solve *is* a cold solve
+  by construction — bit-identical to this backend's one-shot path and
+  independent of solve order, safe for golden tables and parallel
+  sweeps.  (``clearSolver()`` is not enough: HiGHS retains internal
+  state, e.g. its cost-perturbation stream, that steers degenerate
+  vertex selection at the last ulp.)  Because the engine and effective
+  options exactly match linprog's, solves are also bit-identical to
+  the ``scipy`` backend on every family tested — pinned as a canary by
+  the parity suite, with backend fingerprints kept as defense-in-depth.
 """
 
 from __future__ import annotations
@@ -105,21 +101,14 @@ class HighsInstance(base.BackendInstance):
 
     The instance owns one ``_Highs`` object plus the prebuilt
     ``HighsLp`` (the expensive part: CSC conversion, bounds assembly —
-    done once).  In isolated mode (default) each solve bakes the
-    current cost/RHS into the prepared model, fully resets the engine
-    (``clear()``), and re-passes it — so every solve *is* a cold solve
-    by construction, not by best-effort state reset.  (``clearSolver()``
-    alone is not enough: HiGHS retains internal state — e.g. its cost
-    perturbation stream — that can steer degenerate vertex selection at
-    the last ulp, making results depend on solve order.)  In warm mode
-    the model stays loaded, only changed columns/rows are updated
-    (sparse set-interface), and the previous optimal basis seeds the
-    dual simplex; any non-optimal termination invalidates it.
+    done once).  Each solve bakes the current cost/RHS into the
+    prepared model, fully resets the engine (``clear()``), and
+    re-passes it — so every solve *is* a cold solve by construction,
+    not by best-effort state reset (see the module docstring).
     """
 
-    def __init__(self, program: base.LinearProgram, warm: bool):
+    def __init__(self, program: base.LinearProgram):
         self._program = program
-        self._warm = warm
         self._highs = _highs_core._Highs()
         self._model = _build_model(program)
         # Private row-bound copies: b_eq swaps mutate these, never the
@@ -127,29 +116,16 @@ class HighsInstance(base.BackendInstance):
         _, row_lower, row_upper = program.stacked_csc
         self._row_lower = row_lower.copy()
         self._row_upper = row_upper.copy()
-        self._cost = np.zeros(program.num_vars)
         self._b_eq = (
             np.asarray(program.b_eq, dtype=float).copy()
             if program.b_eq is not None
             else None
         )
-        self._have_basis = False
-        if warm:
-            self._apply_options()
-            self._highs.passModel(self._model)
-
-    def _apply_options(self) -> None:
-        self._highs.setOptionValue("output_flag", False)
-        # Match linprog's effective option set (it forces presolve "on"
-        # where the engine default is "choose").
-        self._highs.setOptionValue("presolve", "on")
 
     def _bake_b_eq(self, b_eq: np.ndarray | None) -> None:
         if b_eq is None:
             return
-        if self._b_eq is None:
-            raise ValueError("program has no equality rows to update")
-        new_rhs = np.asarray(b_eq, dtype=float)
+        new_rhs = base.equality_rhs(self._program, b_eq)
         if np.array_equal(new_rhs, self._b_eq):
             return
         offset = self._program.num_ub
@@ -159,46 +135,17 @@ class HighsInstance(base.BackendInstance):
         self._model.row_upper_ = self._row_upper
         self._b_eq = new_rhs.copy()
 
-    def _solve_isolated(self, cost: np.ndarray, b_eq) -> base.BackendSolution:
-        self._model.col_cost_ = cost
+    def solve(self, objective, b_eq=None) -> base.BackendSolution:
+        self._model.col_cost_ = base.dense_objective(self._program.num_vars, objective)
         self._bake_b_eq(b_eq)
         self._highs.clear()
-        self._apply_options()
+        self._highs.setOptionValue("output_flag", False)
+        # Match linprog's effective option set (it forces presolve "on"
+        # where the engine default is "choose").
+        self._highs.setOptionValue("presolve", "on")
         self._highs.passModel(self._model)
         self._highs.run()
         return _extract(self._highs, self._program)
-
-    def _solve_warm(self, cost: np.ndarray, b_eq) -> base.BackendSolution:
-        changed = np.nonzero(cost != self._cost)[0]
-        if changed.size:
-            self._highs.changeColsCost(
-                int(changed.size), changed.astype(np.int32), cost[changed]
-            )
-            self._cost = cost.copy()
-        if b_eq is not None:
-            if self._b_eq is None:
-                raise ValueError("program has no equality rows to update")
-            new_rhs = np.asarray(b_eq, dtype=float)
-            offset = self._program.num_ub
-            for row in np.nonzero(new_rhs != self._b_eq)[0]:
-                value = float(new_rhs[row])
-                self._highs.changeRowBounds(int(offset + row), value, value)
-            self._b_eq = new_rhs.copy()
-        if not self._have_basis:
-            self._highs.clearSolver()
-        self._highs.run()
-        result = _extract(self._highs, self._program)
-        self._have_basis = result.status == base.OPTIMAL
-        return result
-
-    def solve(self, objective, b_eq=None) -> base.BackendSolution:
-        cost = base.dense_objective(self._program.num_vars, objective)
-        if self._warm:
-            return self._solve_warm(cost, b_eq)
-        return self._solve_isolated(cost, b_eq)
-
-    def invalidate_basis(self) -> None:
-        self._have_basis = False
 
 
 class HighsBackend(base.SolverBackend):
@@ -211,7 +158,7 @@ class HighsBackend(base.SolverBackend):
         return _highs_core is not None
 
     def solve(self, program: base.LinearProgram, objective: np.ndarray) -> base.BackendSolution:
-        return HighsInstance(program, warm=False).solve(objective)
+        return HighsInstance(program).solve(objective)
 
-    def instance(self, program: base.LinearProgram, warm: bool = False) -> HighsInstance:
-        return HighsInstance(program, warm=warm)
+    def instance(self, program: base.LinearProgram) -> HighsInstance:
+        return HighsInstance(program)

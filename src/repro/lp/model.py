@@ -9,8 +9,9 @@ Design goals, in order:
    LP per network edge where only the objective changes; :meth:`Model.compile`
    freezes the constraint matrices once, :meth:`CompiledLP.solve` accepts a
    fresh objective per call, and :meth:`CompiledLP.reusable` returns a
-   persistent solver instance that keeps the factorized matrix loaded
-   across objective/RHS swaps.
+   persistent solver instance that keeps the assembled engine model
+   across objective/RHS swaps (each solve is still an isolated cold
+   solve).
 3. *Duals.* The Theorem 5 certificate and the cutting-plane machinery need
    constraint marginals, which every backend exposes in scipy's sign
    convention (marginals of the minimized problem).
@@ -22,9 +23,10 @@ methods accept iterables of ``(variable, coefficient)`` pairs for hot
 builders that don't need :class:`LinExpr` arithmetic.
 
 Numerical behavior: solves run at the active backend's engine defaults
-(HiGHS: 1e-7 primal/dual feasibility; Gurobi: 1e-6 — see
-:mod:`repro.lp.backend`); no tolerance options are forwarded, so two
-same-engine solves of one model are deterministic, while *cross*-backend
+(HiGHS: 1e-7 primal/dual feasibility — see :mod:`repro.lp.backend`);
+no tolerance options are forwarded, and every solve is an isolated cold
+solve, so two same-engine solves of one model are deterministic and
+independent of solve order, while *cross*-backend
 objective agreement is only guaranteed to ~1e-7.  Backend statuses map
 onto the library's exceptions as ``infeasible`` →
 :class:`~repro.exceptions.InfeasibleError`, ``unbounded`` →
@@ -207,7 +209,8 @@ class CompiledLP:
     Thin wrapper pairing an immutable
     :class:`~repro.lp.backend.base.LinearProgram` with the active solver
     backend.  Each :meth:`solve` is an isolated cold solve; sequences of
-    related solves should go through :meth:`reusable`.
+    related solves should go through :meth:`reusable`, which saves the
+    matrix assembly but not the solve.
     """
 
     def __init__(self, program: LinearProgram):
@@ -233,18 +236,9 @@ class CompiledLP:
         )
         return _check_solution(result, maximize)
 
-    def reusable(self, warm: bool | None = None) -> "ReusableLP":
-        """A persistent solver instance for repeated objective/RHS swaps.
-
-        Args:
-            warm: chain the previous solve's basis (fast, but solution
-                vectors become solve-order dependent at degenerate
-                optima).  ``None`` defers to ``REPRO_LP_WARM``.
-        """
-        if warm is None:
-            warm = lp_backend.warm_starts_enabled()
-        instance = lp_backend.get_backend().instance(self.program, warm=warm)
-        return ReusableLP(self, instance)
+    def reusable(self) -> "ReusableLP":
+        """A persistent solver instance for repeated objective/RHS swaps."""
+        return ReusableLP(self, lp_backend.get_backend().instance(self.program))
 
 
 class ReusableLP:
@@ -275,10 +269,6 @@ class ReusableLP:
                 self._compiled._objective_vector(objective, maximize), b_eq=b_eq
             )
         return _check_solution(result, maximize)
-
-    def invalidate_basis(self) -> None:
-        """Force the next solve to start from a cold basis."""
-        self._instance.invalidate_basis()
 
 
 def _as_index(var: "Variable | int") -> int:

@@ -29,15 +29,14 @@ which is the form the dualization (Theorem 5) actually corresponds to.
 All constraint matrices are compiled once per (witness, uncertainty)
 pair and stay loaded in a persistent backend instance; evaluating a
 routing only swaps the (sparse) objective, so a sweep over all edges
-costs one re-solve of the factorized LP per edge and nothing more.
-Per-edge solves are isolated (cold basis, see
-:mod:`repro.lp.backend`) so results are independent of sweep order and
-of how the sweep is split across threads: it runs on every usable core
-(:func:`repro.lp.backend.lp_threads`), serially on one core, on a
-backend that is not thread-safe, or under ``REPRO_LP_WARM``, whose
-chained bases would make results depend on the split.  Solves run at
-the backend engine's default tolerances (HiGHS 1e-7) and demand entries
-below 1e-10 are dropped from extracted worst-case matrices.
+costs one solve of the prepared LP per edge and nothing more.
+Per-edge solves are isolated (cold, see :mod:`repro.lp.backend`) so
+results are independent of sweep order and of how the sweep is split
+across threads: it runs on every usable core
+(:func:`repro.lp.backend.lp_threads`), and serially on one core or on a
+backend that is not thread-safe.  Solves run at the backend engine's
+default tolerances (HiGHS 1e-7) and demand entries below 1e-10 are
+dropped from extracted worst-case matrices.
 """
 
 from __future__ import annotations
@@ -282,15 +281,10 @@ class WorstCaseOracle:
         helper threads solve the others, each on an instance of its own.
         Results land by index, so the list is the serial sweep's, bit
         for bit: per-edge solves are isolated.  The sweep stays serial
-        under ``REPRO_LP_WARM`` (bases chain from solve to solve) and on
-        a backend that does not declare itself thread-safe.
+        on a backend that does not declare itself thread-safe.
         """
         shares = min(lp_backend.lp_threads(), len(loaded))
-        if (
-            shares <= 1
-            or lp_backend.warm_starts_enabled()
-            or not lp_backend.get_backend().thread_safe
-        ):
+        if shares <= 1 or not lp_backend.get_backend().thread_safe:
             return [
                 self.worst_utilization_for_edge(edge, coeffs)
                 for edge, coeffs in loaded

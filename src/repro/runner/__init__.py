@@ -25,7 +25,6 @@ from repro.runner.campaign import (
     parse_shard,
     write_manifest,
 )
-from repro.runner.cache import ResultCache
 from repro.runner.executor import (
     CellResult,
     SkippedCell,
@@ -69,7 +68,6 @@ __all__ = [
     "EventLog",
     "LruMemo",
     "OverlayStore",
-    "ResultCache",
     "Shard",
     "SkippedCell",
     "SweepCell",

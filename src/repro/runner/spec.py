@@ -39,8 +39,10 @@ from repro.exceptions import ExperimentError
 #: paths, and the direct-HiGHS engine replace the per-call ``linprog``
 #: wrapper.  The default backend is pinned bit-identical to the old
 #: ``linprog`` path on every family tested (same engine, same effective
-#: options), fingerprints gained ``lp_backend`` / ``lp_warm`` fields,
-#: and every ``runner-v3`` key is stale by construction.
+#: options), fingerprints gained an ``lp_backend`` field, and every
+#: ``runner-v3`` key is stale by construction.  (They also gained a
+#: warm-basis flag, dropped again when warm-basis chaining was removed:
+#: that changed every key but no result, so the version stayed.)
 #: ``runner-v5`` moved the splitting optimizers onto the flat-array flow
 #: engine (:mod:`repro.kernel.flowgrad`), whose ulp-level gradient
 #: differences can move non-converged robust solves, so cached ratios change.
@@ -194,13 +196,12 @@ class SweepCell:
             # divergence (a bug, a future tolerance change) would
             # otherwise serve one mode's rows as the other's.
             "kernel": kernel_enabled(),
-            # Same reasoning for the LP layer: different engines (and
-            # warm-basis chaining) can return different optimal vertices
-            # for degenerate LPs, which steers cutting-plane trajectories.
+            # Same reasoning for the LP layer: different engines can
+            # return different optimal vertices for degenerate LPs,
+            # which steers cutting-plane trajectories.
             # The LP sweep's thread count is deliberately absent —
             # isolated solves make results independent of partitioning.
             "lp_backend": lp_backend.active_backend_name(),
-            "lp_warm": lp_backend.warm_starts_enabled(),
             "kind": self.kind,
             "params": {name: _jsonable(value) for name, value in self.params},
             "columns": list(self.cell_columns()),

@@ -12,7 +12,7 @@ undefined ECMP/COYOTE gap is NaN when COYOTE's ratio is 0) are written
 as ``null`` rather than Python's spec-violating bare ``NaN`` token,
 which jq / ``JSON.parse`` / strict parsers reject wholesale.  Readers
 that need the float back map ``null`` to NaN (see
-:meth:`~repro.runner.cache.ResultCache.get`).
+:meth:`~repro.runner.store.DirStore.get`).
 """
 
 from __future__ import annotations

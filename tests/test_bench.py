@@ -30,7 +30,7 @@ from repro.bench.registry import BENCHMARKS, Benchmark, benchmark_names, get_ben
 from repro.cli import main
 from repro.config import ExperimentConfig, SolverConfig
 from repro.exceptions import ExperimentError
-from repro.runner.cache import ResultCache
+from repro.runner.store import DirStore
 from repro.runner.spec import CellKind, SweepCell, SweepSpec, register_cell_kind
 from repro.runner.timing import phase
 
@@ -175,7 +175,7 @@ class TestHarness:
         assert payload["table"]["rows"] == [[1.0, 1.0, 2.0], [2.0, 2.0, 3.0], [3.0, 3.0, 4.0]]
 
     def test_cache_counters_and_empty_timings_on_hits(self, stub_registered, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = DirStore(tmp_path / "cache")
         run_benchmark("stub-bench", TINY_CONFIG, cache=cache)
         warm = run_benchmark("stub-bench", TINY_CONFIG, cache=cache).payload()
         assert warm["cache"] == {"hits": 3, "misses": 0}
@@ -238,7 +238,7 @@ class TestBaseline:
     def test_warm_baseline_rejected(self, stub_registered, tmp_path):
         # A baseline recorded off the cache has near-zero wall-clock and
         # would flag every honest cold run as a regression; refuse it.
-        cache = ResultCache(tmp_path / "cache")
+        cache = DirStore(tmp_path / "cache")
         run_benchmark(stub_registered, TINY_CONFIG, cache=cache)
         warm = run_benchmark(stub_registered, TINY_CONFIG, cache=cache).payload()
         cold = self._payload(stub_registered)
@@ -268,7 +268,7 @@ class TestBaseline:
         # CI's warm self-compare leg: a cache-served current run still
         # gates against a cold baseline, but says what it didn't re-time.
         cold = self._payload(stub_registered)
-        cache = ResultCache(tmp_path / "cache")
+        cache = DirStore(tmp_path / "cache")
         run_benchmark(stub_registered, TINY_CONFIG, cache=cache)
         warm = run_benchmark(stub_registered, TINY_CONFIG, cache=cache).payload()
         # Huge threshold: this asserts the note and pass/fail plumbing,

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 import repro.runner.spec as spec_module
 from repro.config import SolverConfig
-from repro.runner.cache import ResultCache
+from repro.runner.store import DirStore
 from repro.runner.spec import (
     CellKind,
     SweepCell,
@@ -159,7 +159,7 @@ class TestCacheVersion:
         # An entry written under any other CACHE_VERSION is never served
         # (and vice versa: current entries vanish after a bump).
         _register_stub_kinds()
-        cache = ResultCache(tmp_path_factory.mktemp("prop-cache"))
+        cache = DirStore(tmp_path_factory.mktemp("prop-cache"))
         cell = make_cell(kind="prop-kind-a")
         original = spec_module.CACHE_VERSION
         try:

@@ -3,9 +3,9 @@
 Per-edge solves are isolated, so the number of threads that share a
 sweep must never change an :class:`OracleResult`.  These tests pin that
 bit for bit, and cover the process-level plumbing around the helper
-threads: fork safety, the serial paths (warm bases, backends that are
-not thread-safe, one usable core) and the sweep runner's per-worker
-thread budget.
+threads: fork safety, the serial paths (backends that are not
+thread-safe, one usable core) and the sweep runner's per-worker thread
+budget.
 """
 
 import os
@@ -23,8 +23,6 @@ from repro.exceptions import SolverError
 from repro.experiments.common import SCHEME_COLUMNS
 from repro.lp import backend as lp_backend
 from repro.lp.backend.base import SolverBackend
-from repro.lp.backend.gurobi_backend import GurobiBackend
-from repro.lp.dag_flow import optimal_dag_routing
 from repro.lp.worst_case import OracleResult, WorstCaseOracle
 from repro.runner.executor import run_sweep
 from repro.runner.faults import FailurePolicy
@@ -36,8 +34,7 @@ THREAD_COUNTS = (1, 2, 4)
 
 
 @pytest.fixture(autouse=True)
-def default_lp_threads(monkeypatch):
-    monkeypatch.delenv(lp_backend.WARM_ENV, raising=False)
+def default_lp_threads():
     yield
     lp_backend.set_lp_threads(None)
 
@@ -159,25 +156,10 @@ def test_a_helper_share_error_reaches_the_caller(monkeypatch):
         oracle.evaluate(routing)
 
 
-def test_warm_bases_keep_the_sweep_serial(monkeypatch):
-    monkeypatch.setenv(lp_backend.WARM_ENV, "1")
-    network, dags, ecmp, base = _setup("abilene")
-    optimal = optimal_dag_routing(network, dags, base)
-    snapshots = {}
-    for threads in (1, 4):
-        lp_backend.set_lp_threads(threads)
-        oracle = WorstCaseOracle(network, margin_box(base, 2.0), dags=dags)
-        # Bases chain across sweeps too, so evaluate a sequence.
-        snapshots[threads] = [snapshot(oracle.evaluate(r)) for r in (ecmp, optimal, ecmp)]
-        assert oracle._helper_lps == []
-    assert snapshots[4] == snapshots[1]
-
-
 def test_only_highs_and_scipy_declare_thread_safety():
     assert SolverBackend.thread_safe is False
     assert lp_backend.get_backend("highs").thread_safe
     assert lp_backend.get_backend("scipy").thread_safe
-    assert GurobiBackend.thread_safe is False
 
 
 def test_a_backend_without_thread_safety_sweeps_serially(monkeypatch):

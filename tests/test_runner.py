@@ -19,9 +19,9 @@ from repro.experiments.margin_sweep import margin_sweep_experiment, margin_sweep
 from repro.experiments.registry import experiment_spec, sweepable_experiment_ids
 from repro.exceptions import ExperimentError
 from repro.runner.artifacts import write_artifacts
-from repro.runner.cache import ResultCache, default_cache_dir
 from repro.runner.executor import CellResult, SweepReport, _chunk_pending, run_sweep
 from repro.runner.memo import LruMemo
+from repro.runner.store import DirStore, default_cache_dir
 from repro.runner.spec import (
     CellKind,
     SweepCell,
@@ -144,8 +144,10 @@ class TestCellKey:
 
 
 class TestResultCache:
+    """The result cache: a :class:`DirStore` over one directory."""
+
     def test_roundtrip(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = DirStore(tmp_path)
         cell = make_cell()
         result = {scheme: 1.5 for scheme in SCHEME_COLUMNS}
         path = cache.put(cell, result)
@@ -154,25 +156,25 @@ class TestResultCache:
         assert len(cache) == 1
 
     def test_miss_returns_none(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = DirStore(tmp_path)
         assert cache.get(make_cell()) is None
 
     def test_solver_change_invalidates(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = DirStore(tmp_path)
         cell = make_cell()
         cache.put(cell, {"ECMP": 1.0})
         tweaked = replace(cell, solver=replace(TINY_SOLVER, max_adversarial_rounds=9))
         assert cache.get(tweaked) is None
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = DirStore(tmp_path)
         cell = make_cell()
         path = cache.put(cell, {"ECMP": 1.0})
         path.write_text("not json{")
         assert cache.get(cell) is None
 
     def test_fingerprint_mismatch_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = DirStore(tmp_path)
         cell = make_cell()
         path = cache.put(cell, {"ECMP": 1.0})
         payload = json.loads(path.read_text())
@@ -181,14 +183,14 @@ class TestResultCache:
         assert cache.get(cell) is None
 
     def test_non_object_payload_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = DirStore(tmp_path)
         cell = make_cell()
         path = cache.put(cell, {"ECMP": 1.0})
         path.write_text("[]")
         assert cache.get(cell) is None
 
     def test_non_numeric_result_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = DirStore(tmp_path)
         cell = make_cell()
         path = cache.put(cell, {"ECMP": 1.0})
         payload = json.loads(path.read_text())
@@ -197,7 +199,7 @@ class TestResultCache:
         assert cache.get(cell) is None
 
     def test_scheme_incomplete_result_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = DirStore(tmp_path)
         cell = make_cell()
         path = cache.put(cell, {scheme: 1.5 for scheme in SCHEME_COLUMNS})
         payload = json.loads(path.read_text())
@@ -208,7 +210,7 @@ class TestResultCache:
     def test_nan_result_roundtrips_as_strict_json(self, tmp_path):
         # fig9's undefined gap is NaN; entries must stay spec-valid JSON
         # (null, not a bare NaN token) and read back as NaN.
-        cache = ResultCache(tmp_path)
+        cache = DirStore(tmp_path)
         cell = make_cell()
         result = {scheme: 1.5 for scheme in SCHEME_COLUMNS}
         result["ECMP"] = float("nan")
@@ -220,7 +222,7 @@ class TestResultCache:
     def test_wrong_column_set_is_a_miss(self, tmp_path):
         # An entry whose result carries a different kind's columns (here:
         # none of the margin schemes) must not be served.
-        cache = ResultCache(tmp_path)
+        cache = DirStore(tmp_path)
         cell = make_cell()
         path = cache.put(cell, {scheme: 1.5 for scheme in SCHEME_COLUMNS})
         payload = json.loads(path.read_text())
@@ -232,7 +234,7 @@ class TestResultCache:
         # A kind with a single column round-trips without needing the four
         # margin schemes (the pre-v2 cache demanded SCHEME_COLUMNS of all).
         register_cell_kind(CellKind("kind-solo", solve=_stub_solve, columns=("only",)))
-        cache = ResultCache(tmp_path)
+        cache = DirStore(tmp_path)
         cell = make_cell(kind="kind-solo")
         cache.put(cell, {"only": 2.5})
         assert cache.get(cell) == {"only": 2.5}
@@ -262,7 +264,7 @@ class TestRunSweep:
             run_sweep(make_spec(), jobs=0, solve=_stub_solve)
 
     def test_cache_hit_on_second_run(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = DirStore(tmp_path)
         spec = make_spec()
         first = run_sweep(spec, cache=cache, solve=_stub_solve)
         assert first.solved == 3 and first.cached == 0
@@ -271,13 +273,13 @@ class TestRunSweep:
         assert second.table().rows == first.table().rows
 
     def test_partial_cache_solves_only_misses(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = DirStore(tmp_path)
         run_sweep(make_spec(margins=(1.0, 2.0)), cache=cache, solve=_stub_solve)
         report = run_sweep(make_spec(margins=(1.0, 2.0, 3.0)), cache=cache, solve=_stub_solve)
         assert report.cached == 2 and report.solved == 1
 
     def test_solver_change_misses_cache(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = DirStore(tmp_path)
         spec = make_spec()
         run_sweep(spec, cache=cache, solve=_stub_solve)
         tweaked = spec.with_solver(replace(TINY_SOLVER, max_inner_iterations=11))
@@ -285,7 +287,7 @@ class TestRunSweep:
         assert report.solved == 3 and report.cached == 0
 
     def test_failed_cell_preserves_earlier_cached_results(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = DirStore(tmp_path)
         spec = make_spec(margins=(1.0, 2.0, 3.0))
         with pytest.raises(RuntimeError, match="solver blew up"):
             run_sweep(spec, cache=cache, solve=_failing_stub_solve)
@@ -296,7 +298,7 @@ class TestRunSweep:
     def test_parallel_failure_preserves_in_flight_results(self, tmp_path):
         # Margin 3.0 fails after its chunk-mates solved (and while the other
         # worker's chunk is still running); those results must still be cached.
-        cache = ResultCache(tmp_path)
+        cache = DirStore(tmp_path)
         spec = make_spec(margins=(1.0, 2.0, 3.0))
         with pytest.raises(RuntimeError, match="solver blew up"):
             run_sweep(spec, jobs=2, cache=cache, solve=_failing_stub_solve)
@@ -309,7 +311,7 @@ class TestRunSweep:
         assert "margin=3" in str(excinfo.value.__cause__)
 
     def test_cache_shared_across_experiments(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = DirStore(tmp_path)
         run_sweep(make_spec(experiment="fig6"), cache=cache, solve=_stub_solve)
         report = run_sweep(make_spec(experiment="table1"), cache=cache, solve=_stub_solve)
         assert report.solved == 0 and report.cached == 3
@@ -607,7 +609,7 @@ class TestParallelEquality:
     def test_parallel_matches_serial(self, tmp_path):
         config = ExperimentConfig(margins=(1.0, 2.0), solver=TINY_SOLVER)
         spec = margin_sweep_spec("abilene", "gravity", config)
-        cache = ResultCache(tmp_path)
+        cache = DirStore(tmp_path)
         parallel = run_sweep(spec, jobs=2, cache=cache)
         serial = run_sweep(spec)
         assert parallel.solved == 2
