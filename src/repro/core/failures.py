@@ -146,8 +146,7 @@ def _coyote_ratio(
         extra_starts=[projection.ratios],
         fallbacks=[projection],
     )
-    from repro.lp.worst_case import WorstCaseOracle
-
-    oracle = WorstCaseOracle(network, uncertainty, dags=dags, config=config)
-    ecmp_ratio = oracle.evaluate(ecmp).ratio
+    # The solve's oracle: the ECMP score shares the solves of the
+    # projection fallback.
+    ecmp_ratio = result.evaluator.evaluate(ecmp).ratio
     return _ScenarioResult(result.routing, result.oracle.ratio, ecmp_ratio)

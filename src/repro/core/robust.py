@@ -18,9 +18,16 @@ gap certifies convergence.  The returned routing always carries the
 oracle-certified ratio.
 
 A list of fallback routings (e.g. plain ECMP) can be supplied: each is
-oracle-evaluated once at the end and the best configuration wins, which
-preserves the paper's "no worse than ECMP" guarantee even if the
-numerical optimizer underperforms on some instance.
+checked against the oracle at the end and the best configuration wins,
+which preserves the paper's "no worse than ECMP" guarantee even if the
+numerical optimizer underperforms on some instance.  The polish and
+fallback checks only need the ratio up to a limit, so they use the
+oracle's bounded evaluation
+(:meth:`~repro.lp.worst_case.WorstCaseOracle.evaluate_within`), which
+stops at the first edge that passes it.
+
+The result carries the loop's oracle, so a caller that scores more
+routings on the same (DAGs, cone) reuses the loop's per-edge solves.
 """
 
 from __future__ import annotations
@@ -51,12 +58,22 @@ class RobustResult:
         rounds: adversarial rounds executed.
         history: per-round (finite-set objective, oracle ratio) pairs.
         matrices: the final critical demand set ``T``.
+        stop: why the cutting-plane loop ended: ``"converged"`` (the
+            oracle ratio came within the tolerance of the finite-set
+            objective), ``"cycling"`` (the oracle's cuts were all in
+            ``T`` already) or ``"round-cap"`` (``max_adversarial_rounds``
+            ran out first).
+        evaluator: the worst-case oracle of this run, for scoring more
+            routings on the same DAGs and cone; its memo holds every
+            per-edge solve of the run.
     """
 
     routing: Routing
     objective: float
     oracle: OracleResult
     rounds: int
+    stop: str
+    evaluator: WorstCaseOracle
     history: list[tuple[float, float]] = field(default_factory=list)
     matrices: list[DemandMatrix] = field(default_factory=list)
 
@@ -110,8 +127,14 @@ def optimize_robust_splitting(
         initial_matrices: seed demand matrices for ``T`` (a representative
             matrix of the cone is always added).
         extra_starts: warm-start ratio assignments for the inner solver.
-        fallbacks: routings to oracle-evaluate at the end (e.g. ECMP).
+        fallbacks: routings to check against the oracle at the end (e.g.
+            ECMP).
         name: label of the resulting routing.
+
+    Raises:
+        SolverError: the softmax polish has no balance matrix, because
+            the cone's representative matrix loads no DAG destination
+            while ``initial_matrices`` do.
     """
     oracle = WorstCaseOracle(network, uncertainty, dags=dags, config=config)
     # One min-congestion solver for the whole run: every cut/normalize
@@ -119,15 +142,23 @@ def optimize_robust_splitting(
     from repro.lp.mcf import MinCongestionSolver
 
     mcf_solver = MinCongestionSolver(network, dags)
-    matrices: list[DemandMatrix] = []
-    for dm in (*initial_matrices, representative_matrix(uncertainty)):
-        # Pairs toward destinations without a DAG cannot carry flow in
-        # this configuration; drop them before normalizing.
-        dm = dm.restricted_to_targets(set(dags))
-        if dm:
-            matrices.append(
-                normalize_to_unit_optimum(network, dm, dags=dags, solver=mcf_solver)
-            )
+    # Pairs toward destinations without a DAG cannot carry flow in this
+    # configuration; drop them before normalizing.
+    targets = set(dags)
+    matrices: list[DemandMatrix] = [
+        normalize_to_unit_optimum(network, dm, dags=dags, solver=mcf_solver)
+        for dm in (dm.restricted_to_targets(targets) for dm in initial_matrices)
+        if dm
+    ]
+    # The cone's representative matrix seeds T and is the polish's
+    # balance set.
+    representative = representative_matrix(uncertainty).restricted_to_targets(targets)
+    balance: list[DemandMatrix] = []
+    if representative:
+        balance.append(
+            normalize_to_unit_optimum(network, representative, dags=dags, solver=mcf_solver)
+        )
+    matrices.extend(balance)
 
     history: list[tuple[float, float]] = []
     best_routing: Routing | None = None
@@ -135,6 +166,7 @@ def optimize_robust_splitting(
     best_objective = float("inf")
     previous_starts = list(extra_starts)
     rounds = 0
+    stop = "round-cap"
 
     for rounds in range(1, config.max_adversarial_rounds + 1):
         solution = _inner_optimize(
@@ -148,6 +180,7 @@ def optimize_robust_splitting(
         # Convergence: the oracle cannot find demands (meaningfully) worse
         # than the finite set already covers.
         if oracle_result.ratio <= solution.objective * (1.0 + config.ratio_tolerance):
+            stop = "converged"
             break
         added = 0
         for cut in oracle_result.cuts:
@@ -163,7 +196,8 @@ def optimize_robust_splitting(
             matrices.append(normalized)
             added += 1
         if added == 0:
-            break  # the oracle is cycling; no progress possible
+            stop = "cycling"  # no progress possible
+            break
         # Warm starts for the next round: the incumbent, the LP optimum
         # for the newest adversarial matrix, and the caller's starts.
         from repro.lp.dag_flow import induced_splitting_ratios
@@ -180,30 +214,36 @@ def optimize_robust_splitting(
     if optimizer == "softmax" and matrices:
         from repro.core.softmax_opt import polish_balanced
 
-        balance = representative_matrix(uncertainty).restricted_to_targets(set(dags))
+        if not balance:
+            raise SolverError("the cone's representative matrix loads no DAG destination")
+
         polished = polish_balanced(
             network,
             dags,
             penalty_matrices=matrices,
-            balance_matrices=[
-                normalize_to_unit_optimum(network, balance, dags=dags, solver=mcf_solver)
-            ],
+            balance_matrices=balance,
             start_ratios=best_routing.ratios,
             bound=best_objective if best_objective < float("inf") else best_oracle.ratio,
             config=config,
             name=name,
         )
-        polished_oracle = oracle.evaluate(polished.routing)
-        if polished_oracle.ratio <= best_oracle.ratio * (1.0 + config.ratio_tolerance):
+        limit = best_oracle.ratio * (1.0 + config.ratio_tolerance)
+        polished_oracle = oracle.evaluate_within(
+            polished.routing, limit, order=best_oracle.per_edge
+        )
+        if polished_oracle is not None:
             best_routing, best_oracle = polished.routing, polished_oracle
             # Keep (objective, oracle) describing the same routing:
             # polished.objective is the polished point's max over T.
             best_objective = polished.objective
 
     # ECMP-dominance safeguard: keep the best oracle-certified routing.
+    # A fallback that ties the incumbent does not replace it.
     for fallback in fallbacks:
-        fallback_result = oracle.evaluate(fallback)
-        if fallback_result.ratio < best_oracle.ratio:
+        fallback_result = oracle.evaluate_within(
+            fallback, best_oracle.ratio, order=best_oracle.per_edge
+        )
+        if fallback_result is not None and fallback_result.ratio < best_oracle.ratio:
             best_routing, best_oracle = fallback, fallback_result
             best_objective = fallback_result.ratio
 
@@ -212,6 +252,9 @@ def optimize_robust_splitting(
         objective=best_objective,
         oracle=best_oracle,
         rounds=rounds,
+        stop=stop,
+        evaluator=oracle,
         history=history,
         matrices=matrices,
     )
+

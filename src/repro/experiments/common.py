@@ -11,7 +11,8 @@ normalized by the demands-aware optimum within the same augmented DAGs:
 
 :class:`ExperimentSetup` computes everything margin-independent once
 (DAGs, ECMP, Base, the oblivious routing); per-margin evaluation then
-compiles one oracle and scores all schemes against it.
+runs the COYOTE-pk solve and scores all schemes on that solve's oracle,
+so the scores reuse the solve's per-edge LPs.
 
 This module also registers the ``"margin"`` cell kind — the
 (topology, demand model, margin) unit behind Figs. 6-8 and Table I —
@@ -28,7 +29,7 @@ from typing import Mapping
 from repro.config import SolverConfig
 from repro.core.dag_builder import build_dags
 from repro.core.evaluate import project_ecmp_into_dags
-from repro.core.robust import optimize_robust_splitting
+from repro.core.robust import RobustResult, optimize_robust_splitting
 from repro.demands.gravity import gravity_matrix
 from repro.demands.bimodal import bimodal_matrix
 from repro.demands.matrix import DemandMatrix
@@ -39,7 +40,6 @@ from repro.exceptions import ExperimentError
 from repro.graph.dag import Dag
 from repro.graph.network import Edge, Network, Node
 from repro.lp.dag_flow import optimal_dag_routing
-from repro.lp.worst_case import WorstCaseOracle
 from repro.routing.splitting import Routing
 from repro.runner.memo import LruMemo
 from repro.runner.spec import CellKind, SweepCell, register_cell_kind
@@ -132,12 +132,13 @@ def prepare_setup(
     )
 
 
-def coyote_partial_for_margin(setup: ExperimentSetup, margin: float) -> Routing:
+def coyote_partial_for_margin(setup: ExperimentSetup, margin: float) -> RobustResult:
     """COYOTE optimized against the margin cone around the base matrix.
 
     Recorded as the "solve" phase when a benchmark is timing the cell:
     this robust optimization is the margin-dependent hot path every
-    setup-sharing kind pays per cell.
+    setup-sharing kind pays per cell.  The result's ``evaluator`` is the
+    margin's worst-case oracle, its memo filled by the solve.
     """
     uncertainty = margin_box(setup.base, margin)
     with phase("solve"):
@@ -151,7 +152,7 @@ def coyote_partial_for_margin(setup: ExperimentSetup, margin: float) -> Routing:
             extra_starts=[setup.ecmp_projection.ratios, setup.base_routing.ratios],
             fallbacks=[setup.ecmp_projection],
             name="COYOTE-pk",
-        ).routing
+        )
 
 
 def evaluate_margin(setup: ExperimentSetup, margin: float) -> dict[str, float]:
@@ -162,17 +163,14 @@ def evaluate_margin(setup: ExperimentSetup, margin: float) -> dict[str, float]:
     :mod:`repro.kernel`); semantics changes on that path require a
     ``CACHE_VERSION`` bump in :mod:`repro.runner.spec`.
     """
-    uncertainty = margin_box(setup.base, margin, label=f"margin={margin:g}")
-    oracle = WorstCaseOracle(
-        setup.network, uncertainty, dags=setup.dags, config=setup.config
-    )
     partial = coyote_partial_for_margin(setup, margin)
+    oracle = partial.evaluator
     with phase("evaluate"):
         return {
             "ECMP": oracle.evaluate(setup.ecmp).ratio,
             "Base": oracle.evaluate(setup.base_routing).ratio,
             "COYOTE-obl": oracle.evaluate(setup.coyote_oblivious).ratio,
-            "COYOTE-pk": oracle.evaluate(partial).ratio,
+            "COYOTE-pk": oracle.evaluate(partial.routing).ratio,
         }
 
 

@@ -23,10 +23,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.config import ExperimentConfig
-from repro.demands.uncertainty import margin_box
 from repro.experiments.common import coyote_partial_for_margin, shared_setup
 from repro.fibbing.apportionment import approximate_routing
-from repro.lp.worst_case import WorstCaseOracle
 from repro.runner.executor import run_sweep
 from repro.runner.memo import LruMemo
 from repro.runner.spec import (
@@ -56,13 +54,8 @@ def _oracle_and_ideal(cell: SweepCell):
     """The margin's worst-case oracle and ideal COYOTE-pk routing, memoized."""
 
     def build():
-        setup = shared_setup(cell)
-        uncertainty = margin_box(setup.base, cell.margin)
-        oracle = WorstCaseOracle(
-            setup.network, uncertainty, dags=setup.dags, config=cell.solver
-        )
-        ideal = coyote_partial_for_margin(setup, cell.margin)
-        return oracle, ideal
+        ideal = coyote_partial_for_margin(shared_setup(cell), cell.margin)
+        return ideal.evaluator, ideal.routing
 
     return _MARGIN_MEMO.get_or_create((cell.setup_key(), cell.margin), build)
 

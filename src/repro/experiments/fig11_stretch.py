@@ -36,7 +36,7 @@ FIG11_COLUMNS = ("COYOTE-obl", "COYOTE-pk")
 def solve_fig11_cell(cell: SweepCell) -> dict[str, float]:
     """One topology's average stretch for both COYOTE variants."""
     setup = shared_setup(cell)
-    partial = coyote_partial_for_margin(setup, cell.margin)
+    partial = coyote_partial_for_margin(setup, cell.margin).routing
     with phase("evaluate"):
         return {
             "COYOTE-obl": setup.coyote_oblivious.average_stretch_against(setup.ecmp),

@@ -26,7 +26,6 @@ from repro.core.robust import optimize_robust_splitting
 from repro.demands.uncertainty import margin_box
 from repro.ecmp.routing import ecmp_routing
 from repro.experiments.common import base_matrix_for
-from repro.lp.worst_case import WorstCaseOracle
 from repro.runner.executor import run_sweep
 from repro.runner.spec import CellKind, SweepCell, SweepSpec, grid_cells, register_cell_kind
 from repro.runner.timing import phase
@@ -53,7 +52,6 @@ def solve_fig9_cell(cell: SweepCell) -> dict[str, float]:
         dags = build_dags(network, weights, augment=True)
         ecmp = ecmp_routing(network, weights)
         projection = project_ecmp_into_dags(ecmp, dags)
-        oracle = WorstCaseOracle(network, uncertainty, dags=dags, config=cell.solver)
         coyote = optimize_robust_splitting(
             network,
             dags,
@@ -63,10 +61,13 @@ def solve_fig9_cell(cell: SweepCell) -> dict[str, float]:
             extra_starts=[projection.ratios],
             fallbacks=[projection],
             name="COYOTE",
-        ).routing
+        )
+    # The solve's oracle: the ECMP score shares the solves of the
+    # projection fallback.
+    oracle = coyote.evaluator
     with phase("evaluate"):
         ecmp_ratio = oracle.evaluate(ecmp).ratio
-        coyote_ratio = oracle.evaluate(coyote).ratio
+        coyote_ratio = oracle.evaluate(coyote.routing).ratio
     gap = ecmp_ratio / coyote_ratio if coyote_ratio > 0 else float("nan")
     return {"ECMP": ecmp_ratio, "COYOTE": coyote_ratio, "ECMP/COYOTE": gap}
 

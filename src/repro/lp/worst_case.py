@@ -29,7 +29,7 @@ which is the form the dualization (Theorem 5) actually corresponds to.
 All constraint matrices are compiled once per (witness, uncertainty)
 pair and stay loaded in a persistent backend instance; evaluating a
 routing only swaps the (sparse) objective, so a sweep over all edges
-costs one solve of the prepared LP per edge and nothing more.
+costs at most one solve of the prepared LP per edge.
 Per-edge solves are isolated (cold, see :mod:`repro.lp.backend`) so
 results are independent of sweep order and of how the sweep is split
 across threads: it runs on every usable core
@@ -37,14 +37,32 @@ across threads: it runs on every usable core
 backend that is not thread-safe.  Solves run at the backend engine's
 default tolerances (HiGHS 1e-7) and demand entries below 1e-10 are
 dropped from extracted worst-case matrices.
+
+Because a solve depends on its objective alone, each oracle keeps a
+memo of per-edge results keyed by the exact bytes of the objective (the
+demand-variable indices and the coefficient / capacity values): each
+distinct objective is solved once per oracle, however many routings
+share it (an ECMP routing and its DAG projection, a routing the
+cutting-plane loop already certified and the table then scores).  The
+memo lives and dies with the oracle.
+
+:meth:`WorstCaseOracle.evaluate_within` is the bounded form of
+:meth:`~WorstCaseOracle.evaluate` for accept/reject checks: it sweeps
+the edges hottest-first (in the order of an incumbent's per-edge
+ratios), stops every thread, through one shared flag, as soon as one
+edge passes the limit, and returns None then.  Otherwise every edge was
+solved and it returns the full evaluation.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping
+
+import numpy as np
 
 from repro.config import DEFAULT_CONFIG, SolverConfig
 from repro.demands.matrix import DemandMatrix, Pair
@@ -78,6 +96,16 @@ class OracleResult:
     demand: DemandMatrix | None
     per_edge: dict[Edge, float]
     cuts: list[DemandMatrix] = field(default_factory=list)
+
+
+def _passes(result: tuple[float, np.ndarray], limit: float) -> bool:
+    """Whether a per-edge result alone puts the ratio above ``limit``.
+
+    An edge whose worst-case demand is empty is no finding of
+    :meth:`WorstCaseOracle.evaluate`, so it never raises the ratio.
+    """
+    utilization, demand = result
+    return utilization > limit and bool(demand.any())
 
 
 class WorstCaseOracle:
@@ -182,6 +210,14 @@ class WorstCaseOracle:
         # (instances are stateful), built on first use and kept.
         self._reusable: ReusableLP = self._compiled.reusable()
         self._helper_lps: list[ReusableLP] = []
+        self._pairs: list[Pair] = list(self._demand_vars)
+        self._demand_columns = np.array(
+            [var.index for var in self._demand_vars.values()], dtype=np.intp
+        )
+        # Per-edge results by objective bytes (see _key): utilization and
+        # the worst-case demand per adversary pair, as a dense array.
+        # Only the calling thread reads or writes it.
+        self._memo: dict[bytes, tuple[float, np.ndarray]] = {}
 
     # -- queries ----------------------------------------------------------
 
@@ -198,37 +234,24 @@ class WorstCaseOracle:
     ) -> tuple[float, DemandMatrix]:
         """Maximize the utilization of ``edge`` over the uncertainty set.
 
+        A direct solve: it neither reads nor fills the oracle's memo.
+
         Args:
             edge: the link under attack.
             coefficients: pair -> fraction of that pair's demand crossing
                 ``edge`` under the fixed routing (``f_st(u) * phi_t(e)``).
-            reusable: solver instance to use (default: the oracle's own;
-                parallel sweeps pass per-thread instances).
+            reusable: solver instance to use (default: the oracle's own).
 
         Returns:
             (utilization, worst-case demand matrix).
         """
-        capacity = self.network.capacity(*edge)
-        if not math.isfinite(capacity):
-            return 0.0, DemandMatrix({})
-        objective: dict[int, float] = {}
-        for pair, coefficient in coefficients.items():
-            var = self._demand_vars.get(pair)
-            if var is not None and coefficient > 0.0:
-                objective[var.index] = coefficient / capacity
+        objective = self._objective(edge, coefficients)
         if not objective:
             return 0.0, DemandMatrix({})
         if reusable is None:
             reusable = self._reusable
-        solution = reusable.solve(objective, maximize=True)
-        demand = DemandMatrix(
-            {
-                pair: solution.value(var)
-                for pair, var in self._demand_vars.items()
-                if solution.value(var) > 1e-10
-            }
-        )
-        return float(solution.objective), demand
+        utilization, demand = self._solve(objective, reusable)
+        return utilization, self._demand_matrix(demand)
 
     def evaluate(
         self,
@@ -238,74 +261,194 @@ class WorstCaseOracle:
     ) -> OracleResult:
         """``PERF(routing, D)`` via one slave LP per (loaded, finite) edge.
 
+        Only objectives this oracle has not solved before reach the
+        solver; the rest come from the memo.
+
         Args:
             routing: the fixed configuration under evaluation.
             edges: restrict the sweep (default: all finite-capacity edges).
             keep_cuts: how many of the worst per-edge demand matrices to
                 return for cutting-plane use.
         """
+        loaded = self._loaded(routing, edges)
+        self._fill(loaded)
+        return self._result(loaded, keep_cuts)
+
+    def evaluate_within(
+        self,
+        routing: Routing,
+        limit: float,
+        order: Mapping[Edge, float] | None = None,
+    ) -> OracleResult | None:
+        """``evaluate(routing)`` if its ratio is at most ``limit``, else None.
+
+        Edges are swept in descending ``order`` (e.g. an incumbent's
+        ``per_edge``; edges it lacks go last), and every thread stops as
+        soon as one edge passes ``limit``, which settles the None.
+        """
+        loaded = self._loaded(routing)
+        hottest = loaded
+        if order is not None:
+            hottest = sorted(loaded, key=lambda item: order.get(item[0], -math.inf), reverse=True)
+        if self._fill(hottest, limit):
+            return None
+        result = self._result(loaded)
+        return None if result.ratio > limit else result
+
+    # -- sweeps -----------------------------------------------------------
+
+    def _objective(self, edge: Edge, coefficients: Mapping[Pair, float]) -> dict[int, float]:
+        """The per-edge LP objective ``{demand column: coefficient / capacity}``.
+
+        Empty for an infinite-capacity edge or one no adversary pair loads.
+        """
+        capacity = self.network.capacity(*edge)
+        if not math.isfinite(capacity):
+            return {}
+        objective: dict[int, float] = {}
+        for pair, coefficient in coefficients.items():
+            var = self._demand_vars.get(pair)
+            if var is not None and coefficient > 0.0:
+                objective[var.index] = coefficient / capacity
+        return objective
+
+    @staticmethod
+    def _key(objective: Mapping[int, float]) -> bytes:
+        """The memo key: the objective's columns and values, column-sorted."""
+        columns = np.fromiter(objective, dtype=np.int64, count=len(objective))
+        values = np.fromiter(objective.values(), dtype=float, count=len(objective))
+        order = np.argsort(columns)
+        return columns[order].tobytes() + values[order].tobytes()
+
+    def _loaded(
+        self, routing: Routing, edges: list[Edge] | None = None
+    ) -> list[tuple[Edge, dict[int, float], bytes | None]]:
+        """(edge, objective, memo key) per loaded candidate edge.
+
+        The key is None for an empty objective, whose result is (0.0, no
+        demand) without a solve.
+        """
         # Objective-coefficient assembly rides the vectorized kernel when
         # enabled (see repro.kernel.coefficients); any change to how
         # coefficients are derived is a solver-semantics change — bump
         # CACHE_VERSION in repro.runner.spec.
-        coefficients = routing.load_coefficients(list(self._demand_vars))
+        coefficients = routing.load_coefficients(list(self._pairs))
         candidates = edges if edges is not None else self.network.finite_capacity_edges()
-        loaded = [
-            (edge, coefficients[edge])
-            for edge in candidates
-            if coefficients.get(edge)
-        ]
-        results = self._sweep(loaded)
+        loaded = []
+        for edge in candidates:
+            coeffs = coefficients.get(edge)
+            if coeffs:
+                objective = self._objective(edge, coeffs)
+                loaded.append((edge, objective, self._key(objective) if objective else None))
+        return loaded
+
+    def _result(
+        self, loaded: list[tuple[Edge, dict[int, float], bytes | None]], keep_cuts: int = 4
+    ) -> OracleResult:
+        """The evaluation of a routing whose ``loaded`` objectives are all memoized."""
         per_edge: dict[Edge, float] = {}
-        findings: list[tuple[float, Edge, DemandMatrix]] = []
-        for (edge, _coeffs), (utilization, demand) in zip(loaded, results):
+        findings: list[tuple[float, Edge, np.ndarray]] = []
+        for edge, _objective, key in loaded:
+            if key is None:
+                per_edge[edge] = 0.0
+                continue
+            utilization, demand = self._memo[key]
             per_edge[edge] = utilization
-            if demand:
+            if demand.any():
                 findings.append((utilization, edge, demand))
         findings.sort(key=lambda item: item[0], reverse=True)
         cuts: list[DemandMatrix] = []
         for _u, _e, demand in findings[: max(keep_cuts, 1)]:
-            if not any(demand.close_to(seen, tolerance=1e-9) for seen in cuts):
-                cuts.append(demand)
+            matrix = self._demand_matrix(demand)
+            if not any(matrix.close_to(seen, tolerance=1e-9) for seen in cuts):
+                cuts.append(matrix)
         if not findings:
             return OracleResult(0.0, None, None, per_edge, [])
-        best_ratio, best_edge, best_demand = findings[0]
-        return OracleResult(best_ratio, best_edge, best_demand, per_edge, cuts)
+        best_ratio, best_edge, _demand = findings[0]
+        return OracleResult(best_ratio, best_edge, cuts[0], per_edge, cuts)
+
+    def _solve(
+        self, objective: Mapping[int, float], reusable: ReusableLP
+    ) -> tuple[float, np.ndarray]:
+        """One per-edge solve: (utilization, worst-case demand per pair)."""
+        solution = reusable.solve(objective, maximize=True)
+        demand = solution.values[self._demand_columns]
+        return float(solution.objective), np.where(demand > 1e-10, demand, 0.0)
+
+    def _demand_matrix(self, demand: np.ndarray) -> DemandMatrix:
+        """The sparse matrix of a dense per-pair demand array (zeros dropped)."""
+        pairs = self._pairs
+        return DemandMatrix({pairs[i]: float(demand[i]) for i in np.flatnonzero(demand)})
+
+    def _fill(
+        self,
+        loaded: list[tuple[Edge, dict[int, float], bytes | None]],
+        limit: float | None = None,
+    ) -> bool:
+        """Solve the objectives of ``loaded`` missing from the memo, in order.
+
+        With a ``limit`` it solves nothing once a memoized result passes
+        it, and the sweep stops once a solve does; returns whether one
+        did.  Results enter the memo here, on the calling thread, after
+        the sweep.
+        """
+        pending: dict[bytes, dict[int, float]] = {}
+        for _edge, objective, key in loaded:
+            if key is None:
+                continue
+            if key not in self._memo:
+                pending.setdefault(key, objective)
+            elif limit is not None and _passes(self._memo[key], limit):
+                return True
+        if not pending:
+            return False
+        results = self._sweep(list(pending.values()), limit)
+        passed = False
+        for key, result in zip(pending, results):
+            if result is not None:
+                self._memo[key] = result
+                passed = passed or (limit is not None and _passes(result, limit))
+        return passed
 
     def _sweep(
-        self, loaded: list[tuple[Edge, Mapping[Pair, float]]]
-    ) -> list[tuple[float, DemandMatrix]]:
+        self, objectives: list[dict[int, float]], limit: float | None = None
+    ) -> list[tuple[float, np.ndarray] | None]:
         """Solve the per-edge LPs, one strided share per usable core.
 
         The calling thread solves share 0 on the oracle's own instance;
         helper threads solve the others, each on an instance of its own.
         Results land by index, so the list is the serial sweep's, bit
         for bit: per-edge solves are isolated.  The sweep stays serial
-        on a backend that does not declare itself thread-safe.
+        on a backend that does not declare itself thread-safe.  With a
+        ``limit``, one shared flag stops every share once a result
+        passes it; the entries left unsolved stay None.
         """
-        shares = min(lp_backend.lp_threads(), len(loaded))
+        results: list[tuple[float, np.ndarray] | None] = [None] * len(objectives)
+        stop = threading.Event()
+
+        def solve_share(share: int, shares: int, reusable: ReusableLP) -> None:
+            for index in range(share, len(objectives), shares):
+                if stop.is_set():
+                    return
+                result = self._solve(objectives[index], reusable)
+                results[index] = result
+                if limit is not None and _passes(result, limit):
+                    stop.set()
+
+        shares = min(lp_backend.lp_threads(), len(objectives))
         if shares <= 1 or not lp_backend.get_backend().thread_safe:
-            return [
-                self.worst_utilization_for_edge(edge, coeffs)
-                for edge, coeffs in loaded
-            ]
+            solve_share(0, 1, self._reusable)
+            return results
         while len(self._helper_lps) < shares - 1:
             self._helper_lps.append(self._compiled.reusable())
-        results: list = [None] * len(loaded)
-
-        def solve_share(share: int, reusable: ReusableLP) -> None:
-            for index in range(share, len(loaded), shares):
-                edge, coeffs = loaded[index]
-                results[index] = self.worst_utilization_for_edge(edge, coeffs, reusable)
-
         # Leaving the block waits for every helper, even when share 0
         # raised, so no helper still holds its instance after a sweep.
         with ThreadPoolExecutor(shares - 1, thread_name_prefix="lp-sweep") as pool:
             futures = [
-                pool.submit(solve_share, share, self._helper_lps[share - 1])
+                pool.submit(solve_share, share, shares, self._helper_lps[share - 1])
                 for share in range(1, shares)
             ]
-            solve_share(0, self._reusable)
+            solve_share(0, shares, self._reusable)
         for future in futures:
             future.result()
         return results

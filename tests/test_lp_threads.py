@@ -142,15 +142,15 @@ def test_oracles_sweep_at_once():
 
 def test_a_helper_share_error_reaches_the_caller(monkeypatch):
     oracle, routing = _abilene_margin()
-    solve = oracle.worst_utilization_for_edge
+    solve = oracle._solve
     caller = threading.current_thread()
 
-    def failing_off_the_caller(edge, coefficients, reusable=None):
+    def failing_off_the_caller(objective, reusable):
         if threading.current_thread() is not caller:
             raise SolverError("helper share failed")
-        return solve(edge, coefficients, reusable)
+        return solve(objective, reusable)
 
-    monkeypatch.setattr(oracle, "worst_utilization_for_edge", failing_off_the_caller)
+    monkeypatch.setattr(oracle, "_solve", failing_off_the_caller)
     lp_backend.set_lp_threads(2)
     with pytest.raises(SolverError, match="helper share failed"):
         oracle.evaluate(routing)

@@ -153,3 +153,46 @@ class TestRobustLoop:
         result = optimize_robust_splitting(running_example, dags, users)
         assert len(result.history) == result.rounds
         assert all(obj <= orc + 1e-6 for obj, orc in result.history[-1:])
+
+    def test_polish_without_a_balance_matrix_is_rejected(self, running_example):
+        # The cone only holds pairs toward s2, which has no DAG, so its
+        # representative matrix is empty once cut down to the DAG
+        # targets, while the seed matrix still gives T a member.
+        dags = {"t": example_dag(running_example)}
+        users = oblivious_pairs([("s1", "s2")])
+        seed = DemandMatrix({("s1", "t"): 1.0})
+        with pytest.raises(SolverError, match="representative matrix"):
+            optimize_robust_splitting(running_example, dags, users, initial_matrices=[seed])
+
+
+class TestRobustStopReason:
+    """``RobustResult.stop`` names why the cutting-plane loop ended."""
+
+    def test_converged(self, running_example):
+        dags = {"t": example_dag(running_example)}
+        users = oblivious_pairs([("s1", "t"), ("s2", "t")])
+        result = optimize_robust_splitting(running_example, dags, users)
+        assert result.stop == "converged"
+        objective, ratio = result.history[-1]
+        assert ratio <= objective * (1.0 + SolverConfig().ratio_tolerance)
+
+    def test_round_cap(self, running_example):
+        dags = {"t": example_dag(running_example)}
+        users = oblivious_pairs([("s1", "t"), ("s2", "t")])
+        config = SolverConfig(max_adversarial_rounds=1)
+        result = optimize_robust_splitting(running_example, dags, users, config=config)
+        assert result.stop == "round-cap"
+        assert result.rounds == 1
+        objective, ratio = result.history[-1]
+        assert ratio > objective * (1.0 + config.ratio_tolerance)
+
+    def test_cycling(self, running_example):
+        # On a margin-1 ray every worst case is the base direction, which
+        # T already holds; a tolerance no ratio can meet forces a cut.
+        dags = {"t": example_dag(running_example)}
+        ray = margin_box(DemandMatrix({("s1", "t"): 1.0, ("s2", "t"): 2.0}), 1.0)
+        config = SolverConfig(ratio_tolerance=-0.5)
+        result = optimize_robust_splitting(running_example, dags, ray, config=config)
+        assert result.stop == "cycling"
+        assert result.rounds == 1
+        assert len(result.matrices) == 1
