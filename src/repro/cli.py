@@ -130,6 +130,12 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 def _failure_policy(args: argparse.Namespace) -> FailurePolicy:
     """The retry/timeout/quarantine policy a CLI invocation selected."""
+    if args.jobs == 1 and args.cell_timeout:
+        print(
+            "note: --cell-timeout is enforced only with --jobs > 1; a serial "
+            "run has no worker to kill",
+            file=sys.stderr,
+        )
     return FailurePolicy(
         max_attempts=args.max_attempts,
         max_failures=args.max_failures,
@@ -158,7 +164,7 @@ def _apply_faults(args: argparse.Namespace) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _experiment_config(args)
     experiment = EXPERIMENTS[args.experiment]
-    started = time.time()
+    started = time.perf_counter()
     if experiment.grid is not None:
         report = run_sweep(
             experiment.grid(config),
@@ -185,7 +191,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
         table = run_experiment(args.experiment, config)
         summary = ""
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     print(format_markdown(table))
     print(f"(completed in {elapsed:.1f}s){summary}")
     _write_csv(table, args.csv)

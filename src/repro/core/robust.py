@@ -12,10 +12,13 @@ robust optimization:
 3. if the oracle ratio exceeds the finite-set objective by more than the
    tolerance, add the oracle's demand matrix to ``T`` and repeat.
 
-The finite-set objective is a lower bound and the oracle ratio an upper
-bound on the optimal robust ratio achievable with these DAGs, so their
-gap certifies convergence.  The returned routing always carries the
-oracle-certified ratio.
+The oracle ratio is an upper bound on the optimal robust ratio
+achievable with these DAGs.  The finite-set objective is *not* a lower
+bound on it: the inner optimizer is local, so a round's objective can
+even exceed the certified ratio of an earlier routing.  Their gap says
+how far the routing's worst case over the whole cone lies above its
+worst case over ``T``, not how far it is from the optimum.  The returned
+routing always carries the oracle-certified ratio.
 
 A list of fallback routings (e.g. plain ECMP) can be supplied: each is
 checked against the oracle at the end and the best configuration wins,
@@ -53,7 +56,8 @@ class RobustResult:
 
     Attributes:
         routing: the best configuration found.
-        objective: final finite-set objective (lower bound).
+        objective: final finite-set objective — the local inner
+            optimizer's estimate over ``T``, not a lower bound.
         oracle: final oracle evaluation of ``routing`` (certified ratio).
         rounds: adversarial rounds executed.
         history: per-round (finite-set objective, oracle ratio) pairs.

@@ -1,8 +1,7 @@
-"""Pull-based sweep execution: a store-aware frontier, reassembled in order.
+"""Pull-based sweep execution: one store-aware frontier, reassembled in order.
 
-The executor no longer chunks the whole grid upfront and fires it at a
-pool; it maintains a *frontier* of unresolved cells and pulls work from
-it as capacity frees up:
+Every sweep, at any job count, runs through one *frontier* of unresolved
+cells and one pump that pulls work from it as capacity frees up:
 
 1. **Probe** — every cell is checked against the store first; hits are
    recorded as ``cache-hit`` lifecycle events and never scheduled.
@@ -13,22 +12,34 @@ it as capacity frees up:
    ours and foreign (deterministic hash of the cell key, see
    :mod:`repro.runner.campaign`); foreign cells are skipped, or queued
    *after* our own when work stealing is on.
-3. **Pull** — chunks of same-setup cells are dispatched one at a time as
-   workers become idle.  Immediately before dispatch each chunk is
-   *re*-probed against the store (another host may have stored the cell
-   since step 1) and, when a claim policy is active, claimed: a live
-   foreign claim defers the cell to its owner, an expired one is stolen.
+3. **Pull** — chunks are dispatched one at a time as workers become
+   idle.  Immediately before dispatch each chunk is *re*-probed against
+   the store (another host may have stored the cell since step 1) and,
+   when a claim policy is active, claimed: a live foreign claim defers
+   the cell to its owner, an expired one is stolen.
 4. **Record** — results are stored and their claims released as they
    arrive (not at sweep end), so a killed run preserves every solved
    cell and a resumed run re-solves none of them.
 
-**Failure domain.**  A failing cell no longer sinks the sweep outright:
+The job count only picks what a chunk is and where it runs.  ``jobs ==
+1`` queues one chunk per cell and solves each in-process the moment it
+is dispatched, sharing one
+:class:`~repro.experiments.common.ExperimentSetup` per topology through
+the per-process memo.  ``jobs > 1`` fans chunks of same-setup cells over
+a :class:`concurrent.futures.ProcessPoolExecutor`, so the expensive
+margin-independent setup (DAG construction, ECMP projection, the
+oblivious optimization) is built once per chunk; the LRU memo (see
+:mod:`repro.runner.memo`) additionally shares setups between chunks that
+land on the same long-lived worker.
+
+**Failure domain.**  A failing cell does not sink the sweep outright:
 
 * A solve that raises a *transient* error (OS error, memory pressure,
   unknown exceptions — :func:`~repro.runner.faults.is_transient`) is
   retried with exponential backoff and deterministic jitter, up to the
   policy's ``max_attempts``; *deterministic* errors (``ValueError``
-  bugs, LP infeasibility) quarantine immediately.
+  bugs, LP infeasibility) quarantine immediately.  A cell waiting out
+  its backoff never blocks other cells.
 * A dead worker (``BrokenProcessPool`` — segfault, OOM kill) costs only
   its in-flight chunks, which are **bisected** and re-queued so one
   poison cell is isolated instead of failing its setup-sharing
@@ -37,35 +48,24 @@ it as capacity frees up:
   (``--cell-timeout`` or the kind's :attr:`~repro.runner.spec.CellKind.
   timeout`): a **watchdog** deadline on each dispatched chunk kills the
   pool's workers when exceeded, re-queues the innocent chunks, and
-  retries (then quarantines) the overdue cell.  Budgets are enforced in
-  parallel mode only — a serial sweep has no worker to kill.
+  retries (then quarantines) the overdue cell.  Budgets apply with
+  ``jobs > 1`` only — an in-process solve has no worker to kill.
 * Quarantining a cell persists a failure record in the store, releases
   its claim, and emits a ``quarantined`` event.  By default any
-  quarantine aborts the sweep with the original error (historical
-  behavior) once in-flight work drains; ``--max-failures N`` /
-  ``--keep-going`` instead turn quarantined cells into
-  ``SkippedCell(reason="failed")`` rows of a partially-complete report.
-  When the sweep does abort, the raised exception carries a
-  ``partial_report`` attribute so callers can still flush lifecycle
-  events and recovered results.
-
-``jobs == 1`` runs the same frontier in-process (sharing one
-:class:`~repro.experiments.common.ExperimentSetup` per topology exactly
-like the historical serial drivers); ``jobs > 1`` fans chunks over a
-:class:`concurrent.futures.ProcessPoolExecutor`.  Cells that share a
-setup key are chunked onto one worker so the expensive
-margin-independent setup (DAG construction, ECMP projection, the
-oblivious optimization) is built once per chunk; a per-process LRU memo
-(see :mod:`repro.runner.memo`) additionally shares setups between
-chunks that land on the same long-lived worker.
+  quarantine aborts the sweep with the original error once in-flight
+  work drains; ``--max-failures N`` / ``--keep-going`` instead turn
+  quarantined cells into ``SkippedCell(reason="failed")`` rows of a
+  partially-complete report.  When the sweep does abort, the raised
+  exception carries a ``partial_report`` attribute so callers can still
+  flush lifecycle events and recovered results.
 
 Cells are solved by their registered :class:`~repro.runner.spec.CellKind`
 — :func:`solve_cell` just dispatches — so any experiment that
 decomposes into independent units rides the same executor.
 
 Results are reassembled strictly in ``spec.cells`` order regardless of
-completion order, so a parallel sweep emits a table row-for-row
-identical to the serial one.  Sharded runs resolve only part of the
+completion order, so every job count emits a table row-for-row
+identical to the others.  Sharded runs resolve only part of the
 grid: unresolved cells are reported as *skipped* (with a reason), the
 report's ``complete`` flag turns false, and table assembly refuses to
 emit a partial table — merge the shard stores (``repro cache merge``)
@@ -145,7 +145,9 @@ def _solve_chunk(
 
     ``lp_threads`` is this worker's share of the coordinator's LP sweep
     threads (:func:`repro.lp.backend.set_lp_threads`), so ``jobs``
-    workers sweeping at once do not oversubscribe the host.
+    workers sweeping at once do not oversubscribe the host.  ``None``
+    for either (an in-process ``jobs == 1`` solve) leaves the caller's
+    own setting alone.
     """
     if kernel_mode is not None:
         from repro.kernel import set_kernel_enabled
@@ -442,6 +444,179 @@ class SweepReport:
         return base
 
 
+@dataclass
+class _Frontier:
+    """One sweep's per-cell state machine, shared by every job count.
+
+    The pump moves each runnable cell through :meth:`prepare` (re-probe,
+    claim), a solve, and then :meth:`record` or :meth:`fail`.  Everything
+    the run knows about its cells — resolved, quarantined, claimed,
+    stolen and deferred ones, attempt counts, and the error that aborts
+    the sweep — lives here.
+    """
+
+    keys: list[str]
+    events: EventLog
+    policy: FailurePolicy
+    cache: CellStore | None
+    claims: ClaimPolicy | None
+    foreign: set[int] = field(default_factory=set)
+    resolved: dict[int, CellResult] = field(default_factory=dict)
+    failed: dict[int, SkippedCell] = field(default_factory=dict)
+    attempts: dict[int, int] = field(default_factory=dict)
+    claimed: set[int] = field(default_factory=set)
+    stolen: set[int] = field(default_factory=set)
+    deferred: list[tuple[int, SweepCell]] = field(default_factory=list)
+    first_error: Exception | None = None
+
+    def probe(self, index: int, cell: SweepCell) -> bool:
+        """Serve the cell from the store if present; record the hit."""
+        hit = self.cache.get(cell) if self.cache is not None else None
+        if hit is None:
+            return False
+        self.events.emit(self.keys[index], "cache-hit")
+        self.resolved[index] = CellResult(cell=cell, key=self.keys[index], ratios=hit, cached=True)
+        return True
+
+    def release(self, index: int) -> None:
+        if self.claims is not None and index in self.claimed:
+            release_claim(self.claims, self.keys[index])
+            self.claimed.discard(index)
+
+    def live(self, chunk: list[tuple[int, SweepCell]]) -> list[tuple[int, SweepCell]]:
+        """The chunk's cells that are neither resolved nor quarantined."""
+        return [(i, c) for i, c in chunk if i not in self.resolved and i not in self.failed]
+
+    def budget(self, cell: SweepCell) -> float | None:
+        """The effective wall-clock budget for one cell, if any."""
+        timeout = self.policy.cell_timeout
+        if timeout is None:
+            timeout = cell_kind(cell.kind).timeout
+        return timeout if timeout and timeout > 0 else None
+
+    def quarantine(
+        self,
+        index: int,
+        cell: SweepCell,
+        error: Exception,
+        label: str,
+        detail: str,
+        *,
+        persist: bool = True,
+    ) -> None:
+        """Give up on a cell: persist its failure record, skip its row.
+
+        ``persist=False`` skips (re)writing the record — used when the
+        quarantine *came from* a persisted record, which already carries
+        the original error and must not be clobbered with a synthetic one.
+        """
+        key = self.keys[index]
+        count = self.attempts.get(index, 0)
+        self.events.emit(key, "quarantined", detail=f"{label} after {count} attempt(s)")
+        if self.cache is not None and persist:
+            self.cache.put_failure(
+                cell,
+                failure_record(
+                    cell, key, attempts=count, label=label, error=error, detail=detail
+                ),
+            )
+        self.release(index)
+        self.failed[index] = SkippedCell(cell=cell, key=key, reason="failed", detail=label)
+        over_budget = not self.policy.keep_going and len(self.failed) > self.policy.max_failures
+        if over_budget and self.first_error is None:
+            self.first_error = error
+
+    def fail(
+        self,
+        index: int,
+        cell: SweepCell,
+        error: Exception,
+        detail: str,
+        *,
+        label: str | None = None,
+    ) -> float | None:
+        """Count one failed attempt; a retry backoff delay, or None if quarantined.
+
+        ``label`` overrides classification for synthetic failures the
+        classifier never sees (worker death, watchdog timeout) — both
+        count as transient, since a retry gets a fresh worker.
+        """
+        count = self.attempts.get(index, 0) + 1
+        self.attempts[index] = count
+        transient = True if label is not None else is_transient(error)
+        label = label if label is not None else error_class(error)
+        if transient and count < self.policy.max_attempts:
+            delay = backoff_delay(self.policy, self.keys[index], count)
+            self.events.emit(
+                self.keys[index], "retried",
+                detail=(
+                    f"attempt {count} failed ({label}: {type(error).__name__}); "
+                    f"backing off {delay:.2f}s"
+                ),
+            )
+            return delay
+        self.quarantine(index, cell, error, label, detail)
+        return None
+
+    def prepare(self, batch: list[tuple[int, SweepCell]]) -> list[tuple[int, SweepCell]]:
+        """Frontier gate: re-probe the store, then claim, just before dispatch."""
+        runnable: list[tuple[int, SweepCell]] = []
+        for index, cell in self.live(batch):
+            if self.probe(index, cell):
+                self.release(index)  # a retried cell may already hold its claim
+                continue  # another host stored it since the first probe
+            if self.claims is not None and index not in self.claimed:
+                key = self.keys[index]
+                outcome = try_claim(self.claims, key)
+                if outcome == "held":
+                    self.events.emit(key, "deferred", detail="live claim by another owner")
+                    self.deferred.append((index, cell))
+                    continue
+                self.claimed.add(index)
+                # Probe-then-claim is not atomic: another owner can store
+                # the result and release its claim between our miss above
+                # and this acquisition.  An owner always stores before
+                # releasing, so one more probe now that we hold the claim
+                # closes that duplicate-solve window (only claim-*expiry*
+                # races can still duplicate work, which is the documented
+                # cost).
+                if self.probe(index, cell):
+                    self.release(index)
+                    continue
+                if outcome == "stolen" or index in self.foreign:
+                    self.stolen.add(index)
+                detail = "expired claim taken over" if outcome == "stolen" else ""
+                if index in self.foreign:
+                    detail = (detail + "; " if detail else "") + "foreign-shard steal"
+                self.events.emit(
+                    key, "stolen" if index in self.stolen else "claimed", detail=detail
+                )
+            runnable.append((index, cell))
+        return runnable
+
+    # Results are stored as they arrive, not after the sweep completes, so
+    # an interrupted or partially failed run preserves every solved cell.
+    def record(
+        self, index: int, cell: SweepCell, ratios: dict[str, float], timings: dict[str, float]
+    ) -> None:
+        self.resolved[index] = CellResult(
+            cell=cell,
+            key=self.keys[index],
+            ratios=ratios,
+            cached=False,
+            timings=timings,
+            stolen=index in self.stolen,
+        )
+        if self.cache is not None:
+            self.cache.put(cell, ratios)
+            if index in self.attempts:
+                # Success after failures: the record is stale — leaving
+                # it would quarantine a now-working cell on resume.
+                self.cache.clear_failure(cell)
+        self.events.emit(self.keys[index], "solved")
+        self.release(index)
+
+
 def run_sweep(
     spec: SweepSpec,
     *,
@@ -457,7 +632,7 @@ def run_sweep(
 
     Args:
         spec: the declared grid.
-        jobs: worker processes; 1 solves in-process, serially.
+        jobs: worker processes; 1 solves in-process, one cell at a time.
         cache: result store consulted before solving and updated after;
             ``None`` disables caching entirely (including failure
             records — nothing persists, so every run re-attempts).
@@ -498,38 +673,17 @@ def run_sweep(
         raise ValueError("work stealing requires a claim policy (claims=...)")
     if (shard is not None or claims is not None) and cache is None:
         raise ValueError("sharded or claim-coordinated sweeps need a result store (cache=...)")
-    policy = failures if failures is not None else FailurePolicy()
     # Each sweep starts from cold per-process memos so its cost never
     # depends on what an earlier in-process sweep happened to solve
     # (forked workers would otherwise inherit a warm parent memo too).
     clear_all_memos()
     started = time.perf_counter()
-    events = EventLog()
     keys = [cell_key(cell) for cell in spec.cells]
-    resolved: dict[int, CellResult] = {}
-    stolen_indexes: set[int] = set()
-    claimed_indexes: set[int] = set()
-    deferred: list[tuple[int, SweepCell]] = []
-    attempts: dict[int, int] = {}
-    failed: dict[int, SkippedCell] = {}
-    first_error: Exception | None = None
-
-    def probe(index: int, cell: SweepCell) -> bool:
-        """Serve the cell from the store if present; record the hit."""
-        hit = cache.get(cell) if cache is not None else None
-        if hit is None:
-            return False
-        events.emit(keys[index], "cache-hit")
-        resolved[index] = CellResult(cell=cell, key=keys[index], ratios=hit, cached=True)
-        return True
-
-    def release(index: int) -> None:
-        if claims is not None and index in claimed_indexes:
-            release_claim(claims, keys[index])
-            claimed_indexes.discard(index)
-
+    frontier = _Frontier(
+        keys, EventLog(), failures if failures is not None else FailurePolicy(), cache, claims
+    )
     pending = [
-        (index, cell) for index, cell in enumerate(spec.cells) if not probe(index, cell)
+        (index, cell) for index, cell in enumerate(spec.cells) if not frontier.probe(index, cell)
     ]
 
     mine, foreign = pending, []
@@ -538,12 +692,12 @@ def run_sweep(
         for index, cell in pending:
             slot = cell_shard(keys[index], shard.count)
             (mine if slot == shard.index else foreign).append((index, cell))
-    foreign_indexes = {index for index, _ in foreign}
+    frontier.foreign = {index for index, _ in foreign}
 
     skipped: list[SkippedCell] = []
     if shard is not None and not steal:
         for index, cell in foreign:
-            events.emit(
+            frontier.events.emit(
                 keys[index], "foreign",
                 detail=f"shard {cell_shard(keys[index], shard.count)}/{shard.count}",
             )
@@ -551,75 +705,6 @@ def run_sweep(
     # Own cells first; foreign cells join the tail of the frontier only
     # under work stealing, so stealing never delays our own shard.
     worklist = mine + (foreign if steal else [])
-
-    def over_budget() -> bool:
-        return not policy.keep_going and len(failed) > policy.max_failures
-
-    def quarantine(
-        index: int,
-        cell: SweepCell,
-        error: Exception,
-        label: str,
-        detail: str,
-        *,
-        persist: bool = True,
-    ) -> None:
-        """Give up on a cell: persist its failure record, skip its row.
-
-        ``persist=False`` skips (re)writing the record — used when the
-        quarantine *came from* a persisted record, which already carries
-        the original error and must not be clobbered with a synthetic one.
-        """
-        nonlocal first_error
-        count = attempts.get(index, 0)
-        events.emit(
-            keys[index], "quarantined", detail=f"{label} after {count} attempt(s)"
-        )
-        if cache is not None and persist:
-            cache.put_failure(
-                cell,
-                failure_record(
-                    cell, keys[index], attempts=count, label=label, error=error,
-                    detail=detail,
-                ),
-            )
-        release(index)
-        failed[index] = SkippedCell(
-            cell=cell, key=keys[index], reason="failed", detail=label
-        )
-        if over_budget() and first_error is None:
-            first_error = error
-
-    def handle_failure(
-        index: int,
-        cell: SweepCell,
-        error: Exception,
-        detail: str,
-        *,
-        label: str | None = None,
-    ) -> float | None:
-        """Count one failed attempt; a retry backoff delay, or None if quarantined.
-
-        ``label`` overrides classification for synthetic failures the
-        classifier never sees (worker death, watchdog timeout) — both
-        count as transient, since a retry gets a fresh worker.
-        """
-        count = attempts.get(index, 0) + 1
-        attempts[index] = count
-        transient = True if label is not None else is_transient(error)
-        label = label if label is not None else error_class(error)
-        if transient and count < policy.max_attempts:
-            delay = backoff_delay(policy, keys[index], count)
-            events.emit(
-                keys[index], "retried",
-                detail=(
-                    f"attempt {count} failed ({label}: {type(error).__name__}); "
-                    f"backing off {delay:.2f}s"
-                ),
-            )
-            return delay
-        quarantine(index, cell, error, label, detail)
-        return None
 
     # Resume gate: a persisted *deterministic* failure record marks a
     # poison cell — resume quarantines it up front instead of blindly
@@ -637,7 +722,7 @@ def run_sweep(
                 continue
             prior_raw = record_payload.get("attempts")
             if isinstance(prior_raw, (int, float)) and prior_raw >= 0:
-                attempts[index] = int(prior_raw)
+                frontier.attempts[index] = int(prior_raw)
             if record_payload.get("error_class") != "deterministic":
                 remaining.append((index, cell))
                 continue
@@ -648,137 +733,40 @@ def run_sweep(
                 f"`repro cache failures --clear`, or run with --keep-going / "
                 f"--max-failures to skip its row"
             )
-            quarantine(index, cell, error, "persisted-record", "", persist=False)
+            frontier.quarantine(index, cell, error, "persisted-record", "", persist=False)
         worklist = remaining
 
-    def prepare(batch: list[tuple[int, SweepCell]]) -> list[tuple[int, SweepCell]]:
-        """Frontier gate: re-probe the store, then claim, just before dispatch."""
-        runnable: list[tuple[int, SweepCell]] = []
-        for index, cell in batch:
-            if index in resolved or index in failed:
-                continue
-            if probe(index, cell):
-                release(index)  # a retried cell may already hold its claim
-                continue  # another host stored it since the first probe
-            if claims is not None and index not in claimed_indexes:
-                outcome = try_claim(claims, keys[index])
-                if outcome == "held":
-                    events.emit(keys[index], "deferred", detail="live claim by another owner")
-                    deferred.append((index, cell))
-                    continue
-                claimed_indexes.add(index)
-                # Probe-then-claim is not atomic: another owner can store
-                # the result and release its claim between our miss above
-                # and this acquisition.  An owner always stores before
-                # releasing, so one more probe now that we hold the claim
-                # closes that duplicate-solve window (only claim-*expiry*
-                # races can still duplicate work, which is the documented
-                # cost).
-                if probe(index, cell):
-                    release(index)
-                    continue
-                if outcome == "stolen" or index in foreign_indexes:
-                    stolen_indexes.add(index)
-                detail = "expired claim taken over" if outcome == "stolen" else ""
-                if index in foreign_indexes:
-                    detail = (detail + "; " if detail else "") + "foreign-shard steal"
-                events.emit(keys[index], "stolen" if index in stolen_indexes else "claimed",
-                            detail=detail)
-            runnable.append((index, cell))
-        return runnable
-
-    # Results are stored as they arrive, not after the sweep completes, so
-    # an interrupted or partially failed run preserves every solved cell.
-    def record(
-        index: int, cell: SweepCell, ratios: dict[str, float], timings: dict[str, float]
-    ) -> None:
-        resolved[index] = CellResult(
-            cell=cell,
-            key=keys[index],
-            ratios=ratios,
-            cached=False,
-            timings=timings,
-            stolen=index in stolen_indexes,
-        )
-        if cache is not None:
-            cache.put(cell, ratios)
-            if index in attempts:
-                # Success after failures: the record is stale — leaving
-                # it would quarantine a now-working cell on resume.
-                cache.clear_failure(cell)
-        events.emit(keys[index], "solved")
-        release(index)
-
-    def cell_budget(cell: SweepCell) -> float | None:
-        """The effective wall-clock budget for one cell, if any."""
-        timeout = policy.cell_timeout
-        if timeout is None:
-            timeout = cell_kind(cell.kind).timeout
-        return timeout if timeout and timeout > 0 else None
-
     try:
-        if worklist and first_error is None and jobs > 1:
-            _run_parallel(
-                worklist=worklist,
-                jobs=jobs,
-                solve=solve,
-                keys=keys,
-                events=events,
-                policy=policy,
-                resolved=resolved,
-                failed=failed,
-                prepare=prepare,
-                record=record,
-                handle_failure=handle_failure,
-                cell_budget=cell_budget,
-                get_first_error=lambda: first_error,
-            )
-        elif worklist and first_error is None:
-            frontier = deque(worklist)
-            while frontier and first_error is None:
-                index, cell = frontier.popleft()
-                runnable = prepare([(index, cell)])
-                if not runnable:
-                    continue
-                try:
-                    faults.trigger("solve", keys[index])
-                    ratios, timings = timed_solve(solve, cell)
-                except Exception as error:
-                    events.emit(keys[index], "failed", detail=type(error).__name__)
-                    delay = handle_failure(index, cell, error, traceback.format_exc())
-                    if delay is not None:
-                        time.sleep(delay)
-                        frontier.appendleft((index, cell))
-                    continue
-                record(index, cell, ratios, timings)
+        if worklist and frontier.first_error is None:
+            _pump(frontier, worklist, jobs, solve)
     finally:
         # Claims must never outlive the run that holds them: on abort,
         # KeyboardInterrupt, or SIGTERM-turned-exception, releasing here
         # lets sibling owners reclaim the cells immediately instead of
         # waiting out the TTL.
-        for index in list(claimed_indexes):
-            release(index)
+        for index in list(frontier.claimed):
+            frontier.release(index)
 
+    first_error = frontier.first_error
     # Cells deferred to a live claim may have been stored by their owner
     # while we worked; pick those up as hits, report the rest as skipped.
-    for index, cell in deferred:
-        if index in resolved:
+    for index, cell in frontier.deferred:
+        if index in frontier.resolved:
             continue
-        if first_error is None and probe(index, cell):
+        if first_error is None and frontier.probe(index, cell):
             continue
         skipped.append(SkippedCell(cell=cell, key=keys[index], reason="claimed-elsewhere"))
 
-    skipped.extend(failed.values())
-    results = [resolved[index] for index in sorted(resolved)]
+    skipped.extend(frontier.failed.values())
     key_order = {key: index for index, key in enumerate(keys)}
     skipped.sort(key=lambda skip: key_order[skip.key])
     report = SweepReport(
         spec=spec,
-        results=results,
+        results=[frontier.resolved[index] for index in sorted(frontier.resolved)],
         elapsed=time.perf_counter() - started,
         jobs=jobs,
         skipped=skipped,
-        events=events.events,
+        events=frontier.events.events,
         shard=shard,
         aborted=first_error is not None,
     )
@@ -790,47 +778,60 @@ def run_sweep(
     return report
 
 
-def _run_parallel(
-    *,
+class _InProcessExecutor:
+    """The ``jobs == 1`` pool: ``submit`` runs the chunk at once, here.
+
+    A single-job sweep stays in-process, so an injected ``solve`` needs
+    no pickling, and anything the chunk does not catch (such as
+    ``KeyboardInterrupt``) propagates straight out of ``submit``.
+    """
+
+    def submit(self, fn: Callable, /, *args) -> Future:
+        future: Future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
+        """No-op: no work outlives its ``submit``."""
+
+
+def _pump(
+    frontier: _Frontier,
     worklist: list[tuple[int, SweepCell]],
     jobs: int,
     solve: Callable[[SweepCell], dict[str, float]],
-    keys: list[str],
-    events: EventLog,
-    policy: FailurePolicy,
-    resolved: dict[int, CellResult],
-    failed: dict[int, SkippedCell],
-    prepare: Callable[[list[tuple[int, SweepCell]]], list[tuple[int, SweepCell]]],
-    record: Callable[[int, SweepCell, dict[str, float], dict[str, float]], None],
-    handle_failure: Callable[..., float | None],
-    cell_budget: Callable[[SweepCell], float | None],
-    get_first_error: Callable[[], Exception | None],
 ) -> None:
-    """The parallel frontier pump: dispatch, watchdog, bisection, retries.
+    """The frontier pump: dispatch, retries, watchdog, bisection.
 
-    Owns the pool's whole lifecycle — including *replacing* it after a
-    worker death (``BrokenProcessPool`` poisons every in-flight future)
-    or a watchdog strike (the stuck worker is SIGKILLed, which breaks
-    the pool the same way).  All cell-level failure accounting routes
-    through the caller's ``handle_failure``/``record`` closures, so the
-    serial and parallel paths share one retry/quarantine policy.
+    ``jobs == 1`` queues one chunk per cell, in worklist order, on an
+    :class:`_InProcessExecutor`: each cell is re-probed and claimed just
+    before it runs, the coordinator's kernel mode and LP-thread cap are
+    left alone, and no deadline is set (there is no worker to kill).
+    ``jobs > 1`` queues same-setup chunks on a process pool and owns the
+    pool's whole lifecycle — including *replacing* it after a worker
+    death (``BrokenProcessPool`` poisons every in-flight future) or a
+    watchdog strike (the stuck worker is SIGKILLed, which breaks the
+    pool the same way).  At any job count a cell waiting out its retry
+    backoff does not hold up the others.
     """
     from repro.kernel import kernel_enabled
     from repro.lp.backend import lp_threads
 
-    kernel_mode = kernel_enabled()
-    queue: deque[list[tuple[int, SweepCell]]] = deque(_chunk_pending(worklist, jobs))
-    workers = min(jobs, max(1, len(queue)))
-    lp_budget = max(1, lp_threads() // workers)
+    keys, events = frontier.keys, frontier.events
+    in_process = jobs == 1
+    if in_process:
+        queue = deque([item] for item in worklist)
+        workers, kernel_mode, lp_budget = 1, None, None
+    else:
+        queue = deque(_chunk_pending(worklist, jobs))
+        workers = min(jobs, len(queue))
+        kernel_mode, lp_budget = kernel_enabled(), max(1, lp_threads() // workers)
     # Retries wait out their backoff in this heap (ready-time ordered)
     # without blocking dispatch of other work; the tickets break ties.
     retries: list[tuple[float, int, list[tuple[int, SweepCell]]]] = []
     tickets = itertools.count()
     in_flight: dict[Future, tuple[list[tuple[int, SweepCell]], float | None]] = {}
-    pool: ProcessPoolExecutor | None = None
-
-    def live_cells(chunk: list[tuple[int, SweepCell]]) -> list[tuple[int, SweepCell]]:
-        return [(i, c) for i, c in chunk if i not in resolved and i not in failed]
+    pool: ProcessPoolExecutor | _InProcessExecutor | None = None
 
     def chunk_deadline(chunk: list[tuple[int, SweepCell]]) -> float | None:
         """When the watchdog gives up on a dispatched chunk.
@@ -839,9 +840,11 @@ def _run_parallel(
         per-cell budgets; one unbudgeted cell disables the deadline (the
         watchdog cannot attribute overrun without a full budget).
         """
+        if in_process:
+            return None
         total = 0.0
         for _, cell in chunk:
-            budget = cell_budget(cell)
+            budget = frontier.budget(cell)
             if budget is None:
                 return None
             total += budget
@@ -871,68 +874,53 @@ def _run_parallel(
             except OSError:
                 pass
 
-    def on_worker_death(chunk: list[tuple[int, SweepCell]], error: Exception) -> None:
-        """A chunk lost its worker: bisect multi-cell chunks, count singletons.
+    def strike(chunk: list[tuple[int, SweepCell]], death: Exception | None) -> None:
+        """A chunk lost its worker (``death``) or blew its deadline (None).
 
-        Bisection isolates a crashing cell in O(log n) kills instead of
-        discarding (or endlessly re-running) its setup-sharing siblings.
-        Only a *singleton* chunk's death counts as an attempt against
-        its cell — a multi-cell chunk's death doesn't identify the
-        culprit, and charging innocents could quarantine them.
+        A multi-cell chunk is bisected and re-queued, which isolates a
+        crashing or stuck cell in O(log n) strikes instead of discarding
+        (or endlessly re-running) its setup-sharing siblings.  Only a
+        *singleton* chunk's strike counts as an attempt against its cell
+        — a multi-cell strike doesn't identify the culprit, and charging
+        innocents could quarantine them.
         """
-        live = live_cells(chunk)
+        live = frontier.live(chunk)
+        if len(live) > 1:
+            if death is not None:
+                event, detail = "retried", "worker died; chunk bisected to isolate the poison cell"
+            else:
+                event = "timed-out"
+                detail = "chunk exceeded its combined budget; split to isolate the slow cell"
+            for index, _ in live:
+                events.emit(keys[index], event, detail=detail)
+            queue.extend(_split_chunk(live))
+            return
         if not live:
             return
-        if len(live) == 1:
-            index, cell = live[0]
+        [(index, cell)] = live
+        where = (
+            f"cell {keys[index]} ({cell.topology}/{cell.demand_model} "
+            f"margin={cell.margin:g} kind={cell.kind})"
+        )
+        if death is not None:
             events.emit(keys[index], "failed", detail="worker died")
-            crash = WorkerCrashError(
-                f"worker died while solving cell {keys[index]} "
-                f"({cell.topology}/{cell.demand_model} margin={cell.margin:g} "
-                f"kind={cell.kind}); suspect a segfault, OOM kill, or injected fault"
+            error: Exception = WorkerCrashError(
+                f"worker died while solving {where}; "
+                f"suspect a segfault, OOM kill, or injected fault"
             )
-            crash.__cause__ = error
-            delay = handle_failure(
-                index, cell, crash, f"{type(error).__name__}: {error}",
-                label="worker-death",
-            )
-            if delay is not None:
-                schedule_retry(live, delay)
-            return
-        for index, _ in live:
-            events.emit(
-                keys[index], "retried",
-                detail="worker died; chunk bisected to isolate the poison cell",
-            )
-        queue.extend(_split_chunk(live))
-
-    def on_timeout(chunk: list[tuple[int, SweepCell]]) -> None:
-        """A chunk blew its deadline: split it, or charge the lone cell."""
-        live = live_cells(chunk)
-        if not live:
-            return
-        if len(live) == 1:
-            index, cell = live[0]
-            budget = cell_budget(cell)
+            error.__cause__ = death
+            detail, label = f"{type(death).__name__}: {death}", "worker-death"
+        else:
+            budget = frontier.budget(cell)
             events.emit(
                 keys[index], "timed-out",
                 detail=f"exceeded its {budget:g}s wall-clock budget; worker killed",
             )
-            error = CellTimeoutError(
-                f"cell {keys[index]} ({cell.topology}/{cell.demand_model} "
-                f"margin={cell.margin:g} kind={cell.kind}) exceeded its "
-                f"{budget:g}s wall-clock budget"
-            )
-            delay = handle_failure(index, cell, error, "", label="timeout")
-            if delay is not None:
-                schedule_retry(live, delay)
-            return
-        for index, _ in live:
-            events.emit(
-                keys[index], "timed-out",
-                detail="chunk exceeded its combined budget; split to isolate the slow cell",
-            )
-        queue.extend(_split_chunk(live))
+            error = CellTimeoutError(f"{where} exceeded its {budget:g}s wall-clock budget")
+            detail, label = "", "timeout"
+        delay = frontier.fail(index, cell, error, detail, label=label)
+        if delay is not None:
+            schedule_retry(live, delay)
 
     def process_outcomes(
         chunk: list[tuple[int, SweepCell]],
@@ -940,20 +928,21 @@ def _run_parallel(
     ) -> None:
         for (index, cell), (status, value, detail, timings) in zip(chunk, outcomes):
             if status == "ok":
-                record(index, cell, value, timings)
+                frontier.record(index, cell, value, timings)
                 continue
             events.emit(keys[index], "failed", detail=type(value).__name__)
-            # Re-attach the worker-side context lost to pickling: raising
-            # the error then chains the original traceback and
-            # failing-cell identity as its cause.
-            value.__cause__ = RuntimeError(detail)
-            delay = handle_failure(index, cell, value, detail or "")
+            if not in_process:
+                # Re-attach the worker-side context lost to pickling:
+                # raising the error then chains the original traceback
+                # and failing-cell identity as its cause.
+                value.__cause__ = RuntimeError(detail)
+            delay = frontier.fail(index, cell, value, detail or "")
             if delay is not None:
                 schedule_retry([(index, cell)], delay)
         # A failed chunk stops mid-way; its unreached cells are innocent
         # — re-queue them as one chunk (we may still hold their claims,
         # which prepare() won't re-take).
-        rest = live_cells(chunk[len(outcomes):])
+        rest = frontier.live(chunk[len(outcomes):])
         if rest:
             queue.append(rest)
 
@@ -961,9 +950,9 @@ def _run_parallel(
         """Dispatch frontier chunks while workers are idle."""
         while (
             queue and pool is not None and len(in_flight) < workers
-            and get_first_error() is None
+            and frontier.first_error is None
         ):
-            runnable = prepare(queue.popleft())
+            runnable = frontier.prepare(queue.popleft())
             if not runnable:
                 continue
             future = pool.submit(
@@ -975,13 +964,16 @@ def _run_parallel(
     try:
         while True:
             now = time.monotonic()
-            while retries and retries[0][0] <= now and get_first_error() is None:
+            while retries and retries[0][0] <= now and frontier.first_error is None:
                 queue.append(heapq.heappop(retries)[2])
-            if get_first_error() is None and (queue or retries) and pool is None:
-                pool = ProcessPoolExecutor(max_workers=workers)
+            if frontier.first_error is None and (queue or retries) and pool is None:
+                pool = (
+                    _InProcessExecutor() if in_process
+                    else ProcessPoolExecutor(max_workers=workers)
+                )
             pull()
             if not in_flight:
-                if get_first_error() is not None or not (queue or retries):
+                if frontier.first_error is not None or not (queue or retries):
                     break
                 if queue:
                     continue  # prepare() resolved the popped chunks without dispatching
@@ -991,31 +983,29 @@ def _run_parallel(
             wake_times = [
                 deadline for _, deadline in in_flight.values() if deadline is not None
             ]
-            if retries and get_first_error() is None:
+            if retries and frontier.first_error is None:
                 wake_times.append(retries[0][0])
             timeout = (
                 max(0.0, min(wake_times) - time.monotonic()) if wake_times else None
             )
             done, _ = wait(list(in_flight), timeout=timeout, return_when=FIRST_COMPLETED)
-            pool_broken = False
-            death_error: Exception | None = None
+            death: Exception | None = None
             for future in done:
                 chunk, _deadline = in_flight.pop(future)
                 try:
                     outcomes = future.result()
                 except Exception as error:  # BrokenProcessPool: a worker died
-                    pool_broken = True
-                    death_error = error
-                    on_worker_death(chunk, error)
+                    death = error
+                    strike(chunk, death)
                     continue
                 process_outcomes(chunk, outcomes)
-            if pool_broken:
+            if death is not None:
                 # One dead worker breaks the whole pool: every other
                 # in-flight future is poisoned too.  Requeue their live
                 # cells through the same bisection path and start fresh.
                 for future in list(in_flight):
                     chunk, _deadline = in_flight.pop(future)
-                    on_worker_death(chunk, death_error)
+                    strike(chunk, death)
                 retire_pool()
                 continue
             now = time.monotonic()
@@ -1032,10 +1022,10 @@ def _run_parallel(
                 # a replacement pool.
                 for future in overdue:
                     chunk, _deadline = in_flight.pop(future)
-                    on_timeout(chunk)
+                    strike(chunk, None)
                 for future in list(in_flight):
                     chunk, _deadline = in_flight.pop(future)
-                    live = live_cells(chunk)
+                    live = frontier.live(chunk)
                     if live:
                         queue.append(live)
                 kill_pool_workers()

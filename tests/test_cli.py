@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import itertools
 import json
 
 import pytest
@@ -63,6 +64,13 @@ class TestParser:
         assert main(["run", "fig12"]) == 0
         out = capsys.readouterr().out
         assert "COYOTE" in out
+
+    def test_run_times_on_the_monotonic_clock(self, capsys, monkeypatch):
+        # A wall-clock step back (NTP, DST) must not corrupt the timing.
+        steps = itertools.count(0.0, -1000.0)
+        monkeypatch.setattr(repro.cli.time, "time", lambda: next(steps))
+        assert main(["run", "thm4"]) == 0
+        assert "(completed in -" not in capsys.readouterr().out
 
     def test_run_jobs_ignored_for_non_grid_experiment(self, capsys):
         assert main(["run", "thm4", "--jobs", "2", "--no-cache"]) == 0
@@ -132,6 +140,13 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "Table I" in out
         assert "9 cells: 9 solved, 0 from cache" in out
+
+    def test_serial_cell_timeout_is_noted_as_ignored(self, capsys):
+        assert main(["sweep", "fig6", "--no-cache", "--cell-timeout", "5"]) == 0
+        assert "--cell-timeout is enforced only with --jobs > 1" in capsys.readouterr().err
+        for flags in (["--jobs", "2", "--cell-timeout", "5"], ["--cell-timeout", "0"]):
+            assert main(["sweep", "fig6", "--no-cache", *flags]) == 0
+            assert "--cell-timeout" not in capsys.readouterr().err
 
     def test_sweep_warm_cache_summary(self, capsys, tmp_path):
         assert main(["sweep", "fig6", "--cache-dir", str(tmp_path)]) == 0

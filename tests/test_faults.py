@@ -267,7 +267,96 @@ class TestFailureRecords:
         assert "failure records" in stats.summary()
 
 
-class TestSerialRetries:
+class RetryContract:
+    """Retry and quarantine cases whose solver is module-level.
+
+    They run once per job count: each ``Test*`` subclass sets ``jobs``.
+    """
+
+    jobs = 1
+
+    def test_deterministic_failure_aborts_with_partial_report(self, tmp_path):
+        store = DirStore(tmp_path)
+        with pytest.raises(ValueError, match="margin 2 is poison") as excinfo:
+            run_sweep(make_spec(), jobs=self.jobs, cache=store, solve=_poison_margin2_solve,
+                      failures=FAST_RETRIES)
+        partial = excinfo.value.partial_report
+        assert partial.aborted and not partial.complete and not partial.table_ready
+        assert partial.quarantined == 1
+        counts = partial.lifecycle_counts()
+        assert counts["quarantined"] == 1 and "retried" not in counts
+        # The record persisted with the real class, for resume and triage.
+        record = store.get_failure(make_cell(margin=2.0))
+        assert record["error_class"] == "deterministic"
+        assert record["attempts"] == 1  # no retries for deterministic errors
+        # Sibling results solved before/after the failure are preserved.
+        assert store.get(make_cell(margin=1.0)) is not None
+
+    def test_keep_going_completes_with_row_omitted(self, tmp_path):
+        report = run_sweep(
+            make_spec(), jobs=self.jobs, cache=DirStore(tmp_path),
+            solve=_poison_margin2_solve,
+            failures=FailurePolicy(keep_going=True, backoff_base=0.001),
+        )
+        assert not report.complete and report.table_ready
+        assert report.quarantined == 1
+        [skip] = report.skipped
+        assert skip.reason == "failed" and skip.key == cell_key(make_cell(margin=2.0))
+        table = report.table()
+        assert len(table.rows) == 2  # margin-2 row omitted
+        assert any("omitted" in note for note in table.notes)
+        assert "1 failed" in report.summary()
+
+    def test_transient_record_does_not_block_resume(self, tmp_path):
+        store = DirStore(tmp_path)
+        cell = make_cell(margin=2.0)
+        store.put_failure(
+            cell, failure_record(cell, cell_key(cell), attempts=3,
+                                 label="worker-death", error=WorkerCrashError("died")),
+        )
+        report = run_sweep(make_spec(), jobs=self.jobs, cache=store, solve=_stub_solve,
+                           failures=FAST_RETRIES)
+        assert report.complete and report.solved == 3
+        assert store.get_failure(cell) is None  # success cleared the record
+
+    def test_default_policy_matches_historical_abort(self):
+        # No cache, no policy: the first deterministic failure still
+        # raises the original error (the seed contract).
+        with pytest.raises(ValueError, match="margin 2 is poison"):
+            run_sweep(make_spec(), jobs=self.jobs, solve=_poison_margin2_solve)
+
+    def test_manifest_carries_failure_counters(self, tmp_path):
+        store = DirStore(tmp_path)
+        spec = make_spec()
+        report = run_sweep(
+            spec, jobs=self.jobs, cache=store, solve=_poison_margin2_solve,
+            failures=FailurePolicy(keep_going=True, backoff_base=0.001),
+        )
+        manifest = build_manifest(spec, report, store)
+        assert manifest["failures"]["quarantined"] == 1
+        assert manifest["failures"]["records"] == 1
+        assert manifest["lifecycle"]["quarantined"] == 1
+
+    def test_partial_artifacts_flush_on_abort(self, tmp_path):
+        with pytest.raises(ValueError) as excinfo:
+            run_sweep(make_spec(), jobs=self.jobs, cache=DirStore(tmp_path / "store"),
+                      solve=_poison_margin2_solve, failures=FAST_RETRIES)
+        paths = write_artifacts(excinfo.value.partial_report, tmp_path / "out")
+        names = {path.name for path in paths}
+        assert names == {"test.cells.json", "test.events.json"}  # no table
+        events = json.loads((tmp_path / "out" / "test.events.json").read_text())
+        assert events["aborted"] is True
+        assert events["lifecycle"]["quarantined"] == 1
+        assert events["skipped"][0]["detail"] == "deterministic"
+
+    def test_elapsed_uses_monotonic_clock(self, monkeypatch):
+        # A wall-clock step (NTP, DST) must not corrupt elapsed.
+        monkeypatch.setattr(time, "time", lambda: 0.0)
+        report = run_sweep(make_spec(margins=(1.0,)), jobs=self.jobs, solve=_stub_solve)
+        assert 0.0 <= report.elapsed < 60.0
+
+
+class TestSerialRetries(RetryContract):
     def test_transient_failures_retry_then_succeed(self, tmp_path):
         calls = {}
 
@@ -285,37 +374,6 @@ class TestSerialRetries:
         assert counts["retried"] == 2 and counts["failed"] == 2
         assert "quarantined" not in counts
         assert calls[2.0] == 3
-
-    def test_deterministic_failure_aborts_with_partial_report(self, tmp_path):
-        store = DirStore(tmp_path)
-        with pytest.raises(ValueError, match="margin 2 is poison") as excinfo:
-            run_sweep(make_spec(), cache=store, solve=_poison_margin2_solve,
-                      failures=FAST_RETRIES)
-        partial = excinfo.value.partial_report
-        assert partial.aborted and not partial.complete and not partial.table_ready
-        assert partial.quarantined == 1
-        counts = partial.lifecycle_counts()
-        assert counts["quarantined"] == 1 and "retried" not in counts
-        # The record persisted with the real class, for resume and triage.
-        record = store.get_failure(make_cell(margin=2.0))
-        assert record["error_class"] == "deterministic"
-        assert record["attempts"] == 1  # no retries for deterministic errors
-        # Sibling results solved before/after the failure are preserved.
-        assert store.get(make_cell(margin=1.0)) is not None
-
-    def test_keep_going_completes_with_row_omitted(self, tmp_path):
-        report = run_sweep(
-            make_spec(), cache=DirStore(tmp_path), solve=_poison_margin2_solve,
-            failures=FailurePolicy(keep_going=True, backoff_base=0.001),
-        )
-        assert not report.complete and report.table_ready
-        assert report.quarantined == 1
-        [skip] = report.skipped
-        assert skip.reason == "failed" and skip.key == cell_key(make_cell(margin=2.0))
-        table = report.table()
-        assert len(table.rows) == 2  # margin-2 row omitted
-        assert any("omitted" in note for note in table.notes)
-        assert "1 failed" in report.summary()
 
     def test_max_failures_budget_tolerates_then_aborts(self, tmp_path):
         def all_poison(cell):
@@ -358,53 +416,24 @@ class TestSerialRetries:
         report = run_sweep(make_spec(), cache=store, solve=counting, failures=keep_going)
         assert report.complete and calls == [2.0]
 
-    def test_transient_record_does_not_block_resume(self, tmp_path):
-        store = DirStore(tmp_path)
-        cell = make_cell(margin=2.0)
-        store.put_failure(
-            cell, failure_record(cell, cell_key(cell), attempts=3,
-                                 label="worker-death", error=WorkerCrashError("died")),
-        )
-        report = run_sweep(make_spec(), cache=store, solve=_stub_solve,
-                           failures=FAST_RETRIES)
-        assert report.complete and report.solved == 3
-        assert store.get_failure(cell) is None  # success cleared the record
+    def test_backoff_does_not_block_later_cells(self):
+        calls = []
 
-    def test_default_policy_matches_historical_abort(self):
-        # No cache, no policy: the first deterministic failure still
-        # raises the original error (the seed contract).
-        with pytest.raises(ValueError, match="margin 2 is poison"):
-            run_sweep(make_spec(), solve=_poison_margin2_solve)
+        def flaky_first(cell):
+            calls.append(cell.margin)
+            if calls == [1.0]:
+                raise OSError("transient glitch")
+            return _stub_solve(cell)
 
-    def test_manifest_carries_failure_counters(self, tmp_path):
-        store = DirStore(tmp_path)
-        spec = make_spec()
-        report = run_sweep(
-            spec, cache=store, solve=_poison_margin2_solve,
-            failures=FailurePolicy(keep_going=True, backoff_base=0.001),
-        )
-        manifest = build_manifest(spec, report, store)
-        assert manifest["failures"]["quarantined"] == 1
-        assert manifest["failures"]["records"] == 1
-        assert manifest["lifecycle"]["quarantined"] == 1
+        long_backoff = FailurePolicy(backoff_base=0.5, backoff_cap=0.5)
+        report = run_sweep(make_spec(), solve=flaky_first, failures=long_backoff)
+        assert report.complete and calls == [1.0, 2.0, 3.0, 1.0]
+        solved = [event.key for event in report.events if event.event == "solved"]
+        assert solved == [cell_key(make_cell(margin=m)) for m in (2.0, 3.0, 1.0)]
 
-    def test_partial_artifacts_flush_on_abort(self, tmp_path):
-        with pytest.raises(ValueError) as excinfo:
-            run_sweep(make_spec(), cache=DirStore(tmp_path / "store"),
-                      solve=_poison_margin2_solve, failures=FAST_RETRIES)
-        paths = write_artifacts(excinfo.value.partial_report, tmp_path / "out")
-        names = {path.name for path in paths}
-        assert names == {"test.cells.json", "test.events.json"}  # no table
-        events = json.loads((tmp_path / "out" / "test.events.json").read_text())
-        assert events["aborted"] is True
-        assert events["lifecycle"]["quarantined"] == 1
-        assert events["skipped"][0]["detail"] == "deterministic"
 
-    def test_elapsed_uses_monotonic_clock(self, monkeypatch):
-        # A wall-clock step (NTP, DST) must not corrupt elapsed.
-        monkeypatch.setattr(time, "time", lambda: 0.0)
-        report = run_sweep(make_spec(margins=(1.0,)), solve=_stub_solve)
-        assert 0.0 <= report.elapsed < 60.0
+class TestParallelRetries(RetryContract):
+    jobs = 2
 
 
 def _injected_solve(cell):

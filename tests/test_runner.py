@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import pytest
 
+import repro.kernel as kernel_module
+import repro.lp.backend as lp_backend
 import repro.runner.spec as spec_module
 import repro.topologies.zoo as zoo
 from repro.config import ExperimentConfig, SolverConfig
@@ -315,6 +317,27 @@ class TestRunSweep:
         run_sweep(make_spec(experiment="fig6"), cache=cache, solve=_stub_solve)
         report = run_sweep(make_spec(experiment="table1"), cache=cache, solve=_stub_solve)
         assert report.solved == 0 and report.cached == 3
+
+    def test_serial_sweep_leaves_kernel_mode_and_lp_threads_alone(self, monkeypatch):
+        # jobs=1 solves in the coordinator itself, which must not pin its
+        # own kernel override or LP-thread cap as a pool worker would.
+        calls = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def record(value):
+                calls.append(name)
+                real(value)
+
+            monkeypatch.setattr(module, name, record)
+
+        spy(kernel_module, "set_kernel_enabled")
+        spy(lp_backend, "set_lp_threads")
+        before = (kernel_module.kernel_enabled(), lp_backend.lp_threads())
+        report = run_sweep(make_spec(), jobs=1, solve=_stub_solve)
+        assert report.complete and calls == []
+        assert (kernel_module.kernel_enabled(), lp_backend.lp_threads()) == before
 
 
 class TestSpecs:
