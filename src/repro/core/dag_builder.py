@@ -26,8 +26,7 @@ from repro.ecmp.weights import inverse_capacity_weights
 from repro.exceptions import GraphError
 from repro.graph.dag import Dag
 from repro.graph.network import Edge, Network, Node
-from repro.graph.paths import dijkstra_to_target, shortest_path_dag
-from repro.kernel import kernel_enabled
+from repro.kernel.spf import all_targets_spf
 
 
 def augment_dag(
@@ -81,11 +80,10 @@ def build_dags(
 ) -> dict[Node, Dag]:
     """Shortest-path DAGs for the given weights, optionally augmented.
 
-    The kernel path (default) batches all destinations' Dijkstras into
-    one CSR shortest-path call; the reference path runs one search per
-    destination and threads its distances into the DAG extraction.
-    Changing how either path derives DAGs changes solver semantics —
-    bump ``CACHE_VERSION`` in :mod:`repro.runner.spec` alongside.
+    One batched all-destination CSR shortest-path call supplies every
+    destination's DAG and distances.  Changing how DAGs are derived
+    changes solver semantics — bump ``CACHE_VERSION`` in
+    :mod:`repro.runner.spec` alongside.
 
     Raises:
         GraphError: when some node cannot reach a requested destination
@@ -93,20 +91,10 @@ def build_dags(
             signals a malformed custom network).
     """
     targets = destinations if destinations is not None else network.nodes()
+    state = all_targets_spf(network, weights)
     dags: dict[Node, Dag] = {}
-    if kernel_enabled():
-        from repro.kernel.spf import all_targets_spf
-
-        state = all_targets_spf(network, weights)
-        per_target = {t: (state.dag(t), state.distances(t)) for t in targets}
-    else:
-        per_target = {}
-        for t in targets:
-            # One Dijkstra per destination: the DAG extraction reuses the
-            # distances instead of re-running the search.
-            distances = dijkstra_to_target(network, weights, t)
-            per_target[t] = (shortest_path_dag(network, weights, t, distances), distances)
-    for t, (sp, distances) in per_target.items():
+    for t in targets:
+        sp, distances = state.dag(t), state.distances(t)
         unreachable = [n for n, d in distances.items() if math.isinf(d)]
         if unreachable:
             raise GraphError(

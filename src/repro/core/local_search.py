@@ -32,7 +32,7 @@ from repro.ecmp.routing import ecmp_routing
 from repro.ecmp.weights import integer_scaled_weights, inverse_capacity_weights
 from repro.exceptions import SolverError
 from repro.graph.network import Edge, Network
-from repro.kernel import kernel_enabled
+from repro.kernel.delta import EcmpDeltaEvaluator, ecmp_max_utilization
 from repro.lp.worst_case import WorstCaseOracle, normalize_to_unit_optimum
 from repro.runner.timing import phase
 from repro.utils.seeding import rng_from_seed
@@ -64,28 +64,6 @@ class LocalSearchResult:
     history: list[float] = field(default_factory=list)
 
 
-def ecmp_utilization(
-    network: Network,
-    weights: dict[Edge, float],
-    matrices: list[DemandMatrix],
-) -> float:
-    """Worst ECMP max-link-utilization across normalized matrices.
-
-    Kernel swap-in: one batched SPF + vectorized propagation replaces
-    DAG-object construction per destination (reference path kept below
-    for differential tests).  Changing these semantics requires a
-    ``CACHE_VERSION`` bump in :mod:`repro.runner.spec`.
-    """
-    if not matrices:
-        return 0.0
-    if kernel_enabled():
-        from repro.kernel.delta import ecmp_max_utilization
-
-        return ecmp_max_utilization(network, weights, matrices)
-    routing = ecmp_routing(network, weights)
-    return max(routing.max_link_utilization(dm, network) for dm in matrices)
-
-
 def _candidate_values(current: int) -> list[int]:
     """Neighbor weights for a single-link move (clamped to [1, MAX_WEIGHT])."""
     raw = {
@@ -107,9 +85,10 @@ def _focus_from_utilization(
     """The search neighborhood: edges incident to the most congested links.
 
     Ties on utilization break lexicographically (not by dict insertion
-    order): the kernel path accumulates loads in edge-index order while
-    the reference accumulates in propagation order, and the two modes
-    must explore identical neighborhoods to stay row-identical.
+    order): the delta evaluator accumulates loads in edge-index order
+    while :func:`_focus_edges` (the reference search's) follows routing
+    load order, and both searches must explore identical neighborhoods
+    to stay move-identical.
     """
     if not utilization:
         return network.edges()
@@ -147,21 +126,19 @@ def weight_search(
 ) -> dict[Edge, int]:
     """FORTZTHORUP(G, D, c): single-weight moves minimizing worst utilization.
 
-    The kernel path scores every candidate move through
+    Every candidate move is scored through
     :class:`~repro.kernel.delta.EcmpDeltaEvaluator` — only destinations
     whose shortest-path DAG a single-weight change can touch are
-    re-solved; everything else reuses committed arrays.  The pure-Python
-    path (``REPRO_KERNEL=0``) re-derives every destination per candidate
-    and is kept as the behavioral reference.  Both record the
-    ``"weight_step"`` timing sub-phase (nested inside the owning cell's
-    "solve" phase, so it is *part of* — not additive to — solve time).
+    re-solved; everything else reuses committed arrays.
+    :func:`_weight_search_reference` is its test oracle.  The search
+    records the ``"weight_step"`` timing sub-phase (nested inside the
+    owning cell's "solve" phase, so it is *part of* — not additive to —
+    solve time).
     """
     if not matrices:
         return dict(weights)
     with phase("weight_step"):
-        if kernel_enabled():
-            return _weight_search_kernel(network, weights, matrices, max_moves, tabu_length)
-        return _weight_search_reference(network, weights, matrices, max_moves, tabu_length)
+        return _weight_search_kernel(network, weights, matrices, max_moves, tabu_length)
 
 
 def _weight_search_reference(
@@ -171,9 +148,17 @@ def _weight_search_reference(
     max_moves: int,
     tabu_length: int,
 ) -> dict[Edge, int]:
-    """From-scratch re-evaluation per candidate (the differential oracle)."""
+    """The delta evaluator's test oracle: the same moves, scored from scratch.
+
+    Each candidate is evaluated by a fresh
+    :func:`~repro.kernel.delta.ecmp_max_utilization` (a full batched SPF
+    and propagation on the kernel, no committed state) and the focus
+    comes from :meth:`Routing.link_loads`, so agreement with
+    :func:`_weight_search_kernel` pins the delta screening, pruning and
+    commits.  Tests call it by name; no production path does.
+    """
     current = dict(weights)
-    best_value = ecmp_utilization(network, current, matrices)
+    best_value = ecmp_max_utilization(network, current, matrices)
     tabu: list[Edge] = []
     for _ in range(max_moves):
         focus = _focus_edges(network, current, matrices)
@@ -185,7 +170,7 @@ def _weight_search_reference(
             original = current[edge]
             for value in _candidate_values(original):
                 current[edge] = value
-                candidate = ecmp_utilization(network, current, matrices)
+                candidate = ecmp_max_utilization(network, current, matrices)
                 if candidate < move_value - 1e-9:
                     move_value, move = candidate, (edge, value)
             current[edge] = original
@@ -208,8 +193,6 @@ def _weight_search_kernel(
     tabu_length: int,
 ) -> dict[Edge, int]:
     """Delta-evaluated neighborhood search (same moves, array state)."""
-    from repro.kernel.delta import EcmpDeltaEvaluator
-
     evaluator = EcmpDeltaEvaluator(
         network, {e: float(w) for e, w in weights.items()}, matrices
     )
@@ -300,7 +283,7 @@ def local_search_weights(
         raise SolverError("local search executed zero rounds")
     # Return the best-seen weights: the last weight-search step optimizes
     # against the finite critical set and may regress the full-set ratio.
-    utilization = ecmp_utilization(network, best_weights, matrices)
+    utilization = ecmp_max_utilization(network, best_weights, matrices)
     return LocalSearchResult(
         weights=best_weights,
         matrices=matrices,

@@ -12,8 +12,7 @@ from typing import Mapping
 
 from repro.graph.dag import Dag
 from repro.graph.network import Edge, Network, Node
-from repro.graph.paths import shortest_path_dag
-from repro.kernel import kernel_enabled
+from repro.kernel.spf import shortest_path_dags
 from repro.routing.splitting import Routing, uniform_ratios
 
 
@@ -24,17 +23,13 @@ def ecmp_dags(
 ) -> dict[Node, Dag]:
     """Shortest-path DAG per destination for the given weights.
 
-    Kernel swap-in: one batched all-destination SPF replaces the
-    per-destination Dijkstras (identical DAG edge sets; see the
-    differential suite).  If the extraction semantics here ever change,
-    bump ``CACHE_VERSION`` in :mod:`repro.runner.spec`.
+    One batched all-destination SPF on the kernel; the per-destination
+    :func:`~repro.graph.paths.shortest_path_dag` is its test oracle
+    (identical DAG edge sets; see the differential suite).  If the
+    extraction semantics here ever change, bump ``CACHE_VERSION`` in
+    :mod:`repro.runner.spec`.
     """
-    if kernel_enabled():
-        from repro.kernel.spf import shortest_path_dags
-
-        return shortest_path_dags(network, weights, destinations)
-    targets = destinations if destinations is not None else network.nodes()
-    return {t: shortest_path_dag(network, weights, t) for t in targets}
+    return shortest_path_dags(network, weights, destinations)
 
 
 def ecmp_routing(

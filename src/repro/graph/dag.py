@@ -27,12 +27,10 @@ class Dag:
         root: the destination node ``t`` the DAG routes toward.
     """
 
-    def __init__(self, root: Node, edges: Iterable[Edge], network: Network | None = None):
+    def __init__(self, root: Node, edges: Iterable[Edge], network: Network):
         self.root = root
-        #: The network the DAG was validated against (``None`` when built
-        #: standalone).  The vectorized kernel uses it to resolve edge
-        #: indices; kernel dispatch falls back to the pure-Python path for
-        #: network-less DAGs.
+        #: The network every edge was validated against; the vectorized
+        #: kernel resolves edge indices through it.
         self.network = network
         self._succ: dict[Node, list[Node]] = {}
         self._pred: dict[Node, list[Node]] = {}
@@ -43,7 +41,7 @@ class Dag:
                 raise DagError(f"duplicate DAG edge ({tail!r}, {head!r})")
             if tail == self.root:
                 raise DagError(f"root {self.root!r} must not have out-edges, got ({tail!r}, {head!r})")
-            if network is not None and not network.has_edge(tail, head):
+            if not network.has_edge(tail, head):
                 raise DagError(f"DAG edge ({tail!r}, {head!r}) is not a network edge")
             seen.add((tail, head))
             self._edges.append((tail, head))

@@ -78,9 +78,8 @@ def shortest_path_dag(
 
     Args:
         distances: precomputed node-to-target distances under the same
-            ``weights`` (callers that already ran Dijkstra — DAG
-            augmentation, the kernel — thread them through instead of
-            paying a second search).
+            ``weights`` (callers that already ran Dijkstra thread them
+            through instead of paying a second search).
     """
     dist = distances if distances is not None else dijkstra_to_target(network, weights, target)
     edges: list[Edge] = []

@@ -23,60 +23,26 @@ vectorized re-implementation of exactly that kernel:
   adjoint gradients and the forward-mode load Jacobian for a compiled
   (DAGs, demand batch) pair, as level sweeps over flat edge arrays.
 
-The pure-Python implementations remain in place as the reference oracle: the
-swap-in points dispatch through :func:`kernel_enabled`, and the differential
-test suite (``tests/test_kernel_differential.py``) pins kernel-vs-reference
-equivalence (identical DAG edge sets, ratios and loads within 1e-9).  Set
-``REPRO_KERNEL=0`` to force every caller onto the reference path.
-:mod:`repro.kernel.flowgrad` is the exception: it is the only engine the
-optimizers have, with :mod:`repro.routing.propagation` as its load oracle
-and finite differences as its gradient oracle (``tests/test_flowgrad.py``).
+Every routing caller runs on this package; there is no switch back.  The
+pure-Python implementations stay in the tree as test-only oracles, one per
+fast path, called by name from the differential suite
+(``tests/test_kernel_differential.py``: identical DAG edge sets, ratios and
+loads within 1e-9): :func:`~repro.graph.paths.shortest_path_dag` and
+:func:`~repro.graph.paths.dijkstra_to_target` for SPF,
+``Routing.link_loads_reference`` for loads,
+:func:`~repro.routing.propagation.load_coefficients_reference` for the
+oracle's coefficients, and ``core.local_search._weight_search_reference``
+(from-scratch evaluation per candidate) for the delta evaluator.
+:mod:`repro.kernel.flowgrad` has :mod:`repro.routing.propagation` as its
+load oracle and finite differences as its gradient oracle
+(``tests/test_flowgrad.py``).
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator
-
-_FALSY = ("0", "false", "False", "no", "off")
-
-#: Tri-state override installed by :func:`set_kernel_enabled` / tests;
-#: ``None`` defers to the ``REPRO_KERNEL`` environment variable.
-_OVERRIDE: bool | None = None
-
-
-def kernel_enabled() -> bool:
-    """Whether swap-in points should use the vectorized kernel.
-
-    Defaults to on; ``REPRO_KERNEL=0`` (or a :func:`set_kernel_enabled`
-    override, which wins) selects the pure-Python reference path instead.
-    """
-    if _OVERRIDE is not None:
-        return _OVERRIDE
-    return os.environ.get("REPRO_KERNEL", "1") not in _FALSY
-
-
-def set_kernel_enabled(enabled: bool | None) -> None:
-    """Force the kernel on/off (``None`` restores the environment default)."""
-    global _OVERRIDE
-    _OVERRIDE = enabled
-
-
-@contextmanager
-def kernel_disabled() -> Iterator[None]:
-    """Run a block on the pure-Python reference path (used by tests)."""
-    previous = _OVERRIDE
-    set_kernel_enabled(False)
-    try:
-        yield
-    finally:
-        set_kernel_enabled(previous)
-
-
-from repro.kernel.csr import CsrIndex, csr_index, weight_vector  # noqa: E402
-from repro.kernel.spf import SpfState, all_targets_spf, shortest_path_dags  # noqa: E402
-from repro.kernel.delta import EcmpDeltaEvaluator  # noqa: E402
+from repro.kernel.csr import CsrIndex, csr_index, weight_vector
+from repro.kernel.spf import SpfState, all_targets_spf, shortest_path_dags
+from repro.kernel.delta import EcmpDeltaEvaluator
 
 __all__ = [
     "CsrIndex",
@@ -84,9 +50,6 @@ __all__ = [
     "SpfState",
     "all_targets_spf",
     "csr_index",
-    "kernel_disabled",
-    "kernel_enabled",
-    "set_kernel_enabled",
     "shortest_path_dags",
     "weight_vector",
 ]

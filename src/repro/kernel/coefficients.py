@@ -154,8 +154,7 @@ def load_coefficients(
     targets = [t for t in targets if sources_of[t]]
     if not targets:
         return {}
-    network = _network_of(dags[targets[0]])
-    index = csr_index(network)
+    index = csr_index(dags[targets[0]].network)
     width = max(len(sources_of[t]) for t in targets)
     unit = np.zeros((len(targets), width, index.num_nodes))
     for row, t in enumerate(targets):
@@ -184,19 +183,3 @@ def load_coefficients(
         edge = edge_labels[int(live_edges[k])]
         coefficients.setdefault(edge, {})[(sources_of[t][col], t)] = float(values[k, col])
     return coefficients
-
-
-def _network_of(dag: Dag) -> Network:
-    """The network a DAG was validated against.
-
-    DAG construction always passes the network in this codebase; the
-    kernel dispatch points fall back to the reference path for DAGs
-    built without one.
-    """
-    network = dag.network
-    if network is None:
-        raise RoutingError(
-            f"DAG rooted at {dag.root!r} carries no network reference; "
-            "kernel coefficients need Dag(..., network=...)"
-        )
-    return network

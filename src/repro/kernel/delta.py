@@ -292,7 +292,14 @@ def ecmp_max_utilization(
     weights: Mapping[Edge, float],
     matrices: Sequence[DemandMatrix],
 ) -> float:
-    """One-shot kernel equivalent of the reference ``ecmp_utilization``."""
+    """Worst ECMP max-link utilization across ``matrices``, from scratch.
+
+    A fresh evaluator per call: one batched SPF plus one propagation, no
+    committed state to reuse.  The local search scores its final weights
+    with it, and the reference weight search scores every candidate with
+    it.  Changing these semantics requires a ``CACHE_VERSION`` bump in
+    :mod:`repro.runner.spec`.
+    """
     if not matrices:
         return 0.0
     return EcmpDeltaEvaluator(network, weights, matrices).utilization()

@@ -68,36 +68,6 @@ def edge_level_schedule(index: CsrIndex, edge_ids: np.ndarray) -> list[np.ndarra
     return [chunk for chunk in np.split(ordered, boundaries) if chunk.size]
 
 
-def spf_edge_schedule(
-    index: CsrIndex, dist_row: np.ndarray, edge_ids: np.ndarray
-) -> list[np.ndarray]:
-    """Level schedule for a *shortest-path* DAG, derived from distances.
-
-    Every tight edge strictly decreases the distance to the destination
-    (weights are positive), so grouping edges by ``dist[tail]`` in
-    descending order is a valid schedule: an edge's tail only receives
-    flow from strictly farther tails, i.e. from earlier groups.  This is
-    a handful of array ops versus the general Kahn peel — the difference
-    matters because the delta evaluator builds a schedule per affected
-    destination per candidate move.
-
-    Falls back to :func:`edge_level_schedule` in the degenerate case
-    where float rounding collapsed an edge's endpoint distances
-    (``w + dv == dv`` for a tiny weight), where dist ordering is no
-    longer a topological witness.
-    """
-    if edge_ids.size == 0:
-        return []
-    tail_dist = dist_row[index.tail[edge_ids]]
-    if not (tail_dist > dist_row[index.head[edge_ids]]).all():
-        return edge_level_schedule(index, edge_ids)
-    order = np.argsort(-tail_dist, kind="stable")
-    ordered = edge_ids[order]
-    ordered_dist = tail_dist[order]
-    boundaries = np.flatnonzero(np.diff(ordered_dist)) + 1
-    return np.split(ordered, boundaries)
-
-
 def sweep_flows(
     index: CsrIndex,
     schedule: list[np.ndarray],
@@ -200,10 +170,14 @@ def multi_spf_sweep(
     The destinations' DAGs are disjoint rows of the state tensors, so
     sorting every (destination, edge) instance by descending
     ``dist[tail]`` *globally* respects each destination's own schedule
-    (see :func:`spf_edge_schedule`) while collapsing A separate level
-    loops into one.  Falls back to per-destination Kahn sweeps if any
-    tight edge fails the strict distance decrease (degenerate float
-    weights).
+    while collapsing A separate level loops into one: every tight edge
+    strictly decreases the distance to its destination (weights are
+    positive), so an edge's tail only receives flow from strictly
+    farther tails.  Float rounding can break that witness — ``w + dv ==
+    dv`` for a tiny weight collapses an edge's endpoint distances — so
+    if any tight edge fails the strict decrease, every destination falls
+    back to its own Kahn schedule (:func:`edge_level_schedule`) and
+    :func:`sweep_flows`.
     """
     flows = np.zeros((demands.shape[0], demands.shape[1], index.num_edges))
     rows, edges = np.nonzero(tight_rows)

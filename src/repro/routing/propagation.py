@@ -87,20 +87,15 @@ def load_coefficients(
     (they can never contribute load), mirroring the LP which simply has a
     zero column for them.
 
-    Kernel swap-in: the vectorized assembly in
-    :mod:`repro.kernel.coefficients` batches all of a destination's
-    sources into one level sweep; :func:`load_coefficients_reference`
-    stays as the differential oracle.  Semantics changes here invalidate
-    cached sweep results — bump ``CACHE_VERSION`` in
-    :mod:`repro.runner.spec`.
+    Runs on the vectorized assembly in :mod:`repro.kernel.coefficients`,
+    which batches all of a destination's sources into one level sweep;
+    :func:`load_coefficients_reference` is its test oracle.  Semantics
+    changes here invalidate cached sweep results — bump
+    ``CACHE_VERSION`` in :mod:`repro.runner.spec`.
     """
-    from repro.kernel import kernel_enabled
+    from repro.kernel.coefficients import load_coefficients as kernel_coefficients
 
-    if kernel_enabled() and all(dag.network is not None for dag in dags.values()):
-        from repro.kernel.coefficients import load_coefficients as kernel_coefficients
-
-        return kernel_coefficients(dags, ratios_by_destination, pairs)
-    return load_coefficients_reference(dags, ratios_by_destination, pairs)
+    return kernel_coefficients(dags, ratios_by_destination, pairs)
 
 
 def load_coefficients_reference(
@@ -108,7 +103,7 @@ def load_coefficients_reference(
     ratios_by_destination: Mapping[Node, Ratios],
     pairs: list[tuple[Node, Node]],
 ) -> dict[Edge, dict[tuple[Node, Node], float]]:
-    """Pure-Python coefficient assembly (the kernel's reference oracle)."""
+    """Pure-Python coefficient assembly (the kernel's test oracle)."""
     coefficients: dict[Edge, dict[tuple[Node, Node], float]] = {}
     by_destination: dict[Node, list[Node]] = {}
     for s, t in pairs:

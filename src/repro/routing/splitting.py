@@ -80,13 +80,12 @@ class Routing:
     def link_loads(self, demand: DemandMatrix) -> dict[Edge, float]:
         """Total flow per edge when routing ``demand`` with this configuration.
 
-        Kernel swap-in: one vectorized level sweep per destination DAG
-        (:mod:`repro.kernel.coefficients`) replaces the per-node dict
-        recursion; :meth:`link_loads_reference` remains the differential
-        oracle.  Semantics changes here require a ``CACHE_VERSION`` bump
-        in :mod:`repro.runner.spec`.
+        One vectorized level sweep over every destination DAG
+        (:mod:`repro.kernel.coefficients`); :meth:`link_loads_reference`
+        is its test oracle.  Semantics changes here require a
+        ``CACHE_VERSION`` bump in :mod:`repro.runner.spec`.
         """
-        from repro.kernel import kernel_enabled
+        from repro.kernel.coefficients import link_loads as kernel_link_loads
 
         targets = demand.targets()
         missing = [t for t in targets if t not in self.dags]
@@ -94,19 +93,13 @@ class Routing:
             raise RoutingError(
                 f"no DAG for destination {missing[0]!r} in routing {self.name!r}"
             )
-        if (
-            kernel_enabled()
-            and targets
-            and all(self.dags[t].network is not None for t in targets)
-        ):
-            from repro.kernel.coefficients import link_loads as kernel_link_loads
-
-            network = self.dags[next(iter(targets))].network
-            return kernel_link_loads(network, self.dags, self.ratios, demand)
-        return self.link_loads_reference(demand)
+        if not targets:
+            return {}
+        network = self.dags[next(iter(targets))].network
+        return kernel_link_loads(network, self.dags, self.ratios, demand)
 
     def link_loads_reference(self, demand: DemandMatrix) -> dict[Edge, float]:
-        """Pure-Python per-destination propagation (the kernel's oracle)."""
+        """Pure-Python per-destination propagation (the kernel's test oracle)."""
         loads: dict[Edge, float] = {}
         for t in demand.targets():
             if t not in self.dags:

@@ -122,7 +122,6 @@ def solve_cell(cell: SweepCell) -> dict[str, float]:
 def _solve_chunk(
     solve: Callable[[SweepCell], dict[str, float]],
     cells: list[tuple[str, SweepCell]],
-    kernel_mode: bool | None = None,
     lp_threads: int | None = None,
 ) -> list[tuple[str, object, str | None, dict[str, float]]]:
     """Solve same-setup cells serially in one worker, stopping at a failure.
@@ -137,22 +136,12 @@ def _solve_chunk(
     ``timings`` carries the per-phase durations the worker recorded
     (see :mod:`repro.runner.timing`).
 
-    ``kernel_mode`` is the coordinator's resolved
-    :func:`repro.kernel.kernel_enabled` value: cache keys were computed
-    under it, so the worker must solve under it too — a spawn-start
-    worker would otherwise re-derive the mode from its own (fresh)
-    process state and could cache one mode's rows under the other's keys.
-
     ``lp_threads`` is this worker's share of the coordinator's LP sweep
     threads (:func:`repro.lp.backend.set_lp_threads`), so ``jobs``
     workers sweeping at once do not oversubscribe the host.  ``None``
-    for either (an in-process ``jobs == 1`` solve) leaves the caller's
-    own setting alone.
+    (an in-process ``jobs == 1`` solve) leaves the caller's own setting
+    alone.
     """
-    if kernel_mode is not None:
-        from repro.kernel import set_kernel_enabled
-
-        set_kernel_enabled(kernel_mode)
     if lp_threads is not None:
         from repro.lp.backend import set_lp_threads
 
@@ -805,8 +794,8 @@ def _pump(
 
     ``jobs == 1`` queues one chunk per cell, in worklist order, on an
     :class:`_InProcessExecutor`: each cell is re-probed and claimed just
-    before it runs, the coordinator's kernel mode and LP-thread cap are
-    left alone, and no deadline is set (there is no worker to kill).
+    before it runs, the coordinator's LP-thread cap is left alone, and no
+    deadline is set (there is no worker to kill).
     ``jobs > 1`` queues same-setup chunks on a process pool and owns the
     pool's whole lifecycle — including *replacing* it after a worker
     death (``BrokenProcessPool`` poisons every in-flight future) or a
@@ -814,18 +803,17 @@ def _pump(
     pool the same way).  At any job count a cell waiting out its retry
     backoff does not hold up the others.
     """
-    from repro.kernel import kernel_enabled
     from repro.lp.backend import lp_threads
 
     keys, events = frontier.keys, frontier.events
     in_process = jobs == 1
     if in_process:
         queue = deque([item] for item in worklist)
-        workers, kernel_mode, lp_budget = 1, None, None
+        workers, lp_budget = 1, None
     else:
         queue = deque(_chunk_pending(worklist, jobs))
         workers = min(jobs, len(queue))
-        kernel_mode, lp_budget = kernel_enabled(), max(1, lp_threads() // workers)
+        lp_budget = max(1, lp_threads() // workers)
     # Retries wait out their backoff in this heap (ready-time ordered)
     # without blocking dispatch of other work; the tickets break ties.
     retries: list[tuple[float, int, list[tuple[int, SweepCell]]]] = []
@@ -956,8 +944,7 @@ def _pump(
             if not runnable:
                 continue
             future = pool.submit(
-                _solve_chunk, solve, [(keys[i], c) for i, c in runnable],
-                kernel_mode, lp_budget,
+                _solve_chunk, solve, [(keys[i], c) for i, c in runnable], lp_budget
             )
             in_flight[future] = (runnable, chunk_deadline(runnable))
 

@@ -30,10 +30,12 @@ from repro.exceptions import ExperimentError
 #: (:mod:`repro.kernel`): SPF/DAG extraction, flow propagation, oracle
 #: coefficient assembly, and the local search's delta-evaluated weight
 #: step are re-implementations of solver semantics, so every
-#: ``runner-v2`` result is treated as stale.  The kernel swap-in points
+#: ``runner-v2`` result is treated as stale.  The kernel call sites
 #: (``ecmp/routing.py``, ``core/dag_builder.py``, ``core/local_search.py``,
 #: ``routing/propagation.py``, ``routing/splitting.py``) carry matching
-#: reminders.
+#: reminders.  (Fingerprints also carried a kernel on/off flag until the
+#: pure-Python path became test-only: that changed every key but no
+#: result, so the version stayed.)
 #: ``runner-v4`` introduced the pluggable LP backend layer
 #: (:mod:`repro.lp.backend`): constraint assembly, the reusable-model
 #: paths, and the direct-HiGHS engine replace the per-call ``linprog``
@@ -185,20 +187,13 @@ class SweepCell:
         resolved column set all participate, so cells of different kinds
         (or a kind whose columns changed) never share an entry.
         """
-        from repro.kernel import kernel_enabled
         from repro.lp import backend as lp_backend
 
         return {
             "version": CACHE_VERSION,
-            # The vectorized kernel and the pure-Python reference are
-            # pinned equivalent by the differential suite, but cached
-            # results must still never cross the mode boundary: any
-            # divergence (a bug, a future tolerance change) would
-            # otherwise serve one mode's rows as the other's.
-            "kernel": kernel_enabled(),
-            # Same reasoning for the LP layer: different engines can
-            # return different optimal vertices for degenerate LPs,
-            # which steers cutting-plane trajectories.
+            # Different LP engines can return different optimal
+            # vertices for degenerate LPs, which steers cutting-plane
+            # trajectories, so results never cross the backend boundary.
             # The LP sweep's thread count is deliberately absent —
             # isolated solves make results independent of partitioning.
             "lp_backend": lp_backend.active_backend_name(),

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.demands.matrix import DemandMatrix
 from repro.graph.dag import Dag
 from repro.graph.network import Network
+from repro.graph.paths import shortest_path_dag
+from repro.routing.splitting import Routing, uniform_ratios
 from repro.topologies.generators import running_example_network
 from repro.topologies.zoo import load_topology
 
@@ -25,6 +29,40 @@ def pytest_addoption(parser: pytest.Parser) -> None:
 def update_golden(request: pytest.FixtureRequest) -> bool:
     """Whether golden-table tests should rewrite their fixtures."""
     return bool(request.config.getoption("--update-golden"))
+
+
+def _reference_ecmp_routing(network, weights) -> Routing:
+    """ECMP from heapq shortest-path DAGs and equal splits, in pure Python."""
+    dags = {t: shortest_path_dag(network, weights, t) for t in network.nodes()}
+    return Routing(dags, {t: uniform_ratios(dag) for t, dag in dags.items()})
+
+
+def _reference_ecmp_utilization(network, weights, matrices) -> float:
+    """Worst ECMP max-link utilization over ``matrices``, in pure Python.
+
+    The oracle for :func:`repro.kernel.delta.ecmp_max_utilization`:
+    :func:`_reference_ecmp_routing` plus dict-recursion propagation
+    (``Routing.link_loads_reference``) — no :mod:`repro.kernel` code runs.
+    """
+    routing = _reference_ecmp_routing(network, weights)
+    worst = 0.0
+    for matrix in matrices:
+        for edge, flow in routing.link_loads_reference(matrix).items():
+            capacity = network.capacity(*edge)
+            if math.isfinite(capacity):
+                worst = max(worst, flow / capacity)
+    return worst
+
+
+# Session-scoped so hypothesis tests may request them.
+@pytest.fixture(scope="session")
+def reference_ecmp_routing():
+    return _reference_ecmp_routing
+
+
+@pytest.fixture(scope="session")
+def reference_ecmp_utilization():
+    return _reference_ecmp_utilization
 
 
 @pytest.fixture

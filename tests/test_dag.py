@@ -38,11 +38,6 @@ class TestInvariants:
         with pytest.raises(DagError, match="cannot reach the root"):
             Dag("t", [("a", "t"), ("a", "b")], net)
 
-    def test_edges_without_network_validation(self):
-        dag = Dag("t", [("a", "t"), ("b", "t")])
-        assert dag.has_edge("a", "t")
-        assert not dag.has_edge("t", "a")
-
 
 class TestTopology:
     def test_topological_order_respects_edges(self, diamond):

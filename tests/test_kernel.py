@@ -5,19 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.local_search import (
-    MAX_WEIGHT,
-    ecmp_utilization,
-    weight_search,
-)
+from repro.core.local_search import MAX_WEIGHT, _weight_search_reference, weight_search
 from repro.demands.gravity import gravity_matrix
 from repro.demands.matrix import DemandMatrix
 from repro.ecmp.weights import integer_scaled_weights, inverse_capacity_weights
 from repro.exceptions import GraphError, RoutingError
 from repro.graph.network import Network
-from repro.kernel import kernel_disabled, kernel_enabled, set_kernel_enabled
 from repro.kernel.csr import csr_index, weight_vector
-from repro.kernel.delta import EcmpDeltaEvaluator
+from repro.kernel.delta import EcmpDeltaEvaluator, ecmp_max_utilization
 from repro.kernel.propagate import edge_level_schedule
 from repro.kernel.spf import all_targets_spf, compute_spf_state
 from repro.lp.worst_case import normalize_to_unit_optimum
@@ -28,46 +23,6 @@ def abilene():
     from repro.topologies.zoo import load_topology
 
     return load_topology("abilene")
-
-
-class TestKernelGate:
-    def test_default_enabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert kernel_enabled()
-
-    def test_environment_disable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "0")
-        assert not kernel_enabled()
-
-    def test_override_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "0")
-        set_kernel_enabled(True)
-        try:
-            assert kernel_enabled()
-        finally:
-            set_kernel_enabled(None)
-
-    def test_context_manager_restores(self):
-        before = kernel_enabled()
-        with kernel_disabled():
-            assert not kernel_enabled()
-        assert kernel_enabled() == before
-
-    def test_kernel_mode_participates_in_cache_keys(self):
-        # Kernel and reference results must never cross the cache-mode
-        # boundary, so the mode is part of every cell fingerprint.
-        from repro.config import SolverConfig
-        from repro.runner.spec import SweepCell, cell_key
-
-        cell = SweepCell(
-            experiment="x", topology="abilene", demand_model="gravity",
-            margin=1.0, seed=1, solver=SolverConfig(),
-        )
-        kernel_key = cell_key(cell)
-        assert cell.fingerprint()["kernel"] is True
-        with kernel_disabled():
-            assert cell.fingerprint()["kernel"] is False
-            assert cell_key(cell) != kernel_key
 
 
 class TestCsrIndex:
@@ -215,8 +170,9 @@ class TestWeightSearchKernelPath:
         weights = integer_scaled_weights(inverse_capacity_weights(abilene), MAX_WEIGHT)
         base = normalize_to_unit_optimum(abilene, gravity_matrix(abilene))
         kernel_result = weight_search(abilene, weights, [base], max_moves=4)
-        with kernel_disabled():
-            reference_result = weight_search(abilene, weights, [base], max_moves=4)
+        reference_result = _weight_search_reference(
+            abilene, weights, [base], max_moves=4, tabu_length=4
+        )
         assert kernel_result == reference_result
 
     def test_weight_step_phase_recorded(self, abilene):
@@ -228,12 +184,11 @@ class TestWeightSearchKernelPath:
         assert timings.get("weight_step", 0.0) > 0.0
         assert timings["weight_step"] <= timings["total"] + 1e-9
 
-    def test_ecmp_utilization_dispatches_identically(self, abilene):
+    def test_ecmp_utilization_dispatches_identically(self, abilene, reference_ecmp_utilization):
         weights = {e: float(v) for e, v in integer_scaled_weights(
             inverse_capacity_weights(abilene), MAX_WEIGHT
         ).items()}
         base = normalize_to_unit_optimum(abilene, gravity_matrix(abilene))
-        kernel_value = ecmp_utilization(abilene, weights, [base])
-        with kernel_disabled():
-            reference_value = ecmp_utilization(abilene, weights, [base])
+        kernel_value = ecmp_max_utilization(abilene, weights, [base])
+        reference_value = reference_ecmp_utilization(abilene, weights, [base])
         assert kernel_value == pytest.approx(reference_value, abs=1e-9)

@@ -13,6 +13,12 @@ deliberate ECMP ties, including perturbations inside and outside the
 * identical oracle load coefficients within 1e-9;
 * the delta evaluator's incremental scores match from-scratch kernel and
   pure-Python evaluations, move after committed move.
+
+The reference side of every comparison calls the pure-Python oracles by
+name (``shortest_path_dag``, ``Routing.link_loads_reference``,
+``load_coefficients_reference``, and the ``reference_ecmp_routing`` /
+``reference_ecmp_utilization`` fixtures built from them); no
+``repro.kernel`` code runs there.
 """
 
 from __future__ import annotations
@@ -24,12 +30,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.core.local_search import ecmp_utilization  # noqa: E402
 from repro.demands.matrix import DemandMatrix  # noqa: E402
 from repro.ecmp.routing import ecmp_routing  # noqa: E402
 from repro.graph.network import Network  # noqa: E402
 from repro.graph.paths import _TIE_RTOL, shortest_path_dag  # noqa: E402
-from repro.kernel import kernel_disabled  # noqa: E402
 from repro.kernel.delta import EcmpDeltaEvaluator, ecmp_max_utilization  # noqa: E402
 from repro.kernel.spf import all_targets_spf, shortest_path_dags  # noqa: E402
 from repro.routing.propagation import (  # noqa: E402
@@ -137,8 +141,7 @@ class TestSpfEquivalence:
                 weights = {e: scale for e in net.edges()}
                 weights[("a", "b")] = scale + perturbation
                 kernel = shortest_path_dags(net, weights)["d"]
-                with kernel_disabled():
-                    reference = shortest_path_dag(net, weights, "d")
+                reference = shortest_path_dag(net, weights, "d")
                 assert kernel.edges() == reference.edges(), (scale, perturbation)
                 branches = set(kernel.out_neighbors("a"))
                 assert (branches == {"b", "c"}) is expect_both, (scale, perturbation)
@@ -147,31 +150,58 @@ class TestSpfEquivalence:
 class TestPropagationEquivalence:
     @SETTINGS
     @given(weighted_networks_with_demands())
-    def test_link_loads_match(self, case):
+    def test_link_loads_match(self, reference_ecmp_routing, case):
         net, weights, demand = case
-        routing = ecmp_routing(net, weights)
-        kernel = routing.link_loads(demand)
-        reference = routing.link_loads_reference(demand)
+        kernel = ecmp_routing(net, weights).link_loads(demand)
+        reference = reference_ecmp_routing(net, weights).link_loads_reference(demand)
         assert set(kernel) == set(reference)
         assert all(abs(kernel[e] - reference[e]) <= 1e-9 for e in reference)
 
     @SETTINGS
     @given(weighted_networks_with_demands())
-    def test_max_utilization_matches(self, case):
+    def test_max_utilization_matches(self, reference_ecmp_utilization, case):
         net, weights, demand = case
         kernel = ecmp_max_utilization(net, weights, [demand])
-        with kernel_disabled():
-            reference = ecmp_utilization(net, weights, [demand])
+        reference = reference_ecmp_utilization(net, weights, [demand])
         assert kernel == pytest.approx(reference, abs=1e-9)
+
+    def test_degenerate_distances_fall_back_to_kahn_sweeps(
+        self, monkeypatch, reference_ecmp_utilization
+    ):
+        # w(a->b) = 1e-20 vanishes in float addition: dist(a) == dist(b)
+        # toward d, so the tight edge a->b has no strict distance
+        # decrease and the combined sweep must fall back to
+        # per-destination Kahn schedules.
+        from repro.kernel import propagate
+
+        links = [("a", "b"), ("b", "c"), ("c", "a"), ("a", "c"), ("c", "d"), ("d", "a"), ("b", "d")]
+        net = Network.from_edges([(u, v, 1.0) for u, v in links])
+        weights = {e: 1.0 for e in net.edges()}
+        weights[("a", "b")] = 1e-20
+        demand = DemandMatrix({("a", "d"): 1.0, ("b", "d"): 2.0, ("a", "c"): 1.0})
+        fallback_sweeps = []
+        real_sweep = propagate.sweep_flows
+
+        def spy(*args, **kwargs):
+            fallback_sweeps.append(args)
+            return real_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(propagate, "sweep_flows", spy)
+        kernel = ecmp_max_utilization(net, weights, [demand])
+        assert fallback_sweeps
+        reference = reference_ecmp_utilization(net, weights, [demand])
+        assert kernel == pytest.approx(reference, abs=1e-9)
+        assert kernel == pytest.approx(3.0)
 
     @SETTINGS
     @given(weighted_networks())
-    def test_load_coefficients_match(self, case):
+    def test_load_coefficients_match(self, reference_ecmp_routing, case):
         net, weights = case
         routing = ecmp_routing(net, weights)
+        oracle = reference_ecmp_routing(net, weights)
         pairs = [(s, t) for s in net.nodes() for t in net.nodes() if s != t]
         kernel = load_coefficients(routing.dags, routing.ratios, pairs)
-        reference = load_coefficients_reference(routing.dags, routing.ratios, pairs)
+        reference = load_coefficients_reference(oracle.dags, oracle.ratios, pairs)
         assert set(kernel) == set(reference)
         for edge in reference:
             assert set(kernel[edge]) == set(reference[edge]), edge
@@ -184,7 +214,7 @@ class TestPropagationEquivalence:
 class TestDeltaEvaluatorEquivalence:
     @SETTINGS
     @given(weighted_networks_with_demands(), st.data())
-    def test_moves_match_scratch_and_reference(self, case, data):
+    def test_moves_match_scratch_and_reference(self, reference_ecmp_utilization, case, data):
         net, weights, demand = case
         matrices = [demand]
         evaluator = EcmpDeltaEvaluator(net, weights, matrices)
@@ -198,8 +228,7 @@ class TestDeltaEvaluatorEquivalence:
             trial[edge] = new_weight
             scratch = ecmp_max_utilization(net, trial, matrices)
             assert candidate.utilization == pytest.approx(scratch, abs=1e-12)
-            with kernel_disabled():
-                reference = ecmp_utilization(net, trial, matrices)
+            reference = reference_ecmp_utilization(net, trial, matrices)
             assert candidate.utilization == pytest.approx(reference, abs=1e-9)
             if data.draw(st.booleans()):
                 evaluator.commit(candidate)

@@ -6,13 +6,13 @@ from repro.config import SolverConfig
 from repro.core.local_search import (
     LocalSearchResult,
     MAX_WEIGHT,
-    ecmp_utilization,
     local_search_weights,
     weight_search,
 )
 from repro.demands.gravity import gravity_matrix
 from repro.demands.uncertainty import margin_box
 from repro.ecmp.weights import integer_scaled_weights, inverse_capacity_weights
+from repro.kernel.delta import ecmp_max_utilization
 from repro.lp.worst_case import normalize_to_unit_optimum
 
 FAST = SolverConfig(max_adversarial_rounds=3, max_inner_iterations=10)
@@ -22,9 +22,9 @@ class TestWeightSearch:
     def test_improves_or_keeps_objective(self, abilene):
         weights = integer_scaled_weights(inverse_capacity_weights(abilene), MAX_WEIGHT)
         base = normalize_to_unit_optimum(abilene, gravity_matrix(abilene))
-        before = ecmp_utilization(abilene, weights, [base])
+        before = ecmp_max_utilization(abilene, weights, [base])
         improved = weight_search(abilene, weights, [base], FAST, max_moves=4)
-        after = ecmp_utilization(abilene, improved, [base])
+        after = ecmp_max_utilization(abilene, improved, [base])
         assert after <= before + 1e-9
 
     def test_weights_stay_integer_in_range(self, abilene):
@@ -39,7 +39,7 @@ class TestWeightSearch:
 
     def test_ecmp_utilization_no_matrices(self, abilene):
         weights = integer_scaled_weights(inverse_capacity_weights(abilene), MAX_WEIGHT)
-        assert ecmp_utilization(abilene, weights, []) == 0.0
+        assert ecmp_max_utilization(abilene, weights, []) == 0.0
 
 
 class TestAlgorithm1:

@@ -8,6 +8,7 @@ pin the ``.gitignore`` and ruff coverage so the fix can't silently rot.
 
 from __future__ import annotations
 
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -33,6 +34,11 @@ REQUIRED_IGNORES = {
     "bench-artifacts/",   # repro bench --out (CI smoke)
 }
 
+#: Every environment variable the package reads; README.md documents each.
+ENV_VARS = {"REPRO_CACHE_DIR", "REPRO_FAULTS", "REPRO_FULL", "REPRO_LP_BACKEND"}
+
+_ENV_VAR = re.compile(r"REPRO_[A-Z_]+")
+
 #: Directories containing first-party Python that ruff must target.
 PYTHON_DIRS = ("src", "tests", "benchmarks", "examples")
 
@@ -49,6 +55,17 @@ def _gitignore_patterns() -> set[str]:
 def test_gitignore_covers_runtime_litter():
     missing = REQUIRED_IGNORES - _gitignore_patterns()
     assert not missing, f".gitignore lacks patterns for runtime litter: {sorted(missing)}"
+
+
+def test_environment_variables_are_pinned_and_documented():
+    # A new switch must be a deliberate, documented decision: the set of
+    # REPRO_* names in src/ is pinned here, and README.md lists each.
+    found = set()
+    for path in (REPO_ROOT / "src").rglob("*.py"):
+        found |= set(_ENV_VAR.findall(path.read_text()))
+    assert found == ENV_VARS
+    documented = set(_ENV_VAR.findall((REPO_ROOT / "README.md").read_text()))
+    assert not ENV_VARS - documented, f"undocumented: {sorted(ENV_VARS - documented)}"
 
 
 def test_ruff_lints_the_whole_tree_in_ci():
