@@ -12,8 +12,9 @@ vectorized re-implementation of exactly that kernel:
 * :mod:`repro.kernel.spf` — batched all-destination shortest paths via
   ``scipy.sparse.csgraph.dijkstra`` plus vectorized ECMP DAG extraction from
   the relaxation condition ``dist[u] ~= w(u,v) + dist[v]`` on edge arrays;
-* :mod:`repro.kernel.propagate` — topological-level sparse sweeps producing
-  node arrivals, edge loads, and max-utilization for demand matrices;
+* :mod:`repro.kernel.propagate` — the one level schedule: (destination,
+  edge) instances grouped by the Kahn depth of their tails, and the only
+  forward sweep, which every module below propagates demand through;
 * :mod:`repro.kernel.coefficients` — vectorized assembly of the worst-case
   oracle's per-edge objective coefficients (``f_st(u) * phi_t(e)``);
 * :mod:`repro.kernel.delta` — delta re-evaluation for the local search's
@@ -21,7 +22,8 @@ vectorized re-implementation of exactly that kernel:
   whose shortest-path DAG actually changed;
 * :mod:`repro.kernel.flowgrad` — the splitting optimizers' engine: loads,
   adjoint gradients and the forward-mode load Jacobian for a compiled
-  (DAGs, demand batch) pair, as level sweeps over flat edge arrays.
+  (DAGs, demand batch) pair; the gradient walks the same schedule in
+  reverse.
 
 Every routing caller runs on this package; there is no switch back.  The
 pure-Python implementations stay in the tree as test-only oracles, one per

@@ -5,21 +5,19 @@ The worst-case oracle's objective assembly needs, for every demand pair
 ``f_st(u) * phi_t(u, v)``.  The reference computes this one source at a
 time (one dict-based propagation per pair); here *all* destinations and
 all of their sources propagate together through one
-:func:`~repro.kernel.propagate.grouped_sweep` — destinations are disjoint
+:class:`~repro.kernel.propagate.LevelSchedule` — destinations are disjoint
 state rows, sources are batch columns — so the per-destination and
 per-source Python overhead collapses into a handful of array ops.
 
 These helpers accept plain :class:`~repro.graph.dag.Dag` objects and ratio
 dicts (the shapes :class:`~repro.routing.splitting.Routing` stores), so they
-serve shortest-path *and* augmented DAGs alike.  The level key for a DAG
-edge is its tail's position in the DAG's (already computed) topological
-order — valid for any DAG, no extra Kahn pass.  Per-DAG index arrays are
-cached weakly per Dag instance.
+serve shortest-path *and* augmented DAGs alike.  Results are read back in
+DAG order (:func:`~repro.kernel.propagate.topological_edge_ids`), so the
+coefficient dict's per-edge pair order is the caller's, not the schedule's.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -29,33 +27,7 @@ from repro.exceptions import RoutingError
 from repro.graph.dag import Dag
 from repro.graph.network import Edge, Network, Node
 from repro.kernel.csr import CsrIndex, csr_index
-from repro.kernel.propagate import grouped_sweep
-
-#: Per-Dag array artifacts, keyed weakly so discarded DAGs (each
-#: local-search round builds a fresh set) free theirs.
-_DAG_ARRAYS: "weakref.WeakKeyDictionary[Dag, tuple]" = weakref.WeakKeyDictionary()
-
-
-def _dag_arrays(index: CsrIndex, dag: Dag) -> tuple[np.ndarray, np.ndarray]:
-    """(edge indices, per-edge level keys) for one DAG, cached.
-
-    The level key is the tail's topological position: every DAG edge goes
-    from an earlier to a strictly later position, so grouping instances
-    by ascending key is a valid propagation schedule.
-    """
-    cached = _DAG_ARRAYS.get(dag)
-    if cached is None or cached[0] is not index:
-        position = {node: i for i, node in enumerate(dag.topological_order())}
-        count = dag.num_edges
-        edge_ids = np.fromiter(
-            (index.edge_id[edge] for edge in dag.edges()), dtype=np.int64, count=count
-        )
-        levels = np.fromiter(
-            (position[tail] for tail, _head in dag.edges()), dtype=np.int64, count=count
-        )
-        cached = (index, edge_ids, levels)
-        _DAG_ARRAYS[dag] = cached
-    return cached[1], cached[2]
+from repro.kernel.propagate import LevelSchedule, topological_edge_ids
 
 
 def _phi_values(
@@ -69,29 +41,28 @@ def _phi_values(
     )
 
 
-def _combined_instances(
+def _schedule(
     index: CsrIndex,
     targets: Sequence[Node],
     dags: Mapping[Node, Dag],
     ratios_by_destination: Mapping[Node, Mapping[Edge, float]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stack every target DAG's (row, edge, level, phi) instance arrays."""
-    rows_parts, edge_parts, level_parts, phi_parts = [], [], [], []
-    for row, t in enumerate(targets):
-        edge_ids, levels = _dag_arrays(index, dags[t])
-        rows_parts.append(np.full(edge_ids.size, row, dtype=np.int64))
-        edge_parts.append(edge_ids)
-        level_parts.append(levels)
-        phi_parts.append(_phi_values(index, edge_ids, ratios_by_destination.get(t, {})))
-    if not rows_parts:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty, np.empty(0, dtype=np.float64)
-    return (
-        np.concatenate(rows_parts),
-        np.concatenate(edge_parts),
-        np.concatenate(level_parts),
-        np.concatenate(phi_parts),
+) -> tuple[LevelSchedule, np.ndarray, np.ndarray, np.ndarray]:
+    """One schedule over the DAGs of ``targets`` (non-empty), plus its
+    caller-order instances.
+
+    Returns ``(schedule, rows, edges, phi)``: row ``r`` is ``targets[r]``,
+    and ``rows``/``edges``/``phi`` list the instances in DAG order.
+    """
+    parts = [topological_edge_ids(index, dags[t]) for t in targets]
+    rows = np.repeat(np.arange(len(targets), dtype=np.int64), [part.size for part in parts])
+    edges = np.concatenate(parts)
+    phi = np.concatenate(
+        [
+            _phi_values(index, part, ratios_by_destination.get(t, {}))
+            for t, part in zip(targets, parts)
+        ]
     )
+    return LevelSchedule(index, rows, edges), rows, edges, phi
 
 
 def link_loads(
@@ -109,8 +80,11 @@ def link_loads(
     """
     index = csr_index(network)
     targets = sorted(demand.targets(), key=str)
+    if not targets:
+        return {}
     target_row = {t: row for row, t in enumerate(targets)}
-    demands = np.zeros((len(targets), 1, index.num_nodes))
+    num_nodes = index.num_nodes
+    arrivals = np.zeros((len(targets) * num_nodes, 1))
     for (s, t), volume in demand.items():
         dag = dags.get(t)
         if dag is None:
@@ -119,12 +93,12 @@ def link_loads(
             raise RoutingError(
                 f"demand source {s!r} is not part of the DAG rooted at {dag.root!r}"
             )
-        demands[target_row[t], 0, index.node_id[s]] += volume
-    rows, edges, levels, phi = _combined_instances(
-        index, targets, dags, ratios_by_destination
-    )
-    _arrivals, flows = grouped_sweep(index, rows, edges, levels, phi, demands)
-    totals = flows[:, 0, :].sum(axis=0)
+        arrivals[target_row[t] * num_nodes + index.node_id[s], 0] += volume
+    schedule, _rows, _edges, phi = _schedule(index, targets, dags, ratios_by_destination)
+    flows = schedule.forward(phi[schedule.order], arrivals)
+    loads = np.zeros((len(targets), index.num_edges))
+    loads[schedule.row, schedule.edge] = flows[:, 0]
+    totals = loads.sum(axis=0)
     return {index.edges[int(e)]: float(totals[e]) for e in np.flatnonzero(totals != 0.0)}
 
 
@@ -155,15 +129,14 @@ def load_coefficients(
     if not targets:
         return {}
     index = csr_index(dags[targets[0]].network)
+    num_nodes = index.num_nodes
     width = max(len(sources_of[t]) for t in targets)
-    unit = np.zeros((len(targets), width, index.num_nodes))
+    arrivals = np.zeros((len(targets) * num_nodes, width))
     for row, t in enumerate(targets):
         for col, s in enumerate(sources_of[t]):
-            unit[row, col, index.node_id[s]] = 1.0
-    rows, edges, levels, phi = _combined_instances(
-        index, targets, dags, ratios_by_destination
-    )
-    arrivals, _flows = grouped_sweep(index, rows, edges, levels, phi, unit)
+            arrivals[row * num_nodes + index.node_id[s], col] = 1.0
+    schedule, rows, edges, phi = _schedule(index, targets, dags, ratios_by_destination)
+    schedule.forward(phi[schedule.order], arrivals)
 
     coefficients: dict[Edge, dict[tuple[Node, Node], float]] = {}
     live = phi != 0.0
@@ -171,7 +144,7 @@ def load_coefficients(
     live_phi = phi[live]
     # coefficient[(row, col), e] = f_st(tail[e]) * phi_t(e); keep the
     # reference's sparsity (fraction != 0 and ratio != 0).
-    fractions = arrivals[live_rows, :, index.tail[live_edges]]  # (K, width)
+    fractions = arrivals[live_rows * num_nodes + index.tail[live_edges]]  # (K, width)
     values = fractions * live_phi[:, np.newaxis]
     instance_idx, source_col = np.nonzero(fractions)
     edge_labels = index.edges

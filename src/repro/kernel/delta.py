@@ -21,6 +21,11 @@ ratio row, and propagation — everything else reuses committed state, with
 total loads updated by subtracting the stale rows and adding the fresh
 ones.  ``commit`` installs a scored candidate as the new baseline.
 
+Propagation schedules the flagged destinations' tight masks directly
+(:class:`~repro.kernel.propagate.LevelSchedule`): Kahn depth needs no
+strict distance decrease along tight edges, so a weight too small to
+move a float distance needs no special case.
+
 Reachability cannot change under positive finite weight moves, so the
 reference's "demand source outside the DAG" error is checked once at
 construction and never again.
@@ -38,7 +43,7 @@ from repro.demands.matrix import DemandMatrix
 from repro.exceptions import RoutingError
 from repro.graph.network import Edge, Network
 from repro.kernel.csr import CsrIndex, csr_index, weight_vector
-from repro.kernel.propagate import max_utilization, multi_spf_sweep
+from repro.kernel.propagate import LevelSchedule, max_utilization
 from repro.kernel.spf import tie_close, tight_edge_mask, uniform_ratio_rows
 
 
@@ -103,7 +108,7 @@ class EcmpDeltaEvaluator:
         dist = csgraph.dijkstra(matrix, directed=True)
         tight = self._masked_tight(weights, dist, np.arange(self.index.num_nodes))
         ratios = uniform_ratio_rows(self.index, tight)
-        flows = self._flows_for(dist, tight, ratios, np.arange(self.index.num_nodes))
+        flows = self._flows_for(tight, ratios, np.arange(self.index.num_nodes))
         return dist, tight, ratios, flows
 
     def _masked_tight(
@@ -116,7 +121,6 @@ class EcmpDeltaEvaluator:
 
     def _flows_for(
         self,
-        dist_rows: np.ndarray,
         tight_rows: np.ndarray,
         ratio_rows: np.ndarray,
         targets: np.ndarray,
@@ -127,17 +131,19 @@ class EcmpDeltaEvaluator:
         carries traffic, so their masks are dropped from the combined
         sweep entirely.
         """
-        flows = np.zeros((len(targets), len(self.matrices), self.index.num_edges))
+        num_matrices = len(self.matrices)
+        flows = np.zeros((len(targets), num_matrices, self.index.num_edges))
         demanded = np.flatnonzero(self._demand[targets].any(axis=(1, 2)))
         if demanded.size == 0:
             return flows
-        rows = targets[demanded]
-        flows[demanded] = multi_spf_sweep(
-            self.index,
-            dist_rows[demanded],
-            tight_rows[demanded],
-            ratio_rows[demanded],
-            self._demand[rows],
+        rows, edges = np.nonzero(tight_rows[demanded])
+        schedule = LevelSchedule(self.index, rows, edges)
+        # (A, M, N) -> (A * N, M).  Fancy indexing copies, so the in-place
+        # sweep never writes into self._demand (even when M == 1 makes the
+        # reshape a view).
+        arrivals = self._demand[targets[demanded]].transpose(0, 2, 1).reshape(-1, num_matrices)
+        flows[demanded[schedule.row], :, schedule.edge] = schedule.forward(
+            ratio_rows[demanded][schedule.row, schedule.edge], arrivals
         )
         return flows
 
@@ -255,7 +261,7 @@ class EcmpDeltaEvaluator:
             self._csr.data[position] = self.weights[edge_id]
         tight_rows = self._masked_tight(weights, dist_rows, affected)
         ratio_rows = uniform_ratio_rows(self.index, tight_rows)
-        flow_rows = self._flows_for(dist_rows, tight_rows, ratio_rows, affected)
+        flow_rows = self._flows_for(tight_rows, ratio_rows, affected)
         loads = remainder + flow_rows.sum(axis=0)
         utilization = max_utilization(self.index, loads) if self.matrices else 0.0
         return _Candidate(

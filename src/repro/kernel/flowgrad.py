@@ -6,8 +6,8 @@ loads that splitting ratios induce for a finite batch of ``K`` demand
 matrices, plus derivatives of those loads.  :class:`FlowProgram` compiles
 the per-destination DAGs and the batch once into flat arrays:
 
-* one *instance* per (destination, DAG edge), sorted by the depth of its
-  tail in its own DAG: a level schedule, as in :mod:`repro.kernel.propagate`,
+* one *instance* per (destination, DAG edge), grouped by the depth of its
+  tail in its own DAG: a :class:`~repro.kernel.propagate.LevelSchedule`,
   in which a node's out-edges all fire in the same level;
 * the arrivals of every (destination, node) pair as one row of an
   ``(R * N, K)`` state, seeded with the demand tensor;
@@ -39,10 +39,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.demands.matrix import DemandMatrix
-from repro.exceptions import RoutingError
 from repro.graph.dag import Dag
 from repro.graph.network import Edge, Network, Node
 from repro.kernel.csr import csr_index
+from repro.kernel.propagate import LevelSchedule, topological_edge_ids
 
 
 class FlowProgram:
@@ -70,40 +70,21 @@ class FlowProgram:
         self.destinations = list(dags)
         self.num_rows = len(dags)
 
-        keys: list[tuple[Node, Edge]] = []
-        instances: list[tuple[int, int, int, int, int]] = []  # depth, row, tail, head, edge
-        for row, (t, dag) in enumerate(dags.items()):
-            levels: dict[Node, int] = {}
-            for node in dag.topological_order():
-                level = levels.setdefault(node, 0)
-                for head in dag.out_neighbors(node):
-                    edge_id = index.edge_id.get((node, head))
-                    if edge_id is None:
-                        raise RoutingError(
-                            f"DAG edge {(node, head)!r} toward {t!r} is not a network edge"
-                        )
-                    levels[head] = max(levels.get(head, 0), level + 1)
-                    keys.append((t, (node, head)))
-                    instances.append(
-                        (level, row, index.node_id[node], index.node_id[head], edge_id)
-                    )
-        # Schedule: by tail depth; construction order breaks ties, keeping
-        # each node's out-edges in DAG order.
-        columns = np.array(instances, dtype=np.int64).reshape(-1, 5)
-        order = np.argsort(columns[:, 0], kind="stable")
-        self.keys = [keys[i] for i in order]
-        depth, row, tail, head, edge = columns[order].T
-        self._row = row
-        self._head_node = head
-        self._tail = row * num_nodes + tail
-        self._head = row * num_nodes + head
-        self.num_instances = row.size
-        bounds = [0, *(np.flatnonzero(np.diff(depth)) + 1).tolist(), row.size]
-        self._levels = [
-            (slice(start, stop), self._tail[start:stop], self._head[start:stop])
-            for start, stop in zip(bounds[:-1], bounds[1:])
-            if stop > start
+        # Schedule: by tail depth; caller order breaks ties, keeping each
+        # node's out-edges in DAG order.
+        parts = [topological_edge_ids(index, dag) for dag in dags.values()]
+        sizes = [part.size for part in parts]
+        self.schedule = LevelSchedule(
+            index,
+            np.repeat(np.arange(self.num_rows, dtype=np.int64), sizes),
+            np.concatenate(parts) if parts else np.empty(0, dtype=np.int64),
+        )
+        row, edge = self.schedule.row, self.schedule.edge
+        self.keys = [
+            (self.destinations[r], index.edges[e]) for r, e in zip(row.tolist(), edge.tolist())
         ]
+        self._head_node = index.head[edge]
+        self.num_instances = row.size
 
         # Used network edges, and the instance order that sums each edge's
         # flows destination by destination.
@@ -179,12 +160,7 @@ class FlowProgram:
         ``demands`` defaults to the compiled ``(R * N, K)`` batch.
         """
         arrivals = (self._demands if demands is None else demands).copy()
-        flows = np.empty((self.num_instances, arrivals.shape[1]))
-        for span, tails, heads in self._levels:
-            block = flows[span]
-            np.multiply(arrivals[tails], phi[span, np.newaxis], out=block)
-            np.add.at(arrivals, heads, block)
-        return arrivals, flows
+        return arrivals, self.schedule.forward(phi, arrivals)
 
     def edge_loads(self, flows: np.ndarray) -> np.ndarray:
         """Flows summed over destinations: one row per used network edge."""
@@ -217,10 +193,10 @@ class FlowProgram:
         weights = psi[self._edge_of]
         lam = np.zeros_like(arrivals)
         sensitivity = np.empty_like(weights)
-        for span, tails, heads in reversed(self._levels):
+        for span, tails, heads in reversed(self.schedule.levels):
             block = np.add(weights[span], lam[heads], out=sensitivity[span])
             np.add.at(lam, tails, block * phi[span, np.newaxis])
-        return np.einsum("ik,ik->i", arrivals[self._tail], sensitivity)
+        return np.einsum("ik,ik->i", arrivals[self.schedule.tail], sensitivity)
 
     def softmax_gradient(self, shares: np.ndarray, grad_phi: np.ndarray) -> np.ndarray:
         """Chain a per-instance ratio gradient through the per-group softmax."""
@@ -244,10 +220,10 @@ class FlowProgram:
         # reach[r, y, u] = share of a unit injected at y (toward row r)
         # that crosses used edge u.
         reach = np.zeros((self.num_rows, num_nodes, self._edges.size))
-        reach[self._row, :, self._edge_of] = unit_flows
+        reach[self.schedule.row, :, self._edge_of] = unit_flows
         var = self._var
-        seeds = arrivals[self._tail[var]] * phi[var, np.newaxis]
-        reached = reach[self._row[var], self._head_node[var]]
+        seeds = arrivals[self.schedule.tail[var]] * phi[var, np.newaxis]
+        reached = reach[self.schedule.row[var], self._head_node[var]]
         jacobian = seeds[:, np.newaxis, :] * reached[:, :, np.newaxis]
         jacobian[np.arange(var.size), self._edge_of[var]] += seeds
         return jacobian

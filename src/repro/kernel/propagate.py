@@ -1,200 +1,119 @@
-"""Vectorized flow propagation: topological level sweeps on edge arrays.
+"""Vectorized flow propagation: one level schedule over edge instances.
 
 The reference recursions (:mod:`repro.routing.propagation`) walk one DAG
-node at a time with dict lookups.  Here a DAG is a set of edge indices plus
-a *level schedule*: nodes grouped by longest-path depth from the DAG's
-sources, so every edge goes from a lower level to a strictly higher one.
-Propagation then processes one level of edges at a time with array ops —
-``flow = arrivals[tails] * phi`` and a scattered add into the heads — and
-vectorizes over any number of demand vectors (matrices, or one unit vector
-per source for the oracle's fraction coefficients) simultaneously.
+node at a time with dict lookups.  Here every caller flattens its DAGs into
+*instances* — one per (destination row, network edge) — over a flat
+``row * N + node`` state, and :class:`LevelSchedule` groups them into
+levels by the longest-path depth of their tails.  Every edge goes from a
+lower level to a strictly higher one, so propagation processes one level
+at a time with array ops — ``flow = arrivals[tails] * phi`` and a
+scattered add into the heads — vectorized over any number of demand
+columns (matrices, or one unit column per source for the oracle's
+fraction coefficients).  Destinations are disjoint state rows, so one
+schedule serves all of them at once.
 
-Levels are computed by a vectorized Kahn peel, which works for *any* DAG —
-shortest-path or augmented — and detects cycles exactly like
-:class:`repro.graph.dag.Dag` does (a malformed mask raises instead of
+Depths come from a vectorized Kahn peel, which works for *any* DAG —
+shortest-path or augmented, with or without a strict distance decrease
+along its edges — and detects cycles exactly like
+:class:`repro.graph.dag.Dag` does (a malformed edge set raises instead of
 silently dropping flow).
 """
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.exceptions import RoutingError
+from repro.graph.dag import Dag
 from repro.kernel.csr import CsrIndex
 
+#: Per-Dag edge index arrays, keyed weakly so discarded DAGs (each
+#: local-search round builds a fresh set) free theirs.
+_DAG_EDGE_IDS: "weakref.WeakKeyDictionary[Dag, tuple]" = weakref.WeakKeyDictionary()
 
-def edge_level_schedule(index: CsrIndex, edge_ids: np.ndarray) -> list[np.ndarray]:
-    """Group DAG edges into topological levels (by tail node depth).
 
-    Returns a list of edge-index arrays; processing them in order
-    guarantees every node's arrivals are complete before any of its
-    out-edges fire (a node's level is one past its deepest predecessor).
+def topological_edge_ids(index: CsrIndex, dag: Dag) -> np.ndarray:
+    """A DAG's network edge indices: tails in topological order, heads in
+    out-neighbor order.  Cached per ``Dag``.
 
     Raises:
-        RoutingError: when the edge set contains a directed cycle.
+        RoutingError: when a DAG edge is not an edge of ``index``'s network.
     """
-    tails = index.tail[edge_ids]
-    heads = index.head[edge_ids]
-    indegree = np.zeros(index.num_nodes, dtype=np.int64)
-    np.add.at(indegree, heads, 1)
-    in_dag = np.zeros(index.num_nodes, dtype=bool)
-    in_dag[tails] = True
-    in_dag[heads] = True
-
-    level = np.zeros(index.num_nodes, dtype=np.int64)
-    frontier = np.flatnonzero(in_dag & (indegree == 0))
-    current = 0
-    settled = 0
-    frontier_mask = np.zeros(index.num_nodes, dtype=bool)
-    # Peel sources level by level; a node is released the round after its
-    # last predecessor settles, so its level is its longest-path depth.
-    while frontier.size:
-        level[frontier] = current
-        settled += frontier.size
-        frontier_mask[:] = False
-        frontier_mask[frontier] = True
-        touched = heads[frontier_mask[tails]]
-        np.subtract.at(indegree, touched, 1)
-        frontier = np.unique(touched[indegree[touched] == 0])
-        current += 1
-    if settled != int(in_dag.sum()):
-        raise RoutingError("edge set contains a directed cycle; not a DAG")
-
-    edge_levels = level[tails]
-    order = np.argsort(edge_levels, kind="stable")
-    ordered = edge_ids[order]
-    ordered_levels = edge_levels[order]
-    boundaries = np.flatnonzero(np.diff(ordered_levels)) + 1
-    return [chunk for chunk in np.split(ordered, boundaries) if chunk.size]
+    cached = _DAG_EDGE_IDS.get(dag)
+    if cached is None or cached[0] is not index:
+        edge_ids = []
+        for tail in dag.topological_order():
+            for head in dag.out_neighbors(tail):
+                edge_id = index.edge_id.get((tail, head))
+                if edge_id is None:
+                    raise RoutingError(
+                        f"DAG edge {(tail, head)!r} toward {dag.root!r} is not a network edge"
+                    )
+                edge_ids.append(edge_id)
+        cached = (index, np.array(edge_ids, dtype=np.int64))
+        _DAG_EDGE_IDS[dag] = cached
+    return cached[1]
 
 
-def sweep_flows(
-    index: CsrIndex,
-    schedule: list[np.ndarray],
-    ratios: np.ndarray,
-    demands: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate demand vectors through one DAG's level schedule.
+class LevelSchedule:
+    """Edge instances grouped into levels by the longest-path depth of their tail.
 
-    Args:
-        index: the network's array view.
-        schedule: edge levels from :func:`edge_level_schedule`.
-        ratios: per-edge splitting fractions ``phi_t``, shape ``(E,)``.
-        demands: originated volume per node, shape ``(M, N)`` — one row
-            per demand vector (a matrix's column toward the destination,
-            or a unit row per source for fraction coefficients).
+    Instances of one level keep the caller's relative order, so the caller's
+    order fixes every summation order.
 
-    Returns:
-        ``(arrivals, flows)`` with shapes ``(M, N)`` and ``(M, E)``:
-        aggregate node arrivals and per-edge flows for every demand row.
+    Attributes:
+        order: caller position of each instance, in schedule order.
+        row / edge: destination row and network edge per instance.
+        tail / head: flat ``row * N + node`` state index per instance.
+        levels: ``(span, tails, heads)`` per level, ``span`` a slice of
+            the schedule.
     """
-    arrivals = np.array(demands, dtype=np.float64, copy=True)
-    flows = np.zeros((demands.shape[0], index.num_edges), dtype=np.float64)
-    for edges in schedule:
-        block = arrivals[:, index.tail[edges]] * ratios[np.newaxis, edges]
-        flows[:, edges] = block
-        np.add.at(arrivals, (slice(None), index.head[edges]), block)
-    return arrivals, flows
 
+    def __init__(self, index: CsrIndex, rows: np.ndarray, edges: np.ndarray):
+        num_nodes = index.num_nodes
+        tails = rows * num_nodes + index.tail[edges]
+        heads = rows * num_nodes + index.head[edges]
+        size = (int(rows.max()) + 1) * num_nodes if rows.size else 0
+        indegree = np.bincount(heads, minlength=size)
+        pending = np.arange(rows.size)
+        fired = []
+        # Kahn peel over instances: an instance fires in the round after
+        # every instance into its tail has fired, so its round is its
+        # tail's longest-path depth; each round keeps the caller's order.
+        while pending.size:
+            ready = indegree[tails[pending]] == 0
+            batch = pending[ready]
+            if batch.size == 0:
+                raise RoutingError("edge set contains a directed cycle; not a DAG")
+            fired.append(batch)
+            pending = pending[~ready]
+            indegree -= np.bincount(heads[batch], minlength=size)
 
-def grouped_sweep(
-    index: CsrIndex,
-    rows: np.ndarray,
-    edges: np.ndarray,
-    level_keys: np.ndarray,
-    phi: np.ndarray,
-    demands: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One combined level sweep over many destinations' edge instances.
+        self.order = np.concatenate(fired) if fired else pending
+        self.row = rows[self.order]
+        self.edge = edges[self.order]
+        self.tail = tails[self.order]
+        self.head = heads[self.order]
+        self.num_instances = self.order.size
+        bounds = np.cumsum([0, *(batch.size for batch in fired)]).tolist()
+        self.levels = [
+            (slice(start, stop), self.tail[start:stop], self.head[start:stop])
+            for start, stop in zip(bounds[:-1], bounds[1:])
+        ]
 
-    Args:
-        rows / edges: per-instance destination row and edge index — one
-            instance per (destination, DAG edge) pair.
-        level_keys: per-instance sort key; processing instances grouped
-            by ascending key must respect every destination's own
-            topological order (per-DAG Kahn levels, or ``-dist[tail]``
-            for shortest-path DAGs).  Keys are never compared *across*
-            destinations' correctness — state rows are disjoint — so any
-            globally sortable key that is monotone per destination works.
-        phi: per-instance splitting fraction.
-        demands: originated volumes, shape ``(R, M, N)``.
+    def forward(self, phi: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
+        """Sweep ``arrivals`` ``(R * N, B)`` in place; per-instance flows ``(I, B)``.
 
-    Returns:
-        ``(arrivals, flows)`` of shapes ``(R, M, N)`` and ``(R, M, E)``.
-    """
-    num_rows, num_matrices, _num_nodes = demands.shape
-    arrivals = demands.astype(np.float64, copy=True)
-    flows = np.zeros((num_rows, num_matrices, index.num_edges))
-    if rows.size == 0:
-        return arrivals, flows
-    order = np.argsort(level_keys, kind="stable")
-    rows, edges = rows[order], edges[order]
-    phi = phi[order]
-    tails, heads = index.tail[edges], index.head[edges]
-    keys = level_keys[order]
-    boundaries = np.flatnonzero(np.diff(keys)) + 1
-    m_cols = np.arange(num_matrices)[np.newaxis, :]
-    blocks = []
-    start = 0
-    for stop in [*boundaries.tolist(), rows.size]:
-        r = rows[start:stop, np.newaxis]
-        block = arrivals[r, m_cols, tails[start:stop, np.newaxis]] * phi[start:stop, np.newaxis]
-        blocks.append(block)
-        np.add.at(arrivals, (r, m_cols, heads[start:stop, np.newaxis]), block)
-        start = stop
-    # One deferred scatter: each (row, edge) instance is written exactly
-    # once, so assignment order across levels is irrelevant.
-    flows[rows[:, np.newaxis], m_cols, edges[:, np.newaxis]] = np.concatenate(blocks)
-    return arrivals, flows
-
-
-def multi_spf_sweep(
-    index: CsrIndex,
-    dist_rows: np.ndarray,
-    tight_rows: np.ndarray,
-    ratio_rows: np.ndarray,
-    demands: np.ndarray,
-) -> np.ndarray:
-    """Propagate many destinations' demand blocks in one combined sweep.
-
-    Args:
-        dist_rows / tight_rows / ratio_rows: per-destination SPF state,
-            one row per destination, shapes ``(A, N)`` / ``(A, E)`` /
-            ``(A, E)``.
-        demands: originated volumes, shape ``(A, M, N)`` — matrix ``m``'s
-            demand toward destination row ``a``.
-
-    Returns:
-        Edge flows, shape ``(A, M, E)``.
-
-    The destinations' DAGs are disjoint rows of the state tensors, so
-    sorting every (destination, edge) instance by descending
-    ``dist[tail]`` *globally* respects each destination's own schedule
-    while collapsing A separate level loops into one: every tight edge
-    strictly decreases the distance to its destination (weights are
-    positive), so an edge's tail only receives flow from strictly
-    farther tails.  Float rounding can break that witness — ``w + dv ==
-    dv`` for a tiny weight collapses an edge's endpoint distances — so
-    if any tight edge fails the strict decrease, every destination falls
-    back to its own Kahn schedule (:func:`edge_level_schedule`) and
-    :func:`sweep_flows`.
-    """
-    flows = np.zeros((demands.shape[0], demands.shape[1], index.num_edges))
-    rows, edges = np.nonzero(tight_rows)
-    if rows.size == 0:
+        ``phi`` is the per-instance splitting ratio, in schedule order.
+        """
+        flows = np.empty((self.num_instances, arrivals.shape[1]))
+        for span, tails, heads in self.levels:
+            block = flows[span]
+            np.multiply(arrivals[tails], phi[span, np.newaxis], out=block)
+            np.add.at(arrivals, heads, block)
         return flows
-    tails = index.tail[edges]
-    tail_dist = dist_rows[rows, tails]
-    if not (tail_dist > dist_rows[rows, index.head[edges]]).all():
-        for a in range(demands.shape[0]):
-            edge_ids = np.flatnonzero(tight_rows[a])
-            schedule = edge_level_schedule(index, edge_ids)
-            _arrivals, flows[a] = sweep_flows(index, schedule, ratio_rows[a], demands[a])
-        return flows
-    _arrivals, flows = grouped_sweep(
-        index, rows, edges, -tail_dist, ratio_rows[rows, edges], demands
-    )
-    return flows
 
 
 def max_utilization(index: CsrIndex, loads: np.ndarray) -> float:

@@ -328,10 +328,10 @@ class WorstCaseOracle:
         The key is None for an empty objective, whose result is (0.0, no
         demand) without a solve.
         """
-        # Objective-coefficient assembly rides the vectorized kernel when
-        # enabled (see repro.kernel.coefficients); any change to how
-        # coefficients are derived is a solver-semantics change — bump
-        # CACHE_VERSION in repro.runner.spec.
+        # Objective coefficients come from the vectorized kernel
+        # (repro.kernel.coefficients); any change to how they are derived
+        # is a solver-semantics change — bump CACHE_VERSION in
+        # repro.runner.spec.
         coefficients = routing.load_coefficients(list(self._pairs))
         candidates = edges if edges is not None else self.network.finite_capacity_edges()
         loaded = []

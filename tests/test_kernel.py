@@ -10,10 +10,11 @@ from repro.demands.gravity import gravity_matrix
 from repro.demands.matrix import DemandMatrix
 from repro.ecmp.weights import integer_scaled_weights, inverse_capacity_weights
 from repro.exceptions import GraphError, RoutingError
+from repro.graph.dag import Dag
 from repro.graph.network import Network
 from repro.kernel.csr import csr_index, weight_vector
 from repro.kernel.delta import EcmpDeltaEvaluator, ecmp_max_utilization
-from repro.kernel.propagate import edge_level_schedule
+from repro.kernel.propagate import LevelSchedule, topological_edge_ids
 from repro.kernel.spf import all_targets_spf, compute_spf_state
 from repro.lp.worst_case import normalize_to_unit_optimum
 
@@ -96,29 +97,115 @@ class TestSpfState:
             assert dag.network is abilene
 
 
-class TestEdgeLevelSchedule:
+def _schedule(net: Network, instances: list[tuple[int, str, str]]) -> LevelSchedule:
+    """A schedule over ``(row, tail, head)`` instances, in the given order."""
+    index = csr_index(net)
+    rows = np.array([row for row, _u, _v in instances], dtype=np.int64)
+    edges = np.array([index.edge_id[(u, v)] for _r, u, v in instances], dtype=np.int64)
+    return LevelSchedule(index, rows, edges)
+
+
+class TestLevelSchedule:
     def test_cycle_raises(self):
         net = Network.from_edges([("a", "b", 1.0), ("b", "a", 1.0)])
-        index = csr_index(net)
         with pytest.raises(RoutingError, match="cycle"):
-            edge_level_schedule(index, np.array([0, 1]))
+            _schedule(net, [(0, "a", "b"), (0, "b", "a")])
+
+    def test_cycle_confined_to_one_row_raises(self):
+        net = Network.from_edges([("a", "b", 1.0), ("b", "a", 1.0), ("b", "c", 1.0)])
+        with pytest.raises(RoutingError, match="cycle"):
+            _schedule(net, [(0, "a", "b"), (0, "b", "c"), (1, "a", "b"), (1, "b", "a")])
 
     def test_levels_respect_dependencies(self):
         net = Network.from_edges(
             [("a", "b", 1.0), ("b", "c", 1.0), ("a", "c", 1.0)]
         )
-        index = csr_index(net)
-        schedule = edge_level_schedule(index, np.arange(3))
+        schedule = _schedule(net, [(0, "a", "b"), (0, "b", "c"), (0, "a", "c")])
         level_of = {
-            int(e): k for k, level in enumerate(schedule) for e in level.tolist()
+            int(i): k
+            for k, (span, _tails, _heads) in enumerate(schedule.levels)
+            for i in range(span.start, span.stop)
         }
         assert set(level_of) == {0, 1, 2}
-        # Every edge into a tail must fire strictly before the tail's
+        # Every instance into a tail must fire strictly before the tail's
         # own out-edges, so arrivals are complete when they are read.
-        for e, k in level_of.items():
-            for e2, k2 in level_of.items():
-                if index.head[e2] == index.tail[e]:
-                    assert k2 < k, (e2, e)
+        for i, k in level_of.items():
+            for i2, k2 in level_of.items():
+                if schedule.head[i2] == schedule.tail[i]:
+                    assert k2 < k, (i2, i)
+
+    def test_rows_of_different_depth_match_single_row_schedules(self):
+        net = Network.from_edges(
+            [("a", "b", 1.0), ("b", "c", 1.0), ("c", "d", 1.0), ("a", "d", 1.0)]
+            + [("b", "d", 1.0)]
+        )
+        deep = [("a", "b"), ("b", "c"), ("b", "d"), ("c", "d")]
+        shallow = [("a", "d"), ("b", "d")]
+        phi = {("a", "b"): 1.0, ("b", "c"): 0.25, ("b", "d"): 0.75, ("c", "d"): 1.0}
+        phi[("a", "d")] = 1.0
+        num_nodes = csr_index(net).num_nodes
+        seed = np.arange(2 * num_nodes * 2, dtype=np.float64).reshape(2 * num_nodes, 2)
+
+        def sweep(instances, arrivals):
+            """Flows keyed by instance, swept in place over ``arrivals``."""
+            schedule = _schedule(net, instances)
+            ordered = [instances[i] for i in schedule.order]
+            flows = schedule.forward(np.array([phi[(u, v)] for _r, u, v in ordered]), arrivals)
+            return dict(zip(ordered, flows.tolist()))
+
+        combined_arrivals = seed.copy()
+        combined = sweep(
+            [(0, u, v) for u, v in deep] + [(1, u, v) for u, v in shallow], combined_arrivals
+        )
+        alone_deep = seed[:num_nodes].copy()
+        alone_shallow = seed[num_nodes:].copy()
+        expected = sweep([(0, u, v) for u, v in deep], alone_deep)
+        shallow_flows = sweep([(0, u, v) for u, v in shallow], alone_shallow)
+        expected.update({(1, u, v): f for (_r, u, v), f in shallow_flows.items()})
+        assert combined == expected
+        assert np.array_equal(combined_arrivals, np.vstack([alone_deep, alone_shallow]))
+
+    def test_empty_instance_set(self):
+        net = Network.from_edges([("a", "b", 1.0)])
+        schedule = _schedule(net, [])
+        assert schedule.levels == []
+        arrivals = np.ones((2, 3))
+        flows = schedule.forward(np.empty(0), arrivals)
+        assert flows.shape == (0, 3)
+        assert np.array_equal(arrivals, np.ones((2, 3)))
+
+    def test_level_keeps_caller_order(self):
+        net = Network.from_edges(
+            [("a", "d", 1.0), ("b", "d", 1.0), ("c", "d", 1.0), ("a", "b", 1.0)]
+        )
+        instances = [(1, "c", "d"), (0, "b", "d"), (0, "a", "b"), (1, "a", "d"), (0, "a", "d")]
+        schedule = _schedule(net, instances)
+        index = csr_index(net)
+        # Depth-0 tails: c and a (both rows); b is fed by a in row 0.
+        assert schedule.order.tolist() == [0, 2, 3, 4, 1]
+        assert [int(span.stop - span.start) for span, _t, _h in schedule.levels] == [4, 1]
+        assert schedule.edge.tolist() == [
+            index.edge_id[(u, v)] for _r, u, v in (instances[i] for i in schedule.order)
+        ]
+
+
+class TestTopologicalEdgeIds:
+    def test_tails_in_topological_order_and_cached(self):
+        net = Network.from_edges([("a", "c", 1.0), ("b", "c", 1.0), ("a", "b", 1.0)])
+        dag = Dag("c", [("b", "c"), ("a", "c"), ("a", "b")], net)
+        index = csr_index(net)
+        ids = topological_edge_ids(index, dag)
+        assert [index.edges[e] for e in ids.tolist()] == [
+            (tail, head) for tail in dag.topological_order() for head in dag.out_neighbors(tail)
+        ]
+        assert topological_edge_ids(index, dag) is ids
+
+    def test_edge_missing_from_the_network_raises(self):
+        net = Network.from_edges([("a", "b", 1.0), ("b", "c", 1.0)])
+        dag = Dag("c", [("a", "b"), ("b", "c")], net)
+        other = Network.from_edges([("a", "b", 1.0), ("c", "b", 1.0)])
+        with pytest.raises(RoutingError, match="not a network edge"):
+            topological_edge_ids(csr_index(other), dag)
 
 
 class TestDeltaEvaluator:

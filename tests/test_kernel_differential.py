@@ -10,7 +10,8 @@ deliberate ECMP ties, including perturbations inside and outside the
 
 * identical DAG edge sets (exact — distances are bit-identical);
 * identical equal-split ratios and link loads within 1e-9;
-* identical oracle load coefficients within 1e-9;
+* identical oracle load coefficients within 1e-9, on ECMP DAGs and on
+  augmented DAGs with random non-uniform ratios (some of them zero);
 * the delta evaluator's incremental scores match from-scratch kernel and
   pure-Python evaluations, move after committed move.
 
@@ -18,7 +19,9 @@ The reference side of every comparison calls the pure-Python oracles by
 name (``shortest_path_dag``, ``Routing.link_loads_reference``,
 ``load_coefficients_reference``, and the ``reference_ecmp_routing`` /
 ``reference_ecmp_utilization`` fixtures built from them); no
-``repro.kernel`` code runs there.
+``repro.kernel`` code runs there.  The augmented-DAG cases hand both sides
+the same ``build_dags`` output, so there the comparison is propagation
+only.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from repro.core.dag_builder import build_dags  # noqa: E402
 from repro.demands.matrix import DemandMatrix  # noqa: E402
 from repro.ecmp.routing import ecmp_routing  # noqa: E402
 from repro.graph.network import Network  # noqa: E402
@@ -40,7 +44,7 @@ from repro.routing.propagation import (  # noqa: E402
     load_coefficients,
     load_coefficients_reference,
 )
-from repro.routing.splitting import uniform_ratios  # noqa: E402
+from repro.routing.splitting import Routing, uniform_ratios  # noqa: E402
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -165,30 +169,16 @@ class TestPropagationEquivalence:
         reference = reference_ecmp_utilization(net, weights, [demand])
         assert kernel == pytest.approx(reference, abs=1e-9)
 
-    def test_degenerate_distances_fall_back_to_kahn_sweeps(
-        self, monkeypatch, reference_ecmp_utilization
-    ):
+    def test_degenerate_distances_match_reference(self, reference_ecmp_utilization):
         # w(a->b) = 1e-20 vanishes in float addition: dist(a) == dist(b)
         # toward d, so the tight edge a->b has no strict distance
-        # decrease and the combined sweep must fall back to
-        # per-destination Kahn schedules.
-        from repro.kernel import propagate
-
+        # decrease; the sweep's depth schedule must still order it.
         links = [("a", "b"), ("b", "c"), ("c", "a"), ("a", "c"), ("c", "d"), ("d", "a"), ("b", "d")]
         net = Network.from_edges([(u, v, 1.0) for u, v in links])
         weights = {e: 1.0 for e in net.edges()}
         weights[("a", "b")] = 1e-20
         demand = DemandMatrix({("a", "d"): 1.0, ("b", "d"): 2.0, ("a", "c"): 1.0})
-        fallback_sweeps = []
-        real_sweep = propagate.sweep_flows
-
-        def spy(*args, **kwargs):
-            fallback_sweeps.append(args)
-            return real_sweep(*args, **kwargs)
-
-        monkeypatch.setattr(propagate, "sweep_flows", spy)
         kernel = ecmp_max_utilization(net, weights, [demand])
-        assert fallback_sweeps
         reference = reference_ecmp_utilization(net, weights, [demand])
         assert kernel == pytest.approx(reference, abs=1e-9)
         assert kernel == pytest.approx(3.0)
@@ -209,6 +199,53 @@ class TestPropagationEquivalence:
                 assert kernel[edge][pair] == pytest.approx(
                     reference[edge][pair], abs=1e-9
                 ), (edge, pair)
+
+
+@st.composite
+def augmented_routings(draw):
+    """Augmented DAGs with random normalized ratios (some of them zero), and a demand."""
+    net, weights, demand = draw(weighted_networks_with_demands())
+    dags = build_dags(net, weights, augment=True)
+    ratios = {}
+    for t, dag in dags.items():
+        ratios[t] = {}
+        for node in dag.nodes():
+            heads = dag.out_neighbors(node)
+            if not heads:
+                continue
+            shares = [draw(st.sampled_from((0.0, 0.5, 1.0, 3.0))) for _ in heads]
+            if not any(shares):
+                shares[draw(st.integers(0, len(heads) - 1))] = 1.0
+            total = sum(shares)
+            for head, share in zip(heads, shares):
+                ratios[t][(node, head)] = share / total
+    return net, Routing(dags, ratios), demand
+
+
+class TestAugmentedEquivalence:
+    """The oracle's real input: augmented DAGs with non-uniform ratios."""
+
+    @SETTINGS
+    @given(augmented_routings())
+    def test_load_coefficients_match(self, case):
+        net, routing, _demand = case
+        pairs = [(s, t) for s in net.nodes() for t in net.nodes() if s != t]
+        kernel = load_coefficients(routing.dags, routing.ratios, pairs)
+        reference = load_coefficients_reference(routing.dags, routing.ratios, pairs)
+        assert set(kernel) == set(reference)
+        for edge in reference:
+            assert set(kernel[edge]) == set(reference[edge]), edge
+            for pair in reference[edge]:
+                assert abs(kernel[edge][pair] - reference[edge][pair]) <= 1e-9, (edge, pair)
+
+    @SETTINGS
+    @given(augmented_routings())
+    def test_link_loads_match(self, case):
+        _net, routing, demand = case
+        kernel = routing.link_loads(demand)
+        reference = routing.link_loads_reference(demand)
+        assert set(kernel) == set(reference)
+        assert all(abs(kernel[e] - reference[e]) <= 1e-9 for e in reference)
 
 
 class TestDeltaEvaluatorEquivalence:
