@@ -12,6 +12,7 @@ from repro.demands.uncertainty import margin_box
 from repro.ecmp.routing import ecmp_routing
 from repro.ecmp.weights import unit_weights
 from repro.lp.mcf import min_congestion
+from repro.lp.model import ReusableLP
 from repro.lp.worst_case import WorstCaseOracle
 from repro.ospf.domain import OspfDomain
 from repro.topologies.zoo import load_topology
@@ -24,14 +25,32 @@ def test_min_congestion_lp(benchmark):
     assert result.alpha > 0
 
 
-def test_slave_lp_sweep(benchmark):
+def test_slave_lp_sweep(benchmark, monkeypatch):
     network = load_topology("abilene")
     base = gravity_matrix(network)
     dags, weights = reverse_capacity_dags(network)
     ecmp = ecmp_routing(network, weights)
-    oracle = WorstCaseOracle(network, margin_box(base, 2.0), dags=dags)
-    result = benchmark(oracle.evaluate, ecmp)
+    cone = margin_box(base, 2.0)
+    solves = []
+    solve = ReusableLP.solve
+
+    def counted(self, *args, **kwargs):
+        solves.append(1)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReusableLP, "solve", counted)
+    starts = []
+
+    def fresh_oracle():
+        # An oracle memoizes its per-edge results, so every round scores
+        # ECMP on a new one; otherwise later rounds would time memo hits.
+        starts.append(len(solves))
+        return (WorstCaseOracle(network, cone, dags=dags), ecmp), {}
+
+    result = benchmark.pedantic(WorstCaseOracle.evaluate, setup=fresh_oracle, rounds=5)
     assert result.ratio >= 1.0
+    per_round = [end - start for start, end in zip(starts, [*starts[1:], len(solves)])]
+    assert per_round[0] > 0 and len(set(per_round)) == 1, per_round
 
 
 def test_ospf_convergence(benchmark):

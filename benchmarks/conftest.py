@@ -1,23 +1,20 @@
 """Shared benchmark configuration.
 
-Every ``bench_fig*`` / ``bench_table1`` / ``bench_running_example``
-script is a thin wrapper over the bench registry
-(:mod:`repro.bench.registry`): the pytest test keeps the paper's shape
-assertions, while execution and timing flow through the same
-:func:`repro.bench.harness.run_benchmark` code path as ``repro bench``
-and CI's regression gate.  The heavy workloads run with ``pedantic``
-settings (one round, one iteration): the quantity of interest is the
-experiment's output and the harness's own phase timings, and a
-robust-optimization sweep is far too expensive to repeat.
+The scripts here time what no other owner covers: the ablations, the
+hardness constructions and the substrate micro-benchmarks.  Each keeps
+its own shape assertions.  Experiment-level timings live in ``repro
+bench`` (and CI's wall-clock gate), per-layer speed claims in ``perf/``,
+and the paper-shape assertions on the experiment tables in ``tests/``.
 
-``REPRO_FULL=1`` switches the grids to paper scale.
+Run them with ``pytest benchmarks`` (add ``--benchmark-disable`` to check
+the assertions without timing).  ``REPRO_FULL=1`` switches the grids to
+paper scale.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import run_benchmark
 from repro.config import ExperimentConfig
 
 
@@ -30,16 +27,3 @@ def experiment_config() -> ExperimentConfig:
 def run_once(benchmark, func, *args, **kwargs):
     """Benchmark a heavy callable with a single measured round."""
     return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
-def run_registry_benchmark(benchmark, name, config):
-    """Run one declared benchmark through the bench harness; return its table.
-
-    The measured callable is :func:`repro.bench.harness.run_benchmark`
-    itself, so pytest-benchmark's number and the harness's per-phase
-    timings describe the same run.
-    """
-    result = run_once(benchmark, run_benchmark, name, config)
-    print()
-    print(result.summary())
-    return result.table()

@@ -14,6 +14,9 @@ workloads is worse than no gate, so the fix is to re-record the
 baseline alongside the change that altered the grid.  For the same
 reason a baseline recorded with cache hits is rejected outright — its
 near-zero wall-clock would flag every honest cold run as a regression.
+A baseline file marked ``"profiled": true`` is refused too: ``repro
+bench`` never writes one, but a baseline is outside input, and profiler
+overhead would let real regressions slide under the threshold.
 A *current* run with cache hits still gates (CI's warm self-compare
 leg relies on it) but its verdict carries a note that cached cells
 were not re-timed.
@@ -115,16 +118,8 @@ def compare_to_baseline(
         return Comparison(
             name,
             "incomparable",
-            f"{name}: baseline was recorded under --profile, so its wall-clock "
-            f"includes profiler overhead; re-record it unprofiled",
-        )
-    if payload.get("profiled"):
-        return Comparison(
-            name,
-            "incomparable",
-            f"{name}: current run used --profile, so its wall-clock includes "
-            f"profiler overhead and cannot gate against an unprofiled "
-            f"baseline; re-run without --profile",
+            f"{name}: baseline is marked profiled, so its wall-clock includes "
+            f"profiler overhead; re-record it unprofiled",
         )
     current = float(payload["wall_clock_seconds"])
     reference = float(baseline["wall_clock_seconds"])

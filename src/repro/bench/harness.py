@@ -18,9 +18,7 @@ is both the CI artifact and the baseline format
 
 from __future__ import annotations
 
-import cProfile
-import pstats
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -33,33 +31,9 @@ from repro.runner.store import CellStore
 from repro.utils.jsonio import write_json_atomic
 
 #: Payload format tag; bump when the BENCH_*.json shape changes.
-#: (The optional "profile" key added by ``--profile`` and the additive
-#: "lifecycle"/"events"/"failures" keys do not constitute a shape change.)
+#: (The additive "lifecycle"/"events"/"failures" keys do not constitute
+#: a shape change.)
 BENCH_SCHEMA = "repro-bench-v1"
-
-#: How many cumulative-time entries ``--profile`` embeds in the payload.
-PROFILE_TOP = 30
-
-
-def _profile_records(profiler: cProfile.Profile, top: int) -> list[dict]:
-    """The top-N cumulative functions of a finished profiler, serializable."""
-    stats = pstats.Stats(profiler)
-    entries = sorted(
-        stats.stats.items(), key=lambda item: item[1][3], reverse=True  # ct
-    )
-    records = []
-    for (filename, line, function), (_cc, ncalls, tottime, cumtime, _callers) in entries[:top]:
-        records.append(
-            {
-                "function": function,
-                "file": filename,
-                "line": line,
-                "ncalls": ncalls,
-                "tottime_seconds": round(tottime, 6),
-                "cumtime_seconds": round(cumtime, 6),
-            }
-        )
-    return records
 
 
 def _cell_record(result) -> dict:
@@ -84,8 +58,6 @@ class BenchResult:
     benchmark: Benchmark
     report: SweepReport
     full: bool
-    #: Top cumulative profile entries when the run was profiled, else None.
-    profile: list[dict] | None = field(default=None)
 
     def table(self):
         return self.report.table()
@@ -94,7 +66,7 @@ class BenchResult:
         """The machine-readable ``BENCH_<name>.json`` document."""
         report = self.report
         table = self.table()
-        payload = {
+        return {
             "schema": BENCH_SCHEMA,
             "benchmark": self.benchmark.name,
             "experiment": self.benchmark.experiment,
@@ -121,18 +93,6 @@ class BenchResult:
                 "rows": [list(row) for row in table.rows],
             },
         }
-        if self.profile is not None:
-            payload["profiled"] = True
-            payload["profile"] = {
-                "top_cumulative": self.profile,
-                "note": (
-                    "cProfile covers the coordinating process only; with "
-                    "--jobs > 1, worker-side solves are not attributed. "
-                    "Profiler overhead inflates wall_clock_seconds — do not "
-                    "use a profiled run as a --baseline reference."
-                ),
-            }
-        return payload
 
     def summary(self) -> str:
         report = self.report
@@ -156,7 +116,6 @@ def run_benchmark(
     jobs: int = 1,
     cache: CellStore | None = None,
     solve: Callable[[SweepCell], dict[str, float]] = solve_cell,
-    profile: bool = False,
     failures: FailurePolicy | None = None,
 ) -> BenchResult:
     """Execute one benchmark and return its timed result.
@@ -170,10 +129,6 @@ def run_benchmark(
             phase time and count as hits, so benchmarks meant to measure
             solve cost should run uncached (the CLI's default).
         solve: cell solver (injectable for tests).
-        profile: run the sweep under cProfile and attach the top
-            :data:`PROFILE_TOP` cumulative functions to the payload, so
-            the next hot spot is visible without ad-hoc scripts.  With
-            ``jobs > 1`` only the coordinating process is profiled.
         failures: the sweep's retry/timeout/quarantine policy
             (:class:`~repro.runner.faults.FailurePolicy`); retries
             inflate the benchmarked wall-clock, so the payload's
@@ -182,23 +137,10 @@ def run_benchmark(
     if isinstance(benchmark, str):
         benchmark = get_benchmark(benchmark)
     config = config or ExperimentConfig.from_environment()
-    records: list[dict] | None = None
-    if profile:
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            report = run_sweep(
-                benchmark.spec(config), jobs=jobs, cache=cache, solve=solve,
-                failures=failures,
-            )
-        finally:
-            profiler.disable()
-        records = _profile_records(profiler, PROFILE_TOP)
-    else:
-        report = run_sweep(
-            benchmark.spec(config), jobs=jobs, cache=cache, solve=solve, failures=failures
-        )
-    return BenchResult(benchmark=benchmark, report=report, full=config.full, profile=records)
+    report = run_sweep(
+        benchmark.spec(config), jobs=jobs, cache=cache, solve=solve, failures=failures
+    )
+    return BenchResult(benchmark=benchmark, report=report, full=config.full)
 
 
 def bench_path(out_dir: str | Path, name: str) -> Path:

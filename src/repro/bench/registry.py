@@ -1,9 +1,11 @@
 """The benchmark registry: named, declared performance workloads.
 
 A :class:`Benchmark` binds a name to one experiment's sweep spec — the
-grid of cells to time — so the harness, the CLI (``repro bench``), and
-the pytest wrappers under ``benchmarks/`` all execute the identical
-workload through one code path (:func:`repro.bench.harness.run_benchmark`).
+grid of cells to time — so ``repro bench`` and CI's wall-clock gate
+execute the experiment's own workload through one code path
+(:func:`repro.bench.harness.run_benchmark`).  These are experiment-level
+smoke timings; per-layer attribution (kernel, LP, softmax) is ``perf/``'s
+job.
 
 Grid experiments reuse their registered spec builders directly; the
 single-unit experiments (the running example, Fig. 12's prototype) wrap
@@ -18,8 +20,6 @@ from typing import Callable
 
 from repro.config import ExperimentConfig
 from repro.exceptions import ExperimentError
-from repro.experiments.kernel_micro import kernel_micro_spec
-from repro.experiments.lp_micro import lp_micro_spec
 from repro.experiments.registry import driver_spec, experiment_spec
 from repro.runner.spec import SweepSpec
 
@@ -87,42 +87,6 @@ register_benchmark(
             select=("ECMP (Fig. 1b)", "COYOTE (Fig. 1c)", "COYOTE (optimized)"),
             config=config,
         ),
-    )
-)
-
-register_benchmark(
-    Benchmark(
-        name="kernel-spf",
-        experiment="kernel-spf",
-        description="Kernel micro: batched SPF + DAG extraction vs per-dest Dijkstra",
-        spec=lambda config: kernel_micro_spec("spf", config),
-    )
-)
-
-register_benchmark(
-    Benchmark(
-        name="kernel-propagate",
-        experiment="kernel-propagate",
-        description="Kernel micro: vectorized flow propagation vs dict recursion",
-        spec=lambda config: kernel_micro_spec("propagate", config),
-    )
-)
-
-register_benchmark(
-    Benchmark(
-        name="lp-assemble",
-        experiment="lp-assemble",
-        description="LP micro: sparse CSR assembly + compile of the slave LP",
-        spec=lambda config: lp_micro_spec("assemble", config),
-    )
-)
-
-register_benchmark(
-    Benchmark(
-        name="lp-oracle-sweep",
-        experiment="lp-oracle-sweep",
-        description="LP micro: per-edge oracle sweep, persistent instance vs one-shot",
-        spec=lambda config: lp_micro_spec("oracle-sweep", config),
     )
 )
 

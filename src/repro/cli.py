@@ -364,12 +364,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     # --out that overlaps the baseline directory can't clobber the
     # reference timings before they are read.
     baselines = load_baselines(args.baseline) if args.baseline is not None else None
-    if args.profile and args.jobs > 1:
-        print(
-            "note: --profile covers the coordinating process only; "
-            "worker-side solves (--jobs > 1) are not attributed",
-            file=sys.stderr,
-        )
     payloads = []
     for name in _resolve_benchmark_names(args.benchmarks):
         result = run_benchmark(
@@ -377,18 +371,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             config,
             jobs=args.jobs,
             cache=cache,
-            profile=args.profile,
             failures=_failure_policy(args),
         )
         path = write_bench_result(result, args.out)
         print(f"{result.summary()} -> {path}")
-        if result.profile:
-            top = result.profile[0]
-            print(
-                f"  profile: top cumulative {top['function']} "
-                f"({top['cumtime_seconds']:.2f}s, {top['file']}:{top['line']}); "
-                f"full top-{len(result.profile)} in {path}"
-            )
         payloads.append(result.payload())
     if baselines is None:
         return 0
@@ -647,12 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fail-on-regress", type=_non_negative_float, default=10.0, metavar="PCT",
         help="with --baseline: exit non-zero when wall-clock regresses more than "
         "PCT percent (default: 10)",
-    )
-    bench.add_argument(
-        "--profile", action="store_true",
-        help="run under cProfile and embed the top cumulative functions in "
-        "BENCH_<name>.json (diagnosis aid; inflates wall-clock, so don't "
-        "record baselines from profiled runs)",
     )
     _add_runner_flags(bench)
     bench.set_defaults(func=_cmd_bench)

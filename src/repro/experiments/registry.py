@@ -22,8 +22,6 @@ from repro.experiments.fig10_approximation import fig10, fig10_spec
 from repro.experiments.fig11_stretch import fig11, fig11_spec
 from repro.experiments.fig12_prototype import fig12
 from repro.experiments.hardness import theorem1_table, theorem4_table
-from repro.experiments.kernel_micro import kernel_micro_spec  # noqa: F401  (registers kind)
-from repro.experiments.lp_micro import lp_micro_spec  # noqa: F401  (registers kind)
 from repro.experiments.margin_sweep import fig6, fig6_spec, fig7, fig7_spec, fig8, fig8_spec
 from repro.experiments.running_example import running_example_table
 from repro.experiments.table1 import table1_experiment, table1_spec

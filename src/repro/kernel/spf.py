@@ -117,8 +117,6 @@ def compute_spf_state(network: Network, weights: Mapping[Edge, float] | np.ndarr
     """Batched SPF toward every node, computed unconditionally (no memo).
 
     Row ``i`` of the result corresponds to destination ``index.nodes[i]``.
-    The micro-benchmarks call this directly so repeated timing iterations
-    measure the computation, not a cache hit.
     """
     index = csr_index(network)
     vector = weights if isinstance(weights, np.ndarray) else weight_vector(index, weights)

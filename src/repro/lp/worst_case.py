@@ -230,7 +230,6 @@ class WorstCaseOracle:
         self,
         edge: Edge,
         coefficients: Mapping[Pair, float],
-        reusable: ReusableLP | None = None,
     ) -> tuple[float, DemandMatrix]:
         """Maximize the utilization of ``edge`` over the uncertainty set.
 
@@ -240,7 +239,6 @@ class WorstCaseOracle:
             edge: the link under attack.
             coefficients: pair -> fraction of that pair's demand crossing
                 ``edge`` under the fixed routing (``f_st(u) * phi_t(e)``).
-            reusable: solver instance to use (default: the oracle's own).
 
         Returns:
             (utilization, worst-case demand matrix).
@@ -248,9 +246,7 @@ class WorstCaseOracle:
         objective = self._objective(edge, coefficients)
         if not objective:
             return 0.0, DemandMatrix({})
-        if reusable is None:
-            reusable = self._reusable
-        utilization, demand = self._solve(objective, reusable)
+        utilization, demand = self._solve(objective, self._reusable)
         return utilization, self._demand_matrix(demand)
 
     def evaluate(

@@ -112,7 +112,7 @@ class TestFig12:
         assert table.column("scheme") == ["TE1", "TE2", "COYOTE"]
         worst = dict(zip(table.column("scheme"), table.column("worst")))
         assert worst["COYOTE"] < 0.02
-        assert worst["TE1"] > 0.2 and worst["TE2"] > 0.2
+        assert worst["TE1"] > 0.25 and worst["TE2"] > 0.2
 
     def test_coyote_forwarding_comes_from_ospf(self):
         scheme = coyote_forwarding()
@@ -148,13 +148,16 @@ class TestSweeps:
         table = fig10(TINY, topology="nsf", budgets=(3, 10))
         for row in table.rows:
             margin, ecmp, ideal, nh3, nh10 = row
-            assert ideal <= nh10 + 0.05  # more budget ~ closer to ideal
-            assert nh10 <= nh3 + 0.15
+            assert ideal <= min(nh3, nh10) + 0.05  # rounding approaches the ideal
+            assert nh10 <= nh3 + 0.15  # a bigger budget tracks it closer
+            assert nh10 <= ecmp + 0.10  # 10 NHs is at least ECMP-grade
 
     def test_fig11_stretch_bounds(self):
         from repro.experiments.fig11_stretch import fig11
 
         table = fig11(TINY, topologies=("nsf",), margin=2.0)
+        # The paper keeps stretch near 1.1; the bounds only catch
+        # pathological configurations.
         for _net, obl, pk in table.rows:
-            assert 0.8 <= obl <= 2.0
-            assert 0.8 <= pk <= 2.0
+            assert 0.8 <= obl <= 1.8
+            assert 0.8 <= pk <= 1.8

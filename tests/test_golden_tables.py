@@ -149,3 +149,35 @@ def test_golden_table(name: str, update_golden: bool):
             f"If this change is intentional, rerun with --update-golden "
             f"and commit the fixture diff."
         )
+
+
+#: Slack for the paper-shape rules below (solver noise, not a margin).
+SHAPE_TOLERANCE = 1e-6
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+def test_golden_fixture_keeps_the_paper_shape(name: str):
+    """The committed tables keep the paper's Table I / Figs. 6-8 claims.
+
+    :func:`test_golden_table` pins the live tables to these fixtures, so
+    the claims hold for live output too, and an ``--update-golden`` that
+    breaks one fails here.
+    """
+    fixture = json.loads(golden_path(name).read_text())
+    rows = [dict(zip(fixture["columns"], row)) for row in fixture["rows"]]
+    assert rows
+    for row in rows:
+        assert row["COYOTE-pk"] <= row["ECMP"] + SHAPE_TOLERANCE, f"COYOTE-pk lost to ECMP: {row}"
+        # Ratios are normalized by the optimum.
+        assert row["COYOTE-obl"] >= 1.0 - SHAPE_TOLERANCE, row
+        if abs(row["margin"] - 1.0) < 1e-9:
+            # With no uncertainty Base is optimal and COYOTE-pk near it.
+            assert abs(row["Base"] - 1.0) < SHAPE_TOLERANCE, row
+            assert row["COYOTE-pk"] < 1.1, row
+    if name == "fig7":
+        # Base degrades under uncertainty (the paper's central observation).
+        base = {row["margin"]: row["Base"] for row in rows}
+        assert base[max(base)] > base[1.0]
+    if name == "table1":
+        config = fixture["golden_config"]
+        assert len(rows) == len(config["topologies"]) * len(config["margins"])

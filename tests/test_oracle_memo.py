@@ -292,7 +292,9 @@ class TestSharedOracleResults:
 
     def test_fig9_cell(self, monkeypatch, solves):
         cell = self._cell("fig9-local-search")
-        self._compare(monkeypatch, solves, lambda: solve_fig9_cell(cell))
+        row = self._compare(monkeypatch, solves, lambda: solve_fig9_cell(cell))
+        # Fig. 9's claim: on the local-search DAGs COYOTE beats ECMP.
+        assert row["ECMP/COYOTE"] > 1.0
 
     def test_fig10_cells(self, monkeypatch, solves):
         cells = [self._cell("fig10-nh-approx", budget=budget) for budget in (None, 3)]
