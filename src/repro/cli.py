@@ -29,7 +29,6 @@ from repro.bench.harness import run_benchmark, write_bench_result
 from repro.bench.registry import BENCHMARKS, benchmark_names, get_benchmark
 from repro.config import ExperimentConfig
 from repro.exceptions import ReproError
-from repro.lp import backend as lp_backend
 from repro.experiments.registry import (
     EXPERIMENTS,
     experiment_spec,
@@ -386,19 +385,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_backends(_args: argparse.Namespace) -> int:
-    active = lp_backend.active_backend_name()
-    width = max(len(name) for name in lp_backend.backend_names())
-    for name in lp_backend.backend_names():
-        available = name in lp_backend.available_backends()
-        marks = []
-        if name == active:
-            marks.append("active")
-        marks.append("available" if available else "unavailable")
-        print(f"{name:<{width}}  [{', '.join(marks)}]")
-    return 0
-
-
 def _cmd_topo(args: argparse.Namespace) -> int:
     if args.name is None:
         for name in available_topologies():
@@ -465,11 +451,6 @@ def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
         help="solve every cell even if a cached result exists",
     )
     parser.add_argument(
-        "--lp-backend", metavar="NAME",
-        help="LP solver backend (default: $REPRO_LP_BACKEND or 'highs'; "
-        "see `repro backends` and docs/lp_backends.md)",
-    )
-    parser.add_argument(
         "--cell-timeout", type=_non_negative_float, default=None, metavar="SECONDS",
         help="wall-clock budget per cell, enforced by a watchdog in parallel "
         "runs (default: the cell kind's own budget; 0 disables)",
@@ -495,24 +476,6 @@ def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
         "e.g. 'site=solve,action=raise,exc=OSError,times=1' (repeatable; "
         f"appended to ${FAULTS_ENV}; see docs/campaigns.md)",
     )
-
-
-def _apply_lp_backend(args: argparse.Namespace) -> None:
-    """Resolve --lp-backend into the environment the LP layer reads.
-
-    The flag is exported (rather than threaded through call signatures)
-    so sweep worker processes inherit the selection, and validated up
-    front so an unknown or unavailable backend fails before any cell
-    solves.  Fingerprints read the same environment variable, keeping
-    cache keys and the actual solver in lockstep.
-    """
-    name = getattr(args, "lp_backend", None)
-    if name:
-        try:
-            lp_backend.get_backend(name)  # fail before any cell solves
-        except lp_backend.BackendUnavailable as error:
-            raise ReproError(str(error)) from error
-        os.environ[lp_backend.BACKEND_ENV] = name
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -640,11 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     topo = sub.add_parser("topo", help="list topologies or show one")
     topo.add_argument("name", nargs="?", help="topology name (omit to list all)")
     topo.set_defaults(func=_cmd_topo)
-
-    backends = sub.add_parser(
-        "backends", help="list LP solver backends and which one is active"
-    )
-    backends.set_defaults(func=_cmd_backends)
     return parser
 
 
@@ -652,7 +610,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_lp_backend(args)
         _apply_faults(args)
         return args.func(args)
     except ReproError as error:

@@ -24,35 +24,31 @@ class SolverConfig:
     """Tolerances and iteration caps shared by the optimization stack.
 
     Attributes:
-        lp_tolerance: feasibility/optimality tolerance forwarded to HiGHS.
         ratio_tolerance: relative gap at which the adversarial outer loop
             declares convergence (oracle ratio within this factor of the
             incumbent objective).
         max_adversarial_rounds: cutting-plane iterations of the robust
             outer loop (each round adds one worst-case demand matrix).
-        max_inner_iterations: iteration cap for the finite-set splitting
-            optimizers (GP condensation rounds / L-BFGS restarts).
+        max_inner_iterations: the ``maxiter`` cap of each inner
+            optimizer call: L-BFGS iterations per start and smoothing
+            temperature (twice that for the balance polish), SLSQP
+            iterations per GP condensation round.  An iteration cap,
+            not a restart count.
         smoothing_temperatures: annealing schedule for the smoothed-minimax
             optimizer; higher temperature approximates ``max`` more tightly.
-        min_ratio: floor applied to splitting ratios to keep logarithms
-            finite; ratios below the floor are treated as pruned edges.
         regularization: weight of the mean-utilization tie-breaker added
             to the smoothed-minimax objective.  Worst-case-optimal
             solutions are massively degenerate (many routings share the
             same max); the tie-breaker steers toward solutions that are
             also good on average, matching the balanced configurations
             the paper's GP solver produces.
-        seed: default RNG seed so experiments are reproducible.
     """
 
-    lp_tolerance: float = 1e-9
     ratio_tolerance: float = 1e-3
     max_adversarial_rounds: int = 12
     max_inner_iterations: int = 60
     smoothing_temperatures: tuple[float, ...] = (8.0, 32.0, 128.0)
-    min_ratio: float = 1e-7
     regularization: float = 5e-3
-    seed: int = 20161101  # arXiv v2 date of the paper
 
     def scaled_down(self) -> "SolverConfig":
         """A cheaper configuration for coarse searches and fast benchmarks.
@@ -85,7 +81,7 @@ class ExperimentConfig:
     margins: tuple[float, ...] = (1.0, 1.5, 2.0, 2.5, 3.0)
     solver: SolverConfig = field(default_factory=SolverConfig)
     demand_model: str = "gravity"
-    seed: int = DEFAULT_CONFIG.seed
+    seed: int = 20161101  # arXiv v2 date of the paper
     full: bool = False
 
     @classmethod

@@ -35,7 +35,6 @@ from repro.graph.network import Edge, Network
 from repro.kernel.delta import EcmpDeltaEvaluator, ecmp_max_utilization
 from repro.lp.worst_case import WorstCaseOracle, normalize_to_unit_optimum
 from repro.runner.timing import phase
-from repro.utils.seeding import rng_from_seed
 
 #: Integer OSPF weights explored by the neighborhood search, as in
 #: Fortz & Thorup's experiments (they use [1, 20]).
@@ -236,7 +235,6 @@ def local_search_weights(
     uncertainty: UncertaintySet | None = None,
     bound: float = 1.05,
     config: SolverConfig = DEFAULT_CONFIG,
-    seed: int | None = None,
 ) -> LocalSearchResult:
     """Algorithm 1: iterate worst-case oracle + weight search.
 
@@ -247,12 +245,9 @@ def local_search_weights(
         bound: the termination bound ``B`` on normalized utilization.
         config: iteration caps (``max_adversarial_rounds`` bounds the
             outer loop).
-        seed: reserved for RNG-based tie-breaking; recorded for
-            reproducibility.
     """
     if uncertainty is None:
         uncertainty = oblivious_set(network.nodes())
-    rng_from_seed(seed if seed is not None else config.seed, "local-search")
     weights = integer_scaled_weights(inverse_capacity_weights(network), MAX_WEIGHT)
     oracle = WorstCaseOracle(network, uncertainty, dags=None, config=config)
     from repro.lp.mcf import MinCongestionSolver

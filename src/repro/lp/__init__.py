@@ -1,21 +1,21 @@
-"""Linear-programming substrate with pluggable solver backends.
+"""Linear-programming substrate on one engine: HiGHS, driven directly.
 
 The paper's toolchain was AMPL + MOSEK; this package replaces it with a
-small modeling layer (:mod:`repro.lp.model`), a solver-backend registry
-(:mod:`repro.lp.backend` — direct HiGHS by default, scipy's ``linprog``
-as the reference engine), and problem-specific builders:
+small modeling layer (:mod:`repro.lp.model`), one LP engine
+(:mod:`repro.lp.backend` — scipy's vendored HiGHS bindings, with
+scipy's ``linprog`` kept as a reference that only tests call), and
+problem-specific builders:
 
 * :mod:`repro.lp.mcf` — min-congestion multicommodity flow (``OPTU``);
 * :mod:`repro.lp.dag_flow` — demands-aware optimum restricted to DAGs;
 * :mod:`repro.lp.worst_case` — the per-edge adversarial ("slave") LP;
 * :mod:`repro.lp.certificate` — the Theorem 5 dual certificate.
 
-Numerical contract (details in ``docs/lp_backends.md``): both bundled
-backends run HiGHS at its default tolerances (1e-7 primal/dual
-feasibility), every solve is an isolated cold solve, and the parity
-suite pins cross-backend objective agreement to 1e-7 on the
-repository's LP families.  Normalized statuses map onto ``linprog``
-statuses as
+Numerical contract (details in ``docs/lp_backends.md``): the engine
+runs HiGHS at its default tolerances (1e-7 primal/dual feasibility),
+every solve is an isolated cold solve, and the parity suite pins the
+engine bit-identical to the ``linprog`` reference on the repository's
+LP families.  Normalized statuses map onto ``linprog`` statuses as
 
     normalized      linprog.status
     ------------    ----------------------------

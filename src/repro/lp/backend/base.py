@@ -1,47 +1,30 @@
-"""The solver-backend interface: one LP form, many engines.
+"""The LP form the engine solves, and the shapes it answers in.
 
-Every backend consumes the same immutable :class:`LinearProgram` — the
-sparse standard form :mod:`repro.lp.model` compiles to — and produces a
-:class:`BackendSolution` with a *normalized* status string, so the
-modeling layer can raise the library's exceptions without knowing which
-engine solved the problem.  The contract every backend must honor:
+:mod:`repro.lp.model` compiles every program to one immutable
+:class:`LinearProgram` (sparse standard form); the HiGHS engine
+(:mod:`repro.lp.backend.highs_backend`) answers with a
+:class:`BackendSolution` whose status is *normalized*, so the modeling
+layer raises the library's exceptions without reading engine codes.
+The ``linprog`` reference (:mod:`repro.lp.backend.scipy_backend`)
+answers in the same shapes, which is what lets the parity suite compare
+the two bit for bit.  The contract:
 
-* **Sense.** ``solve`` always *minimizes* ``objective @ x``; callers
-  that maximize negate the vector and the returned objective themselves
-  (the modeling layer does this), so dual signs are uniform across
-  backends.
+* **Sense.** A solve always *minimizes* ``objective @ x``; callers that
+  maximize negate the vector and the returned objective themselves (the
+  modeling layer does this), so dual signs are uniform.
 * **Statuses.** Exactly one of :data:`OPTIMAL`, :data:`INFEASIBLE`,
-  :data:`UNBOUNDED`, or :data:`ERROR`.  A backend that cannot
-  distinguish infeasible from unbounded must either disambiguate (e.g.
-  re-solve without presolve/dual reductions) or report :data:`ERROR` —
-  never guess.
+  :data:`UNBOUNDED`, or :data:`ERROR`.  An infeasible-or-unbounded
+  answer is :data:`ERROR`, never a guess.
 * **Duals.** ``ineq_duals`` / ``eq_duals`` follow scipy's ``linprog``
   marginal convention: partial derivatives of the *minimized* objective
   with respect to the constraint right-hand sides (non-positive for
-  binding ``<=`` rows of a minimization).  Backends whose native duals
-  use the opposite sign (none of the bundled ones do) must flip before
-  returning.
-* **Numerical tolerances.** Backends run at their engine's default
-  feasibility/optimality tolerances (1e-7 for HiGHS); the cross-backend
-  parity suite asserts objective agreement within 1e-7 on the
-  repository's LP families, and callers must not expect agreement
-  tighter than that between *different* engines.
-* **Instances.** :meth:`SolverBackend.instance` returns a stateful
-  :class:`BackendInstance` bound to one constraint matrix.  Every
-  ``solve`` must return exactly what a fresh one-shot solve would
-  (bit-identical for the same engine): no basis or other engine state
-  carries over from one solve to the next, so results never depend on
-  solve order.  The constraint matrix of an instance never changes
-  (only objectives and equality right-hand sides may be swapped).
-* **Threads.** A backend sets :attr:`SolverBackend.thread_safe` only
-  when separate instances share no engine state, so they may solve at
-  once on separate threads.  LP sweeps run serially on any other
-  backend.
+  binding ``<=`` rows of a minimization).
+* **Numerical tolerances.** HiGHS runs at its default
+  feasibility/optimality tolerances (1e-7); no tolerance option is set.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -51,20 +34,11 @@ from scipy import sparse
 
 from repro.exceptions import SolverError
 
-#: Normalized solve statuses shared by every backend.
+#: Normalized solve statuses.
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 ERROR = "error"
-
-
-class BackendUnavailable(RuntimeError):
-    """Raised when a backend is selected but cannot run here.
-
-    Distinct from a solve failure: the engine itself is missing (import
-    failed, no license), so no :class:`BackendSolution` exists to carry
-    an :data:`ERROR` status.
-    """
 
 
 @dataclass(frozen=True)
@@ -73,8 +47,8 @@ class LinearProgram:
 
     ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq``, ``col_lower <= x <=
     col_upper``; the objective vector is supplied per solve.  Matrices
-    are CSR with canonical (duplicate-free, sorted) indices so backends
-    can hand the arrays to their engines without re-validation.
+    are CSR with canonical (duplicate-free, sorted) indices so the
+    engine can take the arrays without re-validation.
 
     Attributes:
         num_vars: number of columns.
@@ -116,7 +90,7 @@ class LinearProgram:
 
         The row order (inequalities first) is the contract for splitting
         row duals back into ``ineq_duals`` / ``eq_duals`` and matches
-        scipy's internal stacking, so marginals agree across backends.
+        scipy's internal stacking, so marginals agree with the reference.
         """
         blocks = []
         lower: list[np.ndarray] = []
@@ -141,7 +115,7 @@ class LinearProgram:
 
 @dataclass
 class BackendSolution:
-    """One backend solve, in the minimized sense (see module docstring).
+    """One solve, in the minimized sense (see module docstring).
 
     Attributes:
         status: one of :data:`OPTIMAL` / :data:`INFEASIBLE` /
@@ -197,79 +171,3 @@ def equality_rhs(program: LinearProgram, b_eq) -> np.ndarray:
             f"b_eq has shape {rhs.shape}, program has {program.num_eq} equality rows"
         )
     return rhs
-
-
-class BackendInstance(abc.ABC):
-    """A stateful handle on one LP: fixed matrix, swappable objective/RHS.
-
-    Obtained from :meth:`SolverBackend.instance`; every solve is
-    isolated (see the module docstring).
-    """
-
-    @abc.abstractmethod
-    def solve(
-        self,
-        objective: "np.ndarray | Mapping[int, float]",
-        b_eq: np.ndarray | None = None,
-    ) -> BackendSolution:
-        """Minimize ``objective`` (optionally with fresh equality RHS).
-
-        Args:
-            objective: dense vector or sparse ``{column: coefficient}``
-                mapping (absent columns are zero).
-            b_eq: replacement equality right-hand sides; ``None`` keeps
-                the current ones.
-
-        Raises:
-            ValueError: ``b_eq`` does not have one entry per equality row.
-        """
-
-
-class SolverBackend(abc.ABC):
-    """One LP engine: a name, an availability probe, and solve paths."""
-
-    #: Registry identifier (the ``REPRO_LP_BACKEND`` value selecting it).
-    name: str = "abstract"
-    #: Whether separate instances may solve concurrently on separate
-    #: threads (see the module docstring); off unless a backend opts in.
-    thread_safe: bool = False
-
-    @abc.abstractmethod
-    def available(self) -> bool:
-        """Whether the engine can solve on this machine (imports, license)."""
-
-    @abc.abstractmethod
-    def solve(
-        self, program: LinearProgram, objective: np.ndarray
-    ) -> BackendSolution:
-        """One-shot cold solve (minimize)."""
-
-    def instance(self, program: LinearProgram) -> BackendInstance:
-        """A reusable handle on ``program``; every solve is cold.
-
-        Backends without an incremental engine interface inherit this
-        wrapper, which re-enters :meth:`solve` each call — correct, just
-        not faster.
-        """
-        return _OneShotInstance(self, program)
-
-
-class _OneShotInstance(BackendInstance):
-    """Fallback instance: each solve is an independent cold solve."""
-
-    def __init__(self, backend: SolverBackend, program: LinearProgram):
-        self._backend = backend
-        self._program = program
-        self._b_eq = program.b_eq
-
-    def solve(self, objective, b_eq=None):
-        if b_eq is not None:
-            self._b_eq = equality_rhs(self._program, b_eq)
-        program = self._program
-        if self._b_eq is not program.b_eq:
-            from dataclasses import replace
-
-            program = replace(program, b_eq=self._b_eq)
-        return self._backend.solve(
-            program, dense_objective(program.num_vars, objective)
-        )

@@ -1,48 +1,42 @@
-"""The default backend: scipy's vendored HiGHS bindings, driven directly.
+"""The LP engine: scipy's vendored HiGHS bindings, driven directly.
 
 ``scipy.optimize._highspy`` ships the raw HiGHS C++ bindings that
 ``linprog(method="highs")`` itself runs on.  Driving them directly
 skips linprog's per-call wrapper work (bounds normalization, model
-re-validation, result marshalling) and — the real win — lets one
-:class:`HighsInstance` keep the assembled ``HighsLp`` model across the
-hundreds of objective/RHS swaps the worst-case oracle and margin sweeps
-perform.
+re-validation, result marshalling), and one :class:`HighsInstance`
+keeps the assembled ``HighsLp`` model across the hundreds of
+objective/RHS swaps the worst-case oracle and margin sweeps perform.
 
-Semantics relative to the scipy backend:
+Semantics, relative to the ``linprog`` reference
+(:func:`repro.lp.backend.scipy_backend.linprog_reference`):
 
-* **Tolerances.** The engine runs at HiGHS defaults (primal/dual
-  feasibility 1e-7), identical to what linprog uses; no options besides
-  ``output_flag=False`` are set.
+* **Options.** HiGHS defaults (primal/dual feasibility 1e-7) plus
+  ``output_flag=False`` and ``presolve="on"`` — exactly linprog's
+  effective option set.
 * **Status mapping.** ``kOptimal`` → ``optimal``, ``kInfeasible`` →
   ``infeasible``, ``kUnbounded`` → ``unbounded``; ``kUnboundedOrInfeasible``
-  and every other model status → ``error`` — the same buckets scipy's
-  ``linprog`` statuses 0/2/3/other collapse to, so the two backends are
-  status-identical by construction.
+  and every other model status → ``error`` — the same buckets linprog's
+  statuses 0/2/3/other collapse to.
 * **Duals.** Raw HiGHS row duals, split at the ub/eq boundary of the
   stacked row order — exactly how scipy derives ``marginals``, with no
   sign adjustment.
 * **Determinism.** Each solve fully resets the engine (``clear()``)
   and re-passes the prepared model, so every solve *is* a cold solve
-  by construction — bit-identical to this backend's one-shot path and
-  independent of solve order, safe for golden tables and parallel
-  sweeps.  (``clearSolver()`` is not enough: HiGHS retains internal
+  by construction, independent of solve order and safe for golden
+  tables and threaded sweeps: separate instances share no engine
+  state.  (``clearSolver()`` is not enough: HiGHS retains internal
   state, e.g. its cost-perturbation stream, that steers degenerate
-  vertex selection at the last ulp.)  Because the engine and effective
-  options exactly match linprog's, solves are also bit-identical to
-  the ``scipy`` backend on every family tested — pinned as a canary by
-  the parity suite, with backend fingerprints kept as defense-in-depth.
+  vertex selection at the last ulp.)  With the same engine and options
+  as linprog, solves are bit-identical to the reference on every
+  family tested, as the parity suite pins.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize._highspy import _core as _highs_core
 
 from repro.lp.backend import base
-
-try:  # vendored bindings; private module, so probe defensively
-    from scipy.optimize._highspy import _core as _highs_core
-except ImportError:  # pragma: no cover - scipy always bundles it today
-    _highs_core = None
 
 
 def _build_model(program: base.LinearProgram) -> "_highs_core.HighsLp":
@@ -96,7 +90,7 @@ def _extract(
     )
 
 
-class HighsInstance(base.BackendInstance):
+class HighsInstance:
     """A prepared HiGHS model: swap costs/RHS, re-solve.
 
     The instance owns one ``_Highs`` object plus the prebuilt
@@ -136,6 +130,19 @@ class HighsInstance(base.BackendInstance):
         self._b_eq = new_rhs.copy()
 
     def solve(self, objective, b_eq=None) -> base.BackendSolution:
+        """Minimize ``objective`` (optionally with fresh equality RHS).
+
+        Args:
+            objective: dense vector or sparse ``{column: coefficient}``
+                mapping (absent columns are zero).
+            b_eq: replacement equality right-hand sides; ``None`` keeps
+                the current ones.
+
+        Raises:
+            SolverError: a sparse objective names a missing column.
+            ValueError: ``b_eq`` does not have one entry per equality
+                row (the instance keeps its right-hand sides).
+        """
         self._model.col_cost_ = base.dense_objective(self._program.num_vars, objective)
         self._bake_b_eq(b_eq)
         self._highs.clear()
@@ -146,19 +153,3 @@ class HighsInstance(base.BackendInstance):
         self._highs.passModel(self._model)
         self._highs.run()
         return _extract(self._highs, self._program)
-
-
-class HighsBackend(base.SolverBackend):
-    """Direct vendored-HiGHS backend (the default, ``highs``)."""
-
-    name = "highs"
-    thread_safe = True
-
-    def available(self) -> bool:
-        return _highs_core is not None
-
-    def solve(self, program: base.LinearProgram, objective: np.ndarray) -> base.BackendSolution:
-        return HighsInstance(program).solve(objective)
-
-    def instance(self, program: base.LinearProgram) -> HighsInstance:
-        return HighsInstance(program)

@@ -21,9 +21,9 @@ equality RHS instead of rebuilding it.  :class:`MinCongestionSolver`
 caches one compiled structure per destination set and swaps ``b_eq``;
 :func:`min_congestion` is the one-shot convenience wrapper over it.
 
-Numerics: solves inherit the active LP backend's engine defaults (HiGHS
-1e-7 feasibility; see :mod:`repro.lp.backend`); extracted flows drop
-values below 1e-12, matching the historical serial path.
+Numerics: solves run at HiGHS's defaults (1e-7 feasibility; see
+:mod:`repro.lp.backend`); extracted flows drop values below 1e-12,
+matching the historical serial path.
 """
 
 from __future__ import annotations
@@ -53,9 +53,6 @@ class MinCongestionResult:
 
     alpha: float
     flows: dict[Node, dict[Edge, float]]
-
-    def flow_on(self, destination: Node, edge: Edge) -> float:
-        return self.flows.get(destination, {}).get(edge, 0.0)
 
     def total_load(self, edge: Edge) -> float:
         return sum(per_dest.get(edge, 0.0) for per_dest in self.flows.values())
@@ -130,8 +127,8 @@ class MinCongestionSolver:
     (given the fixed ``network`` / ``dags``); solving a new demand with
     the same support only writes fresh conservation right-hand sides
     into the loaded model.  Results are identical to one-shot
-    :func:`min_congestion` calls — the default isolated-solve backend
-    contract guarantees solve-order independence.
+    :func:`min_congestion` calls — every engine solve is isolated, so
+    results are independent of solve order.
     """
 
     def __init__(self, network: Network, dags: Mapping[Node, Dag] | None = None):

@@ -1,4 +1,4 @@
-"""A small LP modeling layer over the pluggable solver backends.
+"""A small LP modeling layer over the direct-HiGHS engine.
 
 Design goals, in order:
 
@@ -13,7 +13,7 @@ Design goals, in order:
    across objective/RHS swaps (each solve is still an isolated cold
    solve).
 3. *Duals.* The Theorem 5 certificate and the cutting-plane machinery need
-   constraint marginals, which every backend exposes in scipy's sign
+   constraint marginals, which the engine returns in scipy's sign
    convention (marginals of the minimized problem).
 
 Constraints accumulate directly into flat CSR buffers (one ``float`` and
@@ -22,15 +22,14 @@ materialized, and :meth:`Model.compile` is O(nnz).  The ``*_terms``
 methods accept iterables of ``(variable, coefficient)`` pairs for hot
 builders that don't need :class:`LinExpr` arithmetic.
 
-Numerical behavior: solves run at the active backend's engine defaults
-(HiGHS: 1e-7 primal/dual feasibility — see :mod:`repro.lp.backend`);
+Numerical behavior: every solve runs on
+:class:`~repro.lp.backend.highs_backend.HighsInstance` at HiGHS's
+defaults (1e-7 primal/dual feasibility — see :mod:`repro.lp.backend`);
 no tolerance options are forwarded, and every solve is an isolated cold
-solve, so two same-engine solves of one model are deterministic and
-independent of solve order, while *cross*-backend
-objective agreement is only guaranteed to ~1e-7.  Backend statuses map
-onto the library's exceptions as ``infeasible`` →
-:class:`~repro.exceptions.InfeasibleError`, ``unbounded`` →
-:class:`~repro.exceptions.UnboundedError`, ``error`` →
+solve, so two solves of one model are deterministic and independent of
+solve order.  Engine statuses map onto the library's exceptions as
+``infeasible`` → :class:`~repro.exceptions.InfeasibleError`,
+``unbounded`` → :class:`~repro.exceptions.UnboundedError`, ``error`` →
 :class:`~repro.exceptions.SolverError`.
 
 Only what the library needs is implemented: continuous variables, linear
@@ -48,16 +47,15 @@ import numpy as np
 from scipy import sparse
 
 from repro.exceptions import InfeasibleError, SolverError, UnboundedError
-from repro.lp import backend as lp_backend
 from repro.lp.backend.base import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
-    BackendInstance,
     BackendSolution,
     LinearProgram,
     dense_objective,
 )
+from repro.lp.backend.highs_backend import HighsInstance
 
 
 class Variable:
@@ -190,11 +188,11 @@ class Solution:
 
 
 def _check_solution(result: BackendSolution, maximize: bool) -> Solution:
-    """Map a backend solution onto :class:`Solution` or the library errors."""
+    """Map an engine solution onto :class:`Solution` or the library errors."""
     if result.status == INFEASIBLE:
         raise InfeasibleError(result.message)
     if result.status == UNBOUNDED:
-        # For a maximization the backend solved the negated problem:
+        # For a maximization the engine solved the negated problem:
         # unbounded below there means unbounded above for the caller.
         raise UnboundedError(result.message)
     if result.status != OPTIMAL:
@@ -206,9 +204,9 @@ def _check_solution(result: BackendSolution, maximize: bool) -> Solution:
 class CompiledLP:
     """Frozen constraint matrices; solve repeatedly with fresh objectives.
 
-    Thin wrapper pairing an immutable
-    :class:`~repro.lp.backend.base.LinearProgram` with the active solver
-    backend.  Each :meth:`solve` is an isolated cold solve; sequences of
+    Thin wrapper around an immutable
+    :class:`~repro.lp.backend.base.LinearProgram`.  Each :meth:`solve`
+    is an isolated cold solve on a fresh engine instance; sequences of
     related solves should go through :meth:`reusable`, which saves the
     matrix assembly but not the solve.
     """
@@ -231,20 +229,20 @@ class CompiledLP:
         Raises:
             InfeasibleError / UnboundedError / SolverError: per status.
         """
-        result = lp_backend.get_backend().solve(
-            self.program, self._objective_vector(objective, maximize)
+        result = HighsInstance(self.program).solve(
+            self._objective_vector(objective, maximize)
         )
         return _check_solution(result, maximize)
 
     def reusable(self) -> "ReusableLP":
         """A persistent solver instance for repeated objective/RHS swaps."""
-        return ReusableLP(self, lp_backend.get_backend().instance(self.program))
+        return ReusableLP(self, HighsInstance(self.program))
 
 
 class ReusableLP:
-    """A backend instance bound to one compiled LP (objective/RHS swaps)."""
+    """An engine instance bound to one compiled LP (objective/RHS swaps)."""
 
-    def __init__(self, compiled: CompiledLP, instance: BackendInstance):
+    def __init__(self, compiled: CompiledLP, instance: HighsInstance):
         self._compiled = compiled
         self._instance = instance
 
@@ -416,7 +414,7 @@ class Model:
                 shape=(len(indptr) - 1, n),
             )
             # Canonicalize: sum duplicate (row, col) entries, sort indices —
-            # the invariant LinearProgram promises its backends.
+            # the invariant LinearProgram promises the engine.
             matrix.sum_duplicates()
             matrix.sort_indices()
             return matrix

@@ -27,16 +27,15 @@ We use the standard equality conservation from Applegate & Cohen [11],
 which is the form the dualization (Theorem 5) actually corresponds to.
 
 All constraint matrices are compiled once per (witness, uncertainty)
-pair and stay loaded in a persistent backend instance; evaluating a
+pair and stay loaded in a persistent engine instance; evaluating a
 routing only swaps the (sparse) objective, so a sweep over all edges
 costs at most one solve of the prepared LP per edge.
 Per-edge solves are isolated (cold, see :mod:`repro.lp.backend`) so
 results are independent of sweep order and of how the sweep is split
 across threads: it runs on every usable core
-(:func:`repro.lp.backend.lp_threads`), and serially on one core or on a
-backend that is not thread-safe.  Solves run at the backend engine's
-default tolerances (HiGHS 1e-7) and demand entries below 1e-10 are
-dropped from extracted worst-case matrices.
+(:func:`repro.lp.backend.lp_threads`), and serially on one core.
+Solves run at HiGHS's default tolerances (1e-7) and demand entries
+below 1e-10 are dropped from extracted worst-case matrices.
 
 Because a solve depends on its objective alone, each oracle keeps a
 memo of per-edge results keyed by the exact bytes of the objective (the
@@ -205,7 +204,7 @@ class WorstCaseOracle:
 
         self._model = model
         self._compiled = model.compile()
-        # One persistent backend instance for the calling thread; each
+        # One persistent engine instance for the calling thread; each
         # helper thread of a parallel sweep gets one of its own
         # (instances are stateful), built on first use and kept.
         self._reusable: ReusableLP = self._compiled.reusable()
@@ -414,10 +413,9 @@ class WorstCaseOracle:
         The calling thread solves share 0 on the oracle's own instance;
         helper threads solve the others, each on an instance of its own.
         Results land by index, so the list is the serial sweep's, bit
-        for bit: per-edge solves are isolated.  The sweep stays serial
-        on a backend that does not declare itself thread-safe.  With a
-        ``limit``, one shared flag stops every share once a result
-        passes it; the entries left unsolved stay None.
+        for bit: per-edge solves are isolated.  With a ``limit``, one
+        shared flag stops every share once a result passes it; the
+        entries left unsolved stay None.
         """
         results: list[tuple[float, np.ndarray] | None] = [None] * len(objectives)
         stop = threading.Event()
@@ -432,7 +430,7 @@ class WorstCaseOracle:
                     stop.set()
 
         shares = min(lp_backend.lp_threads(), len(objectives))
-        if shares <= 1 or not lp_backend.get_backend().thread_safe:
+        if shares <= 1:
             solve_share(0, 1, self._reusable)
             return results
         while len(self._helper_lps) < shares - 1:

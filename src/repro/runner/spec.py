@@ -48,6 +48,11 @@ from repro.exceptions import ExperimentError
 #: ``runner-v5`` moved the splitting optimizers onto the flat-array flow
 #: engine (:mod:`repro.kernel.flowgrad`), whose ulp-level gradient
 #: differences can move non-converged robust solves, so cached ratios change.
+#: (Fingerprints later lost the ``lp_backend`` field, when direct HiGHS
+#: became the only engine and ``linprog`` a test-only reference, and the
+#: LP-tolerance, ratio-floor and seed fields of ``SolverConfig``, which
+#: no solver read: that changed every key but no result, so the version
+#: stayed.)
 CACHE_VERSION = "runner-v5"
 
 
@@ -187,16 +192,10 @@ class SweepCell:
         resolved column set all participate, so cells of different kinds
         (or a kind whose columns changed) never share an entry.
         """
-        from repro.lp import backend as lp_backend
-
         return {
             "version": CACHE_VERSION,
-            # Different LP engines can return different optimal
-            # vertices for degenerate LPs, which steers cutting-plane
-            # trajectories, so results never cross the backend boundary.
             # The LP sweep's thread count is deliberately absent —
             # isolated solves make results independent of partitioning.
-            "lp_backend": lp_backend.active_backend_name(),
             "kind": self.kind,
             "params": {name: _jsonable(value) for name, value in self.params},
             "columns": list(self.cell_columns()),
@@ -206,14 +205,11 @@ class SweepCell:
             "seed": self.seed,
             "optimizer": self.optimizer,
             "solver": {
-                "lp_tolerance": self.solver.lp_tolerance,
                 "ratio_tolerance": self.solver.ratio_tolerance,
                 "max_adversarial_rounds": self.solver.max_adversarial_rounds,
                 "max_inner_iterations": self.solver.max_inner_iterations,
                 "smoothing_temperatures": list(self.solver.smoothing_temperatures),
-                "min_ratio": self.solver.min_ratio,
                 "regularization": self.solver.regularization,
-                "seed": self.solver.seed,
             },
         }
 

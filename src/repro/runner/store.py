@@ -8,10 +8,10 @@ solved cells through.  :class:`DirStore` is the canonical on-disk layout
 
 where ``key`` is :func:`repro.runner.spec.cell_key` — a hash over the
 cell kind and its params, the topology, demand model, margin, seed,
-optimizer, every :class:`~repro.config.SolverConfig` field, the active
-LP backend, and the runner's :data:`~repro.runner.spec.CACHE_VERSION`
-tag.  Any of those changing yields a different key, so stale results are
-never returned; they are simply never looked up again.
+optimizer, every :class:`~repro.config.SolverConfig` field, and the
+runner's :data:`~repro.runner.spec.CACHE_VERSION` tag.  Any of those
+changing yields a different key, so stale results are never returned;
+they are simply never looked up again.
 
 Each entry stores the full cell fingerprint alongside the result, so a
 (vanishingly unlikely) hash collision is detected by comparing

@@ -184,7 +184,9 @@ class TestHarness:
     def test_config_fingerprint_tracks_the_grid(self, stub_registered):
         base = spec_fingerprint(_stub_spec(TINY_CONFIG))
         assert base == spec_fingerprint(_stub_spec(TINY_CONFIG))  # stable
-        tweaked_solver = replace(TINY_CONFIG, solver=replace(TINY_SOLVER, seed=1))
+        tweaked_solver = replace(
+            TINY_CONFIG, solver=replace(TINY_SOLVER, max_adversarial_rounds=3)
+        )
         assert spec_fingerprint(_stub_spec(tweaked_solver)) != base
         fewer_margins = replace(TINY_CONFIG, margins=(1.0,))
         assert spec_fingerprint(_stub_spec(fewer_margins)) != base

@@ -52,6 +52,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args(["run", "fig99"])
 
+    def test_lp_backend_flag_is_rejected(self, capsys):
+        # One LP engine: there is nothing left to select.
+        with pytest.raises(SystemExit) as raised:
+            main(["run", "fig9", "--lp-backend", "scipy"])
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --lp-backend scipy" in capsys.readouterr().err
+
+    def test_backends_command_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["backends"])
+        assert raised.value.code == 2
+        assert "invalid choice: 'backends'" in capsys.readouterr().err
+
     def test_run_fast_experiment(self, capsys, tmp_path):
         csv_path = tmp_path / "out.csv"
         assert main(["run", "thm4", "--csv", str(csv_path)]) == 0

@@ -107,7 +107,8 @@ def diff_tables(expected: dict, actual: dict) -> list[str]:
 def _regenerate(name: str) -> dict:
     spec = GOLDEN_SPECS[name]()
     table = run_sweep(spec).table()
-    config = spec.cells[0].solver
+    cell = spec.cells[0]
+    config = cell.solver
     return {
         "experiment": spec.experiment,
         "title": table.title,
@@ -118,7 +119,7 @@ def _regenerate(name: str) -> dict:
             "max_adversarial_rounds": config.max_adversarial_rounds,
             "max_inner_iterations": config.max_inner_iterations,
             "smoothing_temperatures": list(config.smoothing_temperatures),
-            "seed": config.seed,
+            "seed": cell.seed,
         },
         "columns": list(table.columns),
         "rows": [list(row) for row in table.rows],

@@ -1,37 +1,72 @@
-"""Differential suite for the LP solver backends.
+"""Differential suite: the HiGHS engine against the ``linprog`` reference.
 
-Every available backend must agree with the scipy reference on the
-repository's real LP families (the worst-case oracle's slave LP and the
-min-congestion normalizer, i.e. the fig9/fig11 workloads): objectives
-within 1e-7 and identical normalized status mapping.  Backends that are
-registered but not available here are skipped per-test.
+Every LP in the library runs on
+:class:`~repro.lp.backend.highs_backend.HighsInstance`;
+:func:`~repro.lp.backend.scipy_backend.linprog_reference` is kept only
+to be called by name from here.  On the repository's real LP families
+(the worst-case oracle's slave LP and the min-congestion normalizer,
+i.e. the fig9/fig11 workloads) the two must agree bit for bit, map
+statuses identically, and drive the robust pipeline to the same result.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.config import SolverConfig
+from repro.core.dag_builder import build_dags
+from repro.core.evaluate import project_ecmp_into_dags
+from repro.core.robust import RobustResult, optimize_robust_splitting
+from repro.demands.bimodal import bimodal_matrix
 from repro.demands.gravity import gravity_matrix
 from repro.demands.uncertainty import margin_box
 from repro.ecmp.routing import ecmp_routing
 from repro.ecmp.weights import inverse_capacity_weights
 from repro.exceptions import InfeasibleError, SolverError, UnboundedError
 from repro.lp import backend as lp_backend
+from repro.lp import model
 from repro.lp.backend import base
-from repro.lp.backend.scipy_backend import ScipyBackend
+from repro.lp.backend.highs_backend import HighsInstance
+from repro.lp.backend.scipy_backend import linprog_reference
+from repro.lp.dag_flow import optimal_dag_routing
 from repro.lp.mcf import MinCongestionSolver, min_congestion
-from repro.lp.model import Model
+from repro.lp.model import CompiledLP, Model
 from repro.lp.worst_case import WorstCaseOracle
 from repro.runner.spec import SweepCell, cell_key
 from repro.topologies.zoo import load_topology
 
-#: Cross-engine objective agreement promised by the backend contract.
+#: Objective agreement the model layer's solve paths promise against
+#: the reference (the raw engine is pinned bitwise, below).
 PARITY_TOL = 1e-7
 
 
-def _available_backends() -> list[str]:
-    return list(lp_backend.available_backends())
+class ReferenceLP:
+    """:func:`linprog_reference` behind :class:`HighsInstance`'s interface.
+
+    Each solve is one cold ``linprog`` call on the program with the
+    current equality right-hand sides, so the model layer can run on
+    the reference unchanged (``monkeypatch.setattr(model,
+    "HighsInstance", ReferenceLP)``).
+    """
+
+    def __init__(self, program: base.LinearProgram):
+        self._program = program
+        self._b_eq = program.b_eq
+
+    def solve(self, objective, b_eq=None) -> base.BackendSolution:
+        if b_eq is not None:
+            self._b_eq = base.equality_rhs(self._program, b_eq)
+        program = self._program
+        if self._b_eq is not program.b_eq:
+            program = replace(program, b_eq=self._b_eq)
+        return linprog_reference(program, base.dense_objective(program.num_vars, objective))
+
+
+#: The engine and its reference, by the name each test is parametrized on.
+ENGINES = {"highs": HighsInstance, "scipy": ReferenceLP}
 
 
 @pytest.fixture(scope="module")
@@ -64,53 +99,40 @@ def oracle_programs():
     return cases
 
 
-@pytest.mark.parametrize("name", sorted(set(lp_backend.backend_names()) - {"scipy"}))
-def test_objective_parity_with_scipy(name, oracle_programs):
-    if name not in _available_backends():
-        pytest.skip(f"backend {name!r} not available here")
-    backend = lp_backend.get_backend(name)
-    reference = ScipyBackend()
+def test_objective_parity_with_scipy(oracle_programs):
+    """One-shot model-layer solves match the reference."""
     for topology, program, objectives in oracle_programs:
         for vec in objectives:
-            expected = reference.solve(program, vec)
-            actual = backend.solve(program, vec)
-            assert actual.status == expected.status == base.OPTIMAL
+            expected = linprog_reference(program, vec)
+            assert expected.status == base.OPTIMAL
+            actual = CompiledLP(program).solve(vec)
             assert actual.objective == pytest.approx(
                 expected.objective, abs=PARITY_TOL, rel=PARITY_TOL
-            ), f"{name} diverged from scipy on {topology}"
+            ), f"one-shot solve diverged from linprog on {topology}"
 
 
-@pytest.mark.parametrize("name", sorted(set(lp_backend.backend_names()) - {"scipy"}))
-def test_persistent_instance_parity(name, oracle_programs):
-    """Instance solves (the production sweep path) match one-shot scipy."""
-    if name not in _available_backends():
-        pytest.skip(f"backend {name!r} not available here")
-    backend = lp_backend.get_backend(name)
-    reference = ScipyBackend()
+def test_persistent_instance_parity(oracle_programs):
+    """Reusable solves (the production sweep path) match the reference."""
     for topology, program, objectives in oracle_programs:
-        instance = backend.instance(program)
+        reusable = CompiledLP(program).reusable()
         for vec in objectives:
-            expected = reference.solve(program, vec)
-            actual = instance.solve(vec)
-            assert actual.status == base.OPTIMAL
+            expected = linprog_reference(program, vec)
+            actual = reusable.solve(vec)
             assert actual.objective == pytest.approx(
                 expected.objective, abs=PARITY_TOL, rel=PARITY_TOL
-            ), f"{name} instance diverged on {topology}"
+            ), f"reusable solve diverged from linprog on {topology}"
 
 
 def test_default_highs_instance_is_bit_identical_to_scipy(oracle_programs):
     """Canary: the direct driver reproduces linprog exactly — objective,
     solution vector, and duals.  Expected, since it runs the identical
     engine with the identical effective options and resets fully per
-    solve — but pinned empirically (which is also why backends keep
-    distinct fingerprints); a failure here means the direct driver's
-    option set or reset discipline drifted from scipy's."""
-    backend = lp_backend.get_backend("highs")
-    reference = ScipyBackend()
+    solve — but pinned empirically; a failure here means the direct
+    driver's option set or reset discipline drifted from scipy's."""
     for _topology, program, objectives in oracle_programs:
-        instance = backend.instance(program)
+        instance = HighsInstance(program)
         for vec in objectives:
-            expected = reference.solve(program, vec)
+            expected = linprog_reference(program, vec)
             actual = instance.solve(vec)
             assert actual.objective == expected.objective  # bitwise
             np.testing.assert_array_equal(actual.x, expected.x)
@@ -118,27 +140,25 @@ def test_default_highs_instance_is_bit_identical_to_scipy(oracle_programs):
             np.testing.assert_array_equal(actual.eq_duals, expected.eq_duals)
 
 
-@pytest.mark.parametrize("name", sorted(lp_backend.backend_names()))
+@pytest.mark.parametrize("name", sorted(ENGINES))
 def test_status_mapping_identical(name):
-    if name not in _available_backends():
-        pytest.skip(f"backend {name!r} not available here")
-    backend = lp_backend.get_backend(name)
+    engine = ENGINES[name]
 
     infeasible = Model()
     x = infeasible.add_var("x", lower=0.0)
     infeasible.add_le(x, -1.0)
     program = infeasible.compile().program
-    assert backend.solve(program, np.zeros(1)).status == base.INFEASIBLE
+    assert engine(program).solve(np.zeros(1)).status == base.INFEASIBLE
 
     unbounded = Model()
     unbounded.add_var("y")
     program = unbounded.compile().program
-    assert backend.solve(program, np.array([-1.0])).status == base.UNBOUNDED
+    assert engine(program).solve(np.array([-1.0])).status == base.UNBOUNDED
 
     optimal = Model()
-    z = optimal.add_var("z", lower=2.0)
+    optimal.add_var("z", lower=2.0)
     program = optimal.compile().program
-    result = backend.solve(program, np.array([1.0]))
+    result = engine(program).solve(np.array([1.0]))
     assert result.status == base.OPTIMAL
     assert result.objective == pytest.approx(2.0)
 
@@ -152,8 +172,58 @@ def test_min_congestion_solver_matches_one_shot():
         demand = base_demand.scaled(scale)
         reused = solver.solve(demand)
         fresh = min_congestion(network, demand)
-        assert reused.alpha == fresh.alpha  # same backend, isolated: bitwise
+        assert reused.alpha == fresh.alpha  # isolated solves: bitwise
         assert reused.flows == fresh.flows
+
+
+#: The golden tables' solver config (``tests/test_golden_tables.py``).
+GOLDEN_SOLVER = SolverConfig(
+    max_adversarial_rounds=2,
+    max_inner_iterations=8,
+    smoothing_temperatures=(8.0,),
+)
+
+
+def _robust_abilene() -> RobustResult:
+    """COYOTE-pk on Abilene at margin 2, set up as the margin cells do."""
+    network = load_topology("abilene")
+    weights = inverse_capacity_weights(network)
+    dags = build_dags(network, weights, augment=True)
+    demand = bimodal_matrix(network, 20161101)
+    projection = project_ecmp_into_dags(ecmp_routing(network, weights), dags)
+    base_routing = optimal_dag_routing(network, dags, demand)
+    return optimize_robust_splitting(
+        network,
+        dags,
+        margin_box(demand, 2.0),
+        config=GOLDEN_SOLVER,
+        initial_matrices=[demand],
+        extra_starts=[projection.ratios, base_routing.ratios],
+        fallbacks=[projection],
+        name="COYOTE-pk",
+    )
+
+
+def test_robust_pipeline_is_identical_on_the_reference(monkeypatch):
+    """The whole cutting-plane run gives the same result when every LP
+    solve goes to ``linprog`` instead: no engine switch is needed to
+    keep results independent of the engine."""
+    engine = _robust_abilene()
+    solves: list[int] = []
+
+    class CountedReference(ReferenceLP):
+        def solve(self, objective, b_eq=None):
+            solves.append(1)
+            return super().solve(objective, b_eq)
+
+    monkeypatch.setattr(model, "HighsInstance", CountedReference)
+    reference = _robust_abilene()
+    assert len(solves) > 50  # every oracle, normalizer and Base solve
+    assert reference.oracle.ratio == engine.oracle.ratio
+    assert reference.oracle.per_edge == engine.oracle.per_edge
+    assert reference.history == engine.history
+    assert (reference.rounds, reference.stop) == (engine.rounds, engine.stop)
+    assert reference.routing.ratios == engine.routing.ratios
 
 
 def test_model_layer_raises_library_errors():
@@ -172,17 +242,17 @@ def test_model_layer_raises_library_errors():
 
 
 @pytest.mark.parametrize("column", [-1, 2, 5])
-@pytest.mark.parametrize("name", sorted(lp_backend.available_backends()))
+@pytest.mark.parametrize("name", sorted(ENGINES))
 def test_sparse_objective_column_out_of_range_raises(name, column, monkeypatch):
     """A sparse objective naming a missing column is an error on every
     path, never a silent wrap-around (``-1`` is the last column to numpy)."""
-    monkeypatch.setenv(lp_backend.BACKEND_ENV, name)
+    monkeypatch.setattr(model, "HighsInstance", ENGINES[name])
     m = Model()
     x = m.add_var("x")
     y = m.add_var("y")
     m.add_le(x + y, 4.0)
     compiled = m.compile()
-    instance = lp_backend.get_backend(name).instance(compiled.program)
+    instance = ENGINES[name](compiled.program)
     with pytest.raises(SolverError, match="column"):
         instance.solve({column: -1.0})
     with pytest.raises(SolverError, match="column"):
@@ -191,7 +261,7 @@ def test_sparse_objective_column_out_of_range_raises(name, column, monkeypatch):
         compiled.solve({column: 1.0})
 
 
-@pytest.mark.parametrize("name", sorted(lp_backend.available_backends()))
+@pytest.mark.parametrize("name", sorted(ENGINES))
 def test_b_eq_of_the_wrong_length_raises(name):
     """Both engines reject an equality RHS that does not match the rows."""
     m = Model()
@@ -199,7 +269,7 @@ def test_b_eq_of_the_wrong_length_raises(name):
     for var in x:
         m.add_eq(var, 1.0)
     program = m.compile().program
-    instance = lp_backend.get_backend(name).instance(program)
+    instance = ENGINES[name](program)
     objective = np.ones(3)
     with pytest.raises(ValueError):
         instance.solve(objective, b_eq=np.array([7.0]))
@@ -209,56 +279,6 @@ def test_b_eq_of_the_wrong_length_raises(name):
     result = instance.solve(objective)
     assert result.status == base.OPTIMAL
     np.testing.assert_array_equal(result.x, np.ones(3))
-
-
-class TestRegistry:
-    def test_default_backend_is_highs(self, monkeypatch):
-        monkeypatch.delenv(lp_backend.BACKEND_ENV, raising=False)
-        assert lp_backend.active_backend_name() == "highs"
-        assert lp_backend.get_backend().name == "highs"
-
-    def test_environment_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(lp_backend.BACKEND_ENV, "scipy")
-        assert lp_backend.get_backend().name == "scipy"
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(lp_backend.BackendUnavailable, match="unknown"):
-            lp_backend.get_backend("nonexistent")
-
-    def test_unavailable_backend_raises_when_missing(self):
-        class MissingBackend(base.SolverBackend):
-            name = "missing-test-backend"
-
-            def available(self):
-                return False
-
-            def solve(self, program, objective):
-                raise NotImplementedError
-
-        try:
-            lp_backend.register_backend(MissingBackend())
-            assert "missing-test-backend" in lp_backend.backend_names()
-            assert "missing-test-backend" not in lp_backend.available_backends()
-            with pytest.raises(lp_backend.BackendUnavailable, match="not available"):
-                lp_backend.get_backend("missing-test-backend")
-        finally:
-            lp_backend._BACKENDS.pop("missing-test-backend", None)
-
-    def test_third_party_registration(self):
-        class FakeBackend(base.SolverBackend):
-            name = "fake-test-backend"
-
-            def available(self):
-                return True
-
-            def solve(self, program, objective):
-                raise NotImplementedError
-
-        try:
-            lp_backend.register_backend(FakeBackend())
-            assert lp_backend.get_backend("fake-test-backend").name == "fake-test-backend"
-        finally:
-            lp_backend._BACKENDS.pop("fake-test-backend", None)
 
 
 class TestFingerprints:
@@ -274,16 +294,7 @@ class TestFingerprints:
             solver=DEFAULT_CONFIG,
         )
 
-    def test_backend_in_fingerprint(self, monkeypatch):
-        monkeypatch.delenv(lp_backend.BACKEND_ENV, raising=False)
-        cell = self._cell()
-        assert cell.fingerprint()["lp_backend"] == "highs"
-        default_key = cell_key(cell)
-        monkeypatch.setenv(lp_backend.BACKEND_ENV, "scipy")
-        assert cell_key(cell) != default_key
-
-    def test_lp_threads_not_in_fingerprint(self, monkeypatch):
-        monkeypatch.delenv(lp_backend.BACKEND_ENV, raising=False)
+    def test_lp_threads_not_in_fingerprint(self):
         cell = self._cell()
         lp_backend.set_lp_threads(1)
         try:

@@ -3,9 +3,8 @@
 Per-edge solves are isolated, so the number of threads that share a
 sweep must never change an :class:`OracleResult`.  These tests pin that
 bit for bit, and cover the process-level plumbing around the helper
-threads: fork safety, the serial paths (backends that are not
-thread-safe, one usable core) and the sweep runner's per-worker thread
-budget.
+threads: fork safety, the serial path on one usable core and the sweep
+runner's per-worker thread budget.
 """
 
 import os
@@ -22,7 +21,6 @@ from repro.ecmp.weights import inverse_capacity_weights
 from repro.exceptions import SolverError
 from repro.experiments.common import SCHEME_COLUMNS
 from repro.lp import backend as lp_backend
-from repro.lp.backend.base import SolverBackend
 from repro.lp.worst_case import OracleResult, WorstCaseOracle
 from repro.runner.executor import run_sweep
 from repro.runner.faults import FailurePolicy
@@ -154,22 +152,6 @@ def test_a_helper_share_error_reaches_the_caller(monkeypatch):
     lp_backend.set_lp_threads(2)
     with pytest.raises(SolverError, match="helper share failed"):
         oracle.evaluate(routing)
-
-
-def test_only_highs_and_scipy_declare_thread_safety():
-    assert SolverBackend.thread_safe is False
-    assert lp_backend.get_backend("highs").thread_safe
-    assert lp_backend.get_backend("scipy").thread_safe
-
-
-def test_a_backend_without_thread_safety_sweeps_serially(monkeypatch):
-    oracle, routing = _abilene_margin()
-    lp_backend.set_lp_threads(1)
-    serial = snapshot(oracle.evaluate(routing))
-    monkeypatch.setattr(lp_backend.get_backend(), "thread_safe", False)
-    lp_backend.set_lp_threads(4)
-    assert snapshot(oracle.evaluate(routing)) == serial
-    assert oracle._helper_lps == []
 
 
 def test_default_uses_every_usable_core():

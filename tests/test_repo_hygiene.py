@@ -35,7 +35,7 @@ REQUIRED_IGNORES = {
 }
 
 #: Every environment variable the package reads; README.md documents each.
-ENV_VARS = {"REPRO_CACHE_DIR", "REPRO_FAULTS", "REPRO_FULL", "REPRO_LP_BACKEND"}
+ENV_VARS = {"REPRO_CACHE_DIR", "REPRO_FAULTS", "REPRO_FULL"}
 
 _ENV_VAR = re.compile(r"REPRO_[A-Z_]+")
 

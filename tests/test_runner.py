@@ -84,10 +84,11 @@ class TestCellKey:
     def test_solver_config_changes_key(self):
         base = cell_key(make_cell())
         for change in (
+            {"ratio_tolerance": 1e-2},
             {"max_adversarial_rounds": 5},
-            {"lp_tolerance": 1e-6},
+            {"max_inner_iterations": 11},
             {"smoothing_temperatures": (8.0,)},
-            {"seed": 1},
+            {"regularization": 1e-2},
         ):
             tweaked = replace(TINY_SOLVER, **change)
             assert cell_key(make_cell(solver=tweaked)) != base, change

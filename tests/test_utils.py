@@ -106,4 +106,4 @@ class TestConfig:
 
     def test_solver_config_frozen(self):
         with pytest.raises(Exception):
-            DEFAULT_CONFIG.seed = 1  # type: ignore[misc]
+            DEFAULT_CONFIG.ratio_tolerance = 1.0  # type: ignore[misc]
