@@ -19,19 +19,23 @@ Two ideas make the problem unconstrained and smooth:
   ``log(N) / tau``.  We anneal ``tau`` upward, warm-starting each stage.
 
 Gradients are exact (adjoint level sweeps over flat edge arrays in
-:mod:`repro.kernel.flowgrad`); the stages run L-BFGS-B through
-:func:`_lbfgsb`, which drives scipy's ``setulb`` routine the way
+:mod:`repro.kernel.flowgrad`).  The starts run L-BFGS-B in lockstep
+through :func:`_lbfgsb`: each start keeps its own ``setulb`` state and
+runs its temperature stages back to back, and every start that needs an
+evaluation rides one batched level sweep, since at these sizes a sweep
+costs mostly per call, not per start.  The driver calls ``setulb`` the way
 ``scipy.optimize.minimize`` does, without ``minimize``'s per-call and
-per-evaluation wrappers.  ``minimize(method="L-BFGS-B")`` stays only as
-the reference that ``tests/test_lbfgsb_driver.py`` calls by name; the
-two reach the same iterates bit for bit.  The true
-(unsmoothed) objective of the best iterate across all stages and starts
-is what the caller receives, so smoothing never inflates the reported
-quality.
+per-evaluation wrappers.  ``minimize(method="L-BFGS-B")``, run start by
+start and stage by stage, stays only as the reference that
+``tests/test_lbfgsb_driver.py`` calls by name; the two reach the same
+iterates bit for bit.  The true (unsmoothed) objective of the best
+iterate across all stages and starts is what the caller receives, so
+smoothing never inflates the reported quality.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -61,26 +65,26 @@ _MAX_LINE_SEARCH = 20
 _MAX_EVALUATIONS = 15000
 
 
-def _lbfgsb(fun, x0: np.ndarray, maxiter: int, args: tuple = ()) -> np.ndarray:
-    """Minimize ``fun(x, *args) -> (value, gradient)`` over the theta box.
+def _run(x0: np.ndarray, maxiter: int):
+    """One L-BFGS-B minimization over the theta box, as a generator.
 
-    Runs the loop of ``scipy.optimize.minimize(fun, x0, args, jac=True,
-    method="L-BFGS-B", bounds=[(-_THETA_BOUND, _THETA_BOUND)] * n,
-    options={"maxiter": maxiter})`` over the same ``setulb`` routine, with
-    its defaults, its up-front evaluation at ``x0`` and its rule of
-    re-evaluating only at a point that differs from the last one, so the
-    iterates and the evaluation count are the same bit for bit; what it
-    drops is the per-call bounds conversion, the wrapper layers around
-    each evaluation and the inverse-Hessian operator built on return.
-    ``tests/test_lbfgsb_driver.py`` pins it against ``minimize``.
-    Returns the final point.
+    Yields each point it needs ``(value, gradient)`` at, takes that pair
+    back through ``send`` and returns the final point.  It runs the loop
+    of ``scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B",
+    bounds=[(-_THETA_BOUND, _THETA_BOUND)] * n, options={"maxiter":
+    maxiter})`` over the same ``setulb`` routine, with its defaults, its
+    up-front evaluation at ``x0`` and its rule of re-evaluating only at a
+    point that differs from the last one, so the iterates and the
+    evaluation count are the same bit for bit; what it drops is the
+    per-call bounds conversion, the wrapper layers around each evaluation
+    and the inverse-Hessian operator built on return.
     """
     n = x0.size
     lower = np.full(n, -_THETA_BOUND)
     upper = np.full(n, _THETA_BOUND)
     x = np.clip(x0, lower, upper)
     last = x.copy()
-    last_f, last_g = fun(last.copy(), *args)
+    last_f, last_g = yield last
     evaluations = 1
     nbd = np.full(n, 2, dtype=np.int32)  # every variable bounded on both sides
     f = np.array(0.0)
@@ -105,7 +109,7 @@ def _lbfgsb(fun, x0: np.ndarray, maxiter: int, args: tuple = ()) -> np.ndarray:
         if task[0] == 3:  # FG: wants the value and gradient at x
             if not np.array_equal(x, last):
                 last = x.copy()
-                last_f, last_g = fun(x.copy(), *args)
+                last_f, last_g = yield last
                 evaluations += 1
             f, g = last_f, last_g
         elif task[0] == 1:  # NEW_X: an iteration finished
@@ -116,6 +120,53 @@ def _lbfgsb(fun, x0: np.ndarray, maxiter: int, args: tuple = ()) -> np.ndarray:
                 task[:] = (5, 502)  # STOP: evaluation limit
         else:
             return x
+
+
+def _lbfgsb(
+    fun, starts: Sequence[np.ndarray], maxiter: int, stages: Sequence = (None,)
+) -> list[list[np.ndarray]]:
+    """Minimize from every start, through every stage, in lockstep.
+
+    Each start runs one L-BFGS-B minimization (:func:`_run`) per entry of
+    ``stages``, back to back, each stage from the previous one's final
+    point.  Every start keeps its own ``setulb`` state, memo and caps;
+    per step, the points of every start that needs an evaluation go to
+    one call ``fun(points, point_stages) -> (values, gradients)`` with
+    ``points`` of shape ``(S, n)``, one row per such start, and
+    ``point_stages`` the stage each row is in.  Provided ``fun`` treats
+    its rows independently, each start follows exactly the iterates of
+    ``minimize`` run on it alone, stage by stage
+    (``tests/test_lbfgsb_driver.py`` pins this).
+
+    Returns, per start, the final point of each stage.
+    """
+    paths: list[list[np.ndarray]] = [[] for _ in starts]
+
+    def request(start: int, run, reply=None):
+        """Advance one start to its next evaluation, across stage ends."""
+        while True:
+            try:
+                return start, run, run.send(reply)
+            except StopIteration as stop:
+                end = stop.value
+            paths[start].append(end)
+            if len(paths[start]) == len(stages):
+                return None
+            run, reply = _run(end, maxiter), None
+
+    replies = [(start, _run(x0, maxiter), None) for start, x0 in enumerate(starts)]
+    while True:
+        pending = [entry for entry in itertools.starmap(request, replies) if entry is not None]
+        if not pending:
+            return paths
+        values, gradients = fun(
+            np.array([point for _, _, point in pending]),
+            [stages[len(paths[start])] for start, _, _ in pending],
+        )
+        replies = [
+            (start, run, (value, gradient))
+            for (start, run, _), value, gradient in zip(pending, values, gradients)
+        ]
 
 
 @dataclass
@@ -134,17 +185,27 @@ class SplittingSolution:
 
 
 class _Problem:
-    """Softmax variable layout + objective/gradient plumbing on a :class:`FlowProgram`."""
+    """Softmax variable layout + objective/gradient plumbing on a :class:`FlowProgram`.
+
+    The objectives take a block of thetas ``(S, V)``, one row per start,
+    and propagate every row in one batched sweep; a row's value and
+    gradient are bit for bit those of a block holding it alone.
+    ``balance_matrices`` ride along as extra demand columns after
+    ``matrices``, for the polish's mean-utilization term.
+    """
 
     def __init__(
         self,
         network: Network,
         dags: Mapping[Node, Dag],
         matrices: Sequence[DemandMatrix],
+        balance_matrices: Sequence[DemandMatrix] = (),
     ):
         if not matrices:
             raise SolverError("softmax optimizer needs at least one demand matrix")
-        self.program = FlowProgram(network, dags, matrices)
+        self.program = FlowProgram(network, dags, [*matrices, *balance_matrices])
+        self.batch = slice(0, len(matrices))
+        self.balance = slice(len(matrices), len(matrices) + len(balance_matrices))
         self.size = self.program.size
         self.evaluations = 0
 
@@ -172,59 +233,118 @@ class _Problem:
         phi = self.program.instance_ratios(self.program.softmax(theta))
         return self.program.ratio_dicts(phi)
 
-    # -- objective -----------------------------------------------------------
+    # -- objectives ----------------------------------------------------------
 
-    def _propagate(self, theta: np.ndarray):
-        """Shares, per-instance ratios, arrivals and per-edge loads at ``theta``."""
-        shares = self.program.softmax(theta)
+    def _propagate(self, thetas: np.ndarray):
+        """Shares ``(S, V)``, ratios ``(I, S)``, arrivals and loads ``(U, S, K)``."""
+        shares = self.program.softmax(thetas)
         phi = self.program.instance_ratios(shares)
         arrivals, flows = self.program.forward(phi)
         return shares, phi, arrivals, self.program.edge_loads(flows)
 
-    def true_objective(self, theta: np.ndarray) -> float:
-        *_, loads = self._propagate(theta)
-        return self.program.max_utilization(loads)
+    def true_objective(self, thetas: np.ndarray) -> np.ndarray:
+        """True worst utilization over the batch, per row of ``thetas``."""
+        *_, loads = self._propagate(thetas)
+        return np.array(
+            [self.program.max_utilization(loads[:, row, self.batch]) for row in range(len(thetas))]
+        )
 
-    def mean_utilization(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        """Average utilization over (finite edges x batch) and its gradient."""
-        self.evaluations += 1
-        shares, phi, arrivals, loads = self._propagate(theta)
-        loaded = self.program.loaded(loads)
-        if loaded.size == 0:
-            return 0.0, np.zeros(self.size)
-        capacity = self.program.capacity[loaded]
-        entries = loads[loaded].size
-        value = float((loads[loaded].sum(axis=1) / capacity).sum()) / entries
-        psi = np.zeros_like(loads)
-        psi[loaded] = (1.0 / (entries * capacity))[:, np.newaxis]
-        grad_phi = self.program.backward(phi, arrivals, psi)
-        return value, self.program.softmax_gradient(shares, grad_phi)
+    def _loaded(self, loads: np.ndarray, columns: slice):
+        """Every row's loaded finite edges, stacked row after row.
 
-    def smoothed(
-        self, theta: np.ndarray, temperature: float, regularization: float = 0.0
-    ) -> tuple[float, np.ndarray]:
-        """Soft maximum (plus mean-utilization tie-breaker) and its gradient."""
-        self.evaluations += 1
-        shares, phi, arrivals, loads = self._propagate(theta)
-        loaded = self.program.loaded(loads)
-        if loaded.size == 0:
-            return 0.0, np.zeros(self.size)
-        capacity = self.program.capacity[loaded, np.newaxis]
-        utilizations = loads[loaded] / capacity
-        peak = float(utilizations.max())
-        weights = np.exp(temperature * (utilizations - peak))
-        exp_sum = float(weights.sum())
-        value = peak + math.log(exp_sum) / temperature
+        An edge is loaded in a row when it carries load in some matrix of
+        ``columns``; only loaded edges enter the objectives (an idle edge
+        contributes no term).  Returns, per stacked entry, its used edge,
+        its row and its capacity ``(N, 1)``; the entries' ``(N, K)`` loads
+        over ``columns``; and each row's span of entries.  A span is a
+        contiguous block, so a row's sums add exactly the array they add
+        when the row is alone.
+        """
+        block = loads[..., columns]
+        finite = self.program.finite
+        rows, position = np.nonzero(block[finite].any(axis=2).T)
+        edges = finite[position]
+        bounds = np.searchsorted(rows, np.arange(loads.shape[1] + 1)).tolist()
+        spans = [slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
+        return edges, rows, self.program.capacity[edges, np.newaxis], block[edges, rows], spans
+
+    def _soft_max(
+        self,
+        loads: np.ndarray,
+        psi: np.ndarray,
+        columns: slice,
+        temperatures: Sequence[float],
+        regularization: float,
+    ) -> np.ndarray:
+        """Per row, the soft maximum (plus mean-utilization tie-breaker) of
+        its utilizations over ``columns`` at the row's temperature; writes
+        their derivatives by the loads into ``psi``."""
+        edges, rows, capacity, entry_loads, spans = self._loaded(loads, columns)
+        utilizations = entry_loads / capacity
+        weights = np.empty_like(utilizations)
+        exp_sums = np.zeros(len(spans))
+        values = np.zeros(len(spans))
+        for row, (span, temperature) in enumerate(zip(spans, temperatures)):
+            own = utilizations[span]
+            if own.size == 0:
+                continue
+            peak = float(own.max())
+            own_weights = np.exp(temperature * (own - peak), out=weights[span])
+            exp_sums[row] = float(own_weights.sum())
+            values[row] = peak + math.log(exp_sums[row]) / temperature
+            if regularization > 0.0:
+                values[row] += regularization * (float(own.sum()) / own.size)
         # psi[e][k] = dS/dload = (w / exp_sum) / c_e, plus the mean-
         # utilization regularizer's uniform share (see SolverConfig).
-        entries = utilizations.size
-        psi = np.zeros_like(loads)
-        psi[loaded] = weights / (exp_sum * capacity)
+        gradient = weights / (exp_sums[rows, np.newaxis] * capacity)
         if regularization > 0.0:
-            value += regularization * (float(utilizations.sum()) / entries)
-            psi[loaded] += regularization / (entries * capacity)
-        grad_phi = self.program.backward(phi, arrivals, psi)
-        return value, self.program.softmax_gradient(shares, grad_phi)
+            entries = np.bincount(rows, minlength=len(spans)) * entry_loads.shape[1]
+            gradient += regularization / (entries[rows, np.newaxis] * capacity)
+        psi[edges, rows, columns] = gradient
+        return values
+
+    def _mean(self, loads: np.ndarray, psi: np.ndarray, columns: slice) -> np.ndarray:
+        """Per row, the average utilization over (finite edges x ``columns``);
+        writes its derivatives by the loads into ``psi``."""
+        edges, rows, capacity, entry_loads, spans = self._loaded(loads, columns)
+        entries = np.bincount(rows, minlength=len(spans)) * entry_loads.shape[1]
+        values = np.zeros(len(spans))
+        for row, span in enumerate(spans):
+            if entries[row]:
+                totals = entry_loads[span].sum(axis=1) / capacity[span, 0]
+                values[row] = float(totals.sum()) / int(entries[row])
+        psi[edges, rows, columns] = 1.0 / (entries[rows, np.newaxis] * capacity)
+        return values
+
+    def smoothed(
+        self, thetas: np.ndarray, temperatures: Sequence[float], regularization: float = 0.0
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Soft maximum of each row at its own temperature, and its gradient.
+
+        Returns values ``(S,)`` and gradients ``(S, V)``.
+        """
+        self.evaluations += len(thetas)
+        shares, phi, arrivals, loads = self._propagate(thetas)
+        psi = np.zeros_like(loads)
+        values = self._soft_max(loads, psi, self.batch, temperatures, regularization)
+        (grad_phi,) = self.program.backward(phi, arrivals, psi, (self.batch,))
+        return values, self.program.softmax_gradient(shares, grad_phi)
+
+    def penalized(self, theta: np.ndarray, temperature: float):
+        """The polish's two terms at one ``theta``, from one shared sweep:
+        ``(value, gradient)`` of the batch's soft maximum, then of the
+        balance set's mean utilization."""
+        self.evaluations += 1
+        shares, phi, arrivals, loads = self._propagate(theta[np.newaxis])
+        psi = np.zeros_like(loads)
+        [soft] = self._soft_max(loads, psi, self.batch, [temperature], 0.0).tolist()
+        [mean] = self._mean(loads, psi, self.balance).tolist()
+        blocks = self.program.backward(phi, arrivals, psi, (self.batch, self.balance))
+        # One softmax chain for both terms: a row per term.
+        soft_grad, mean_grad = self.program.softmax_gradient(
+            np.repeat(shares, 2, axis=0), np.concatenate(blocks, axis=1)
+        )
+        return (soft, soft_grad), (mean, mean_grad)
 
 
 def polish_balanced(
@@ -248,41 +368,42 @@ def polish_balanced(
     canonical balance set (the uncertainty cone's representative matrix
     — the uniform matrix in the oblivious case, so no demand knowledge
     sneaks in) under a quadratic penalty on the worst case over the
-    adversarial set exceeding ``bound``.
+    adversarial set exceeding ``bound``.  Both sets share one
+    :class:`FlowProgram`, so each evaluation is one forward and one
+    reverse sweep.
 
     The caller should re-verify the polished point with the oracle and
     keep the better configuration.
     """
-    penalty_problem = _Problem(network, dags, penalty_matrices)
-    balance_problem = _Problem(network, dags, balance_matrices)
-    theta0 = penalty_problem.theta_from_ratios(start_ratios)
-    if penalty_problem.size == 0:
+    problem = _Problem(network, dags, penalty_matrices, balance_matrices)
+    theta0 = problem.theta_from_ratios(start_ratios)
+    if problem.size == 0:
         # No splittable node anywhere (e.g. a path): nothing to polish.
-        ratios = penalty_problem.ratios_from_theta(theta0)
+        ratios = problem.ratios_from_theta(theta0)
         routing = Routing(dags, ratios, name=name).renormalized()
-        return SplittingSolution(routing, penalty_problem.true_objective(theta0), 0)
+        return SplittingSolution(routing, float(problem.true_objective(theta0[np.newaxis])[0]), 0)
     penalty_weight = 1e3
     temperature = config.smoothing_temperatures[-1]
 
-    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        soft_value, soft_grad = penalty_problem.smoothed(theta, temperature, 0.0)
-        mean_value, mean_grad = balance_problem.mean_utilization(theta)
+    def objective(thetas: np.ndarray, _stages) -> tuple[list[float], np.ndarray]:
+        (soft_value, soft_grad), (mean_value, mean_grad) = problem.penalized(
+            thetas[0], temperature
+        )
         excess = soft_value - bound
         if excess > 0.0:
             value = mean_value + penalty_weight * excess * excess
             grad = mean_grad + (2.0 * penalty_weight * excess) * soft_grad
         else:
             value, grad = mean_value, mean_grad
-        return value, grad
+        return [value], grad[np.newaxis]
 
-    theta = _lbfgsb(objective, theta0, 2 * config.max_inner_iterations)
-    polished_value = penalty_problem.true_objective(theta)
-    start_value = penalty_problem.true_objective(theta0)
+    [[theta]] = _lbfgsb(objective, [theta0], 2 * config.max_inner_iterations)
+    polished_value, start_value = problem.true_objective(np.array([theta, theta0])).tolist()
     if polished_value > max(bound, start_value) * (1.0 + config.ratio_tolerance):
         theta, polished_value = theta0, start_value  # polish made it worse
-    ratios = penalty_problem.ratios_from_theta(theta)
+    ratios = problem.ratios_from_theta(theta)
     routing = Routing(dags, ratios, name=name).renormalized()
-    return SplittingSolution(routing, polished_value, penalty_problem.evaluations)
+    return SplittingSolution(routing, polished_value, problem.evaluations)
 
 
 def optimize_splitting_softmax(
@@ -294,6 +415,10 @@ def optimize_splitting_softmax(
     name: str = "COYOTE",
 ) -> SplittingSolution:
     """Optimize in-DAG splitting against a finite demand batch.
+
+    Every start runs the temperature stages back to back, and all starts
+    run in lockstep (:func:`_lbfgsb`), so each step propagates every
+    start that needs an evaluation in one batched sweep.
 
     Args:
         network: capacitated topology.
@@ -311,32 +436,25 @@ def optimize_splitting_softmax(
         theta = np.zeros(0)
         ratios = problem.ratios_from_theta(theta)
         routing = Routing(dags, ratios, name=name).renormalized()
-        return SplittingSolution(routing, problem.true_objective(theta), 0)
-    starts: list[np.ndarray] = [np.zeros(problem.size)]
-    for ratios in initial_ratios:
-        starts.append(problem.theta_from_ratios(ratios))
+        return SplittingSolution(routing, float(problem.true_objective(theta[np.newaxis])[0]), 0)
+    starts = [np.zeros(problem.size)]
+    starts.extend(problem.theta_from_ratios(ratios) for ratios in initial_ratios)
 
+    def smoothed(thetas: np.ndarray, temperatures: list[float]):
+        return problem.smoothed(thetas, temperatures, config.regularization)
+
+    paths = _lbfgsb(smoothed, starts, config.max_inner_iterations, config.smoothing_temperatures)
+    # Candidates in (start, stage) order: each start, then its stages' ends.
+    candidates = [theta for start, path in zip(starts, paths) for theta in (start, *path)]
     best_theta: np.ndarray | None = None
     best_value = math.inf
-    for start in starts:
-        theta = start.copy()
-        candidate_value = problem.true_objective(theta)
-        if candidate_value < best_value:
-            best_value, best_theta = candidate_value, theta.copy()
-        for temperature in config.smoothing_temperatures:
-            theta = _lbfgsb(
-                problem.smoothed,
-                theta,
-                config.max_inner_iterations,
-                args=(temperature, config.regularization),
-            )
-            candidate_value = problem.true_objective(theta)
-            if candidate_value < best_value:
-                best_value, best_theta = candidate_value, theta.copy()
+    for theta, value in zip(candidates, problem.true_objective(np.array(candidates)).tolist()):
+        if value < best_value:
+            best_value, best_theta = value, theta
 
-    if best_theta is None:  # pragma: no cover - empty variable space
+    if best_theta is None:  # pragma: no cover - every candidate's value is NaN
         best_theta = np.zeros(problem.size)
-        best_value = problem.true_objective(best_theta)
+        best_value = float(problem.true_objective(best_theta[np.newaxis])[0])
     ratios = problem.ratios_from_theta(best_theta)
     routing = Routing(dags, ratios, name=name).renormalized()
     return SplittingSolution(

@@ -138,10 +138,12 @@ class EcmpDeltaEvaluator:
             return flows
         rows, edges = np.nonzero(tight_rows[demanded])
         schedule = LevelSchedule(self.index, rows, edges)
-        # (A, M, N) -> (A * N, M).  Fancy indexing copies, so the in-place
-        # sweep never writes into self._demand (even when M == 1 makes the
-        # reshape a view).
-        arrivals = self._demand[targets[demanded]].transpose(0, 2, 1).reshape(-1, num_matrices)
+        # (A, M, N) -> (A * N, M), C-contiguous as the sweep needs (with
+        # one destination the reshape is a strided view).  Fancy indexing
+        # copies, so the in-place sweep never writes into self._demand.
+        arrivals = np.ascontiguousarray(
+            self._demand[targets[demanded]].transpose(0, 2, 1).reshape(-1, num_matrices)
+        )
         flows[demanded[schedule.row], :, schedule.edge] = schedule.forward(
             ratio_rows[demanded][schedule.row, schedule.edge], arrivals
         )

@@ -26,6 +26,17 @@ Each evaluation then runs level by level, with no dict in the loop:
   (and on ``a`` itself), so one sweep of unit injections at every node
   gives every variable's Jacobian row as an outer product.
 
+At these sizes a level sweep costs mostly per call, not per column, so
+the forward sweep, the loads, the adjoint and the softmax all take an
+optional *start* axis: ``(I, S)`` ratios sweep an ``(R * N, S, K)``
+state, and the softmax runs on an ``(S, V)`` block of variable rows.
+Every entry sees the same operations in the same order as a sweep of
+its start alone (``np.add.at`` adds duplicates in index order per entry,
+``reduceat`` sums each segment along its own axis), so a batched result
+is bit for bit the single-start one.  :meth:`FlowProgram.backward`
+likewise serves several objectives over side-by-side demand columns
+from one reverse sweep, contracting each column block on its own.
+
 Only the array views of ratios cross this boundary; callers convert to
 and from ratio dicts once per solve.  :mod:`repro.routing.propagation` is
 the reference oracle for loads and central finite differences pin the
@@ -34,6 +45,7 @@ derivatives (``tests/test_flowgrad.py``).
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -125,16 +137,23 @@ class FlowProgram:
     # -- ratios ---------------------------------------------------------------
 
     def softmax(self, theta: np.ndarray) -> np.ndarray:
-        """Per-group softmax of the variable vector (the variables' ratios)."""
+        """Per-group softmax of the variable vector (the variables' ratios).
+
+        ``theta`` is ``(V,)``, or ``(S, V)`` with one row per start.
+        """
         if self.size == 0:
-            return np.zeros(0)
-        shifted = np.exp(theta - np.maximum.reduceat(theta, self._group_starts)[self._group_of])
-        return shifted / np.add.reduceat(shifted, self._group_starts)[self._group_of]
+            return np.zeros(theta.shape)
+        starts, group_of = self._group_starts, self._group_of
+        shifted = np.exp(theta - np.maximum.reduceat(theta, starts, axis=-1)[..., group_of])
+        return shifted / np.add.reduceat(shifted, starts, axis=-1)[..., group_of]
 
     def instance_ratios(self, values: np.ndarray) -> np.ndarray:
-        """Per-instance ratios: ``values`` on the variables, 1 elsewhere."""
-        phi = np.ones(self.num_instances)
-        phi[self._var] = values
+        """Per-instance ratios: ``values`` on the variables, 1 elsewhere.
+
+        ``(V,)`` values give ``(I,)`` ratios; ``(S, V)`` give ``(I, S)``.
+        """
+        phi = np.ones((self.num_instances,) + values.shape[:-1])
+        phi[self._var] = values.T
         return phi
 
     def ratios_vector(self, ratios: Mapping[Node, Mapping[Edge, float]]) -> np.ndarray:
@@ -157,15 +176,21 @@ class FlowProgram:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Arrivals ``(R * N, B)`` and per-instance flows ``(I, B)``.
 
-        ``demands`` defaults to the compiled ``(R * N, K)`` batch.
+        ``demands`` defaults to the compiled ``(R * N, K)`` batch.  With
+        ``(I, S)`` ratios every start sweeps its own copy of the demands
+        in the same call: arrivals ``(R * N, S, B)``, flows ``(I, S, B)``.
         """
-        arrivals = (self._demands if demands is None else demands).copy()
+        source = self._demands if demands is None else demands
+        if phi.ndim == 1:
+            arrivals = source.copy()
+        else:
+            arrivals = np.repeat(source[:, np.newaxis], phi.shape[1], axis=1)
         return arrivals, self.schedule.forward(phi, arrivals)
 
     def edge_loads(self, flows: np.ndarray) -> np.ndarray:
         """Flows summed over destinations: one row per used network edge."""
         if self.num_instances == 0:
-            return np.zeros((0, flows.shape[1]))
+            return np.zeros((0,) + flows.shape[1:])
         return np.add.reduceat(flows[self._by_edge], self._edge_starts, axis=0)
 
     def loaded(self, loads: np.ndarray) -> np.ndarray:
@@ -185,26 +210,51 @@ class FlowProgram:
 
     # -- derivatives ----------------------------------------------------------
 
-    def backward(self, phi: np.ndarray, arrivals: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        """Gradient of ``sum(psi * loads)`` w.r.t. every instance's ratio.
+    def backward(
+        self,
+        phi: np.ndarray,
+        arrivals: np.ndarray,
+        psi: np.ndarray,
+        blocks: Sequence[slice] = (slice(None),),
+    ) -> list[np.ndarray]:
+        """Gradient of ``sum(psi * loads)`` w.r.t. every instance's ratio,
+        one per column block of ``blocks``, from one reverse sweep.
 
-        ``psi`` has the shape of :meth:`edge_loads` — one row per used edge.
+        ``psi`` has the shape of :meth:`edge_loads` — one row per used
+        edge; each gradient is ``(I,)``, or ``(I, S)`` for ``(I, S)``
+        ratios.  Columns never mix in the sweep, and each block's
+        contraction runs on its own contiguous copy, so a block's gradient
+        is bit for bit that of a program compiled over its matrices alone.
         """
+        ratios = phi.reshape(phi.shape + (1,))
         weights = psi[self._edge_of]
-        lam = np.zeros_like(arrivals)
+        lam = np.zeros(arrivals.shape)  # C order: `adjoint` must be a view
         sensitivity = np.empty_like(weights)
-        for span, tails, heads in reversed(self.schedule.levels):
+        adjoint = lam.reshape(-1)
+        targets = self.schedule.flat_targets(math.prod(lam.shape[1:]), reverse=True)
+        for (span, tails, heads), target in reversed(list(zip(self.schedule.levels, targets))):
             block = np.add(weights[span], lam[heads], out=sensitivity[span])
-            np.add.at(lam, tails, block * phi[span, np.newaxis])
-        return np.einsum("ik,ik->i", arrivals[self.schedule.tail], sensitivity)
+            np.add.at(adjoint, target, (block * ratios[span]).reshape(-1))
+        upstream = arrivals[self.schedule.tail]
+        return [
+            np.einsum(
+                "i...k,i...k->i...",
+                np.ascontiguousarray(upstream[..., columns]),
+                np.ascontiguousarray(sensitivity[..., columns]),
+            )
+            for columns in blocks
+        ]
 
     def softmax_gradient(self, shares: np.ndarray, grad_phi: np.ndarray) -> np.ndarray:
-        """Chain a per-instance ratio gradient through the per-group softmax."""
+        """Chain a per-instance ratio gradient through the per-group softmax.
+
+        ``(V,)`` shares with ``(I,)`` gradients, or ``(S, V)`` with ``(I, S)``.
+        """
         if self.size == 0:
-            return np.zeros(0)
-        raw = grad_phi[self._var]
-        inner = np.add.reduceat(shares * raw, self._group_starts)
-        return shares * (raw - inner[self._group_of])
+            return np.zeros(shares.shape)
+        raw = grad_phi[self._var].T
+        inner = np.add.reduceat(shares * raw, self._group_starts, axis=-1)
+        return shares * (raw - inner[..., self._group_of])
 
     def load_jacobian(self, phi: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
         """``d loads / d log phi(a)`` per variable ``a``, shape ``(V, U, K)``.

@@ -85,6 +85,7 @@ import time
 import traceback
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -935,7 +936,14 @@ def _pump(
             queue.append(rest)
 
     def pull() -> None:
-        """Dispatch frontier chunks while workers are idle."""
+        """Dispatch frontier chunks while workers are idle.
+
+        A worker can die between two submits: the pool then refuses the
+        next one (``BrokenProcessPool``) before its in-flight futures
+        report the death.  The refused chunk never ran, so it goes back to
+        the front of the queue uncharged; the death path replaces the pool
+        once those futures fail, or right away when none are in flight.
+        """
         while (
             queue and pool is not None and len(in_flight) < workers
             and frontier.first_error is None
@@ -943,9 +951,15 @@ def _pump(
             runnable = frontier.prepare(queue.popleft())
             if not runnable:
                 continue
-            future = pool.submit(
-                _solve_chunk, solve, [(keys[i], c) for i, c in runnable], lp_budget
-            )
+            try:
+                future = pool.submit(
+                    _solve_chunk, solve, [(keys[i], c) for i, c in runnable], lp_budget
+                )
+            except BrokenProcessPool:
+                queue.appendleft(runnable)
+                if not in_flight:
+                    retire_pool()
+                return
             in_flight[future] = (runnable, chunk_deadline(runnable))
 
     try:

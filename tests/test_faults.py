@@ -4,13 +4,14 @@ quarantine, failure records, fault injection, and claim release on death."""
 import json
 import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.config import SolverConfig
 from repro.exceptions import ExperimentError, InfeasibleError
 from repro.experiments.common import SCHEME_COLUMNS
-from repro.runner import faults
+from repro.runner import executor, faults
 from repro.runner.artifacts import write_artifacts
 from repro.runner.campaign import (
     ClaimPolicy,
@@ -456,6 +457,29 @@ class TestParallelFaults:
         assert report.lifecycle_counts().get("retried", 0) >= 1
         for cell in spec.cells:
             assert store.get(cell) is not None
+
+    def test_worker_death_between_submits_requeues_the_refused_chunk(
+        self, tmp_path, monkeypatch
+    ):
+        """The first chunk's worker dies before the coordinator submits the
+        second chunk (a busy host can deschedule the coordinator that
+        long): the broken pool refuses the submit.  That chunk never ran,
+        so the sweep requeues it and still loses no result."""
+
+        class DeathBeforeSecondSubmit(ProcessPoolExecutor):
+            submits = 0
+
+            def submit(self, *args, **kwargs):
+                type(self).submits += 1
+                if type(self).submits == 2:
+                    deadline = time.monotonic() + 60.0
+                    while not self._broken and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                    assert self._broken, "the poison cell's worker never died"
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", DeathBeforeSecondSubmit)
+        self.test_injected_worker_kill_loses_no_results(tmp_path, monkeypatch)
 
     def test_persistent_kill_quarantines_as_worker_death(self, tmp_path, monkeypatch):
         spec = make_spec(margins=(1.0, 2.0, 3.0))

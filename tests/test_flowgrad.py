@@ -23,11 +23,15 @@ from repro.core.gp import _GpProblem  # noqa: E402
 from repro.core.softmax_opt import _Problem, optimize_splitting_softmax  # noqa: E402
 from repro.demands.matrix import DemandMatrix  # noqa: E402
 from repro.experiments.running_example import example_dag  # noqa: E402
+from repro.demands.bimodal import bimodal_matrix  # noqa: E402
+from repro.ecmp.weights import inverse_capacity_weights  # noqa: E402
+from repro.graph.dag import Dag  # noqa: E402
 from repro.graph.network import Network  # noqa: E402
 from repro.kernel.csr import csr_index  # noqa: E402
 from repro.kernel.flowgrad import FlowProgram  # noqa: E402
 from repro.routing.propagation import propagate_to_destination  # noqa: E402
 from repro.routing.splitting import uniform_ratios  # noqa: E402
+from repro.topologies.zoo import load_topology  # noqa: E402
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -115,7 +119,7 @@ class TestBackward:
         rng = np.random.default_rng(42)
         psi = rng.random((len(program.edges), 2))
         arrivals, _ = program.forward(phi)
-        analytic = program.backward(phi, arrivals, psi)
+        (analytic,) = program.backward(phi, arrivals, psi)
         for instance in range(program.num_instances):
             numeric = self._numeric_gradient(program, phi, psi, instance)
             assert analytic[instance] == pytest.approx(numeric, abs=1e-5)
@@ -124,7 +128,7 @@ class TestBackward:
         _dag, program, phi = graph
         # An unweighted functional has no sensitivity anywhere.
         arrivals, _ = program.forward(phi)
-        grad = program.backward(phi, arrivals, np.zeros((len(program.edges), 2)))
+        (grad,) = program.backward(phi, arrivals, np.zeros((len(program.edges), 2)))
         assert np.all(np.abs(grad) < 1e-12)
 
 
@@ -171,6 +175,18 @@ def problems(draw):
     return net, dags, matrices, problem, theta
 
 
+def smoothed(problem: _Problem, theta: np.ndarray, temperature: float, regularization=0.0):
+    """One start's soft maximum and gradient."""
+    values, gradients = problem.smoothed(theta[np.newaxis], [temperature], regularization)
+    return values[0], gradients[0]
+
+
+def mean_utilization(problem: _Problem, theta: np.ndarray):
+    """The polish's mean utilization over the balance set, and its gradient."""
+    _soft, mean = problem.penalized(theta, 8.0)
+    return mean
+
+
 def central_difference(function, theta: np.ndarray, epsilon: float = 1e-6) -> np.ndarray:
     """Central differences of a scalar or vector function; last axis is ``theta``."""
     grad = np.zeros(np.shape(function(theta)) + (theta.size,))
@@ -206,19 +222,20 @@ class TestAgainstReference:
     def test_smoothed_gradient(self, case, temperature, regularization):
         *_, problem, theta = case
         assume(problem.size > 0)
-        _, analytic = problem.smoothed(theta, temperature, regularization)
+        _, analytic = smoothed(problem, theta, temperature, regularization)
         numeric = central_difference(
-            lambda th: problem.smoothed(th, temperature, regularization)[0], theta
+            lambda th: smoothed(problem, th, temperature, regularization)[0], theta
         )
         assert np.allclose(analytic, numeric, rtol=1e-4, atol=1e-6)
 
     @SETTINGS
     @given(problems())
     def test_mean_utilization_gradient(self, case):
-        *_, problem, theta = case
+        net, dags, matrices, problem, theta = case
         assume(problem.size > 0)
-        _, analytic = problem.mean_utilization(theta)
-        numeric = central_difference(lambda th: problem.mean_utilization(th)[0], theta)
+        polish = _Problem(net, dags, matrices, matrices)
+        _, analytic = mean_utilization(polish, theta)
+        numeric = central_difference(lambda th: mean_utilization(polish, th)[0], theta)
         assert np.allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
 
     @SETTINGS
@@ -231,6 +248,131 @@ class TestAgainstReference:
         _, analytic = gp.load_constraints(z)
         numeric = central_difference(lambda zz: gp.load_constraints(zz)[0], z)
         assert np.allclose(analytic, numeric, rtol=1e-4, atol=1e-6)
+
+
+def fan_network() -> Network:
+    """``s`` splits over ten relays and a direct edge; every relay feeds ``t``.
+
+    ``s`` has out-degree 11 (``reduceat`` sums 8+ elements in unrolled
+    blocks), and the relay level scatters ten instances into ``t`` (the
+    duplicate order of ``add.at``).
+    """
+    net = Network(name="fan")
+    relays = [f"m{i}" for i in range(10)]
+    for relay in relays:
+        net.add_edge("s", relay, 3.0)
+        net.add_edge(relay, "t", 2.0)
+    net.add_edge("s", "t", 4.0)
+    net.add_edge("m0", "m1", 1.0)
+    return net
+
+
+def fan_case():
+    net = fan_network()
+    edges = [("s", f"m{i}") for i in range(10)] + [("s", "t"), ("m0", "m1")]
+    edges += [(f"m{i}", "t") for i in range(10)]
+    dags = {"t": Dag("t", edges, net)}
+    rng = np.random.default_rng(3)
+    sources = ["s", "m0", "m1", "m5"]
+    matrices = [
+        DemandMatrix({(u, "t"): float(v) for u, v in zip(sources, rng.uniform(0.5, 3.0, 4))})
+        for _ in range(3)
+    ]
+    return net, dags, matrices
+
+
+def zoo_case(name: str, count: int):
+    net = load_topology(name)
+    dags = build_dags(net, inverse_capacity_weights(net), augment=True)
+    return net, dags, [bimodal_matrix(net, seed) for seed in range(count)]
+
+
+@pytest.fixture(scope="module", params=["abilene", "geant", "fan"])
+def batch_case(request):
+    if request.param == "fan":
+        return fan_case()
+    return zoo_case(request.param, 4)
+
+
+class TestBatchedStarts:
+    """A block of S starts in one sweep is, bit for bit, S one-start sweeps."""
+
+    def test_fan_reaches_the_unrolled_and_duplicate_paths(self):
+        program = FlowProgram(*fan_case())
+        assert max(len(edges) for _t, _n, edges in program.groups) >= 9
+        assert max(np.bincount(heads).max() for _s, _t, heads in program.schedule.levels) >= 3
+
+    def test_every_kernel_step_matches_single_starts(self, batch_case):
+        program = FlowProgram(*batch_case)
+        rng = np.random.default_rng(11)
+        thetas = rng.uniform(-12.0, 12.0, (4, program.size))
+        thetas[0] = 0.0
+        shares = program.softmax(thetas)
+        phi = program.instance_ratios(shares)
+        arrivals, flows = program.forward(phi)
+        loads = program.edge_loads(flows)
+        psi = rng.random(loads.shape)
+        (grad_phi,) = program.backward(phi, arrivals, psi)
+        grad = program.softmax_gradient(shares, grad_phi)
+        assert arrivals.shape[1] == flows.shape[1] == loads.shape[1] == grad_phi.shape[1] == 4
+        for start, theta in enumerate(thetas):
+            one_shares = program.softmax(theta)
+            one_phi = program.instance_ratios(one_shares)
+            one_arrivals, one_flows = program.forward(one_phi)
+            (one_grad_phi,) = program.backward(one_phi, one_arrivals, psi[:, start])
+            assert np.array_equal(shares[start], one_shares)
+            assert np.array_equal(phi[:, start], one_phi)
+            assert np.array_equal(arrivals[:, start], one_arrivals)
+            assert np.array_equal(flows[:, start], one_flows)
+            assert np.array_equal(loads[:, start], program.edge_loads(one_flows))
+            assert np.array_equal(grad_phi[:, start], one_grad_phi)
+            assert np.array_equal(grad[start], program.softmax_gradient(one_shares, one_grad_phi))
+
+    def test_objectives_match_single_starts(self, batch_case):
+        problem = _Problem(*batch_case)
+        rng = np.random.default_rng(5)
+        thetas = rng.uniform(-12.0, 12.0, (3, problem.size))
+        temperatures = [8.0, 64.0, 32.0]
+        values, gradients = problem.smoothed(thetas, temperatures, 5e-3)
+        truths = problem.true_objective(thetas)
+        for start, (theta, temperature) in enumerate(zip(thetas, temperatures)):
+            value, gradient = smoothed(problem, theta, temperature, 5e-3)
+            assert values[start] == value and np.array_equal(gradients[start], gradient)
+            assert truths[start] == problem.true_objective(theta[np.newaxis])[0]
+
+    def test_shared_polish_sweep_matches_separate_sweeps(self, batch_case):
+        net, dags, matrices = batch_case
+        penalty, balance = matrices[:3], matrices[3:] or matrices[:1]
+        shared = FlowProgram(net, dags, [*penalty, *balance])
+        blocks = (slice(0, len(penalty)), slice(len(penalty), len(penalty) + len(balance)))
+        rng = np.random.default_rng(8)
+        theta = rng.uniform(-12.0, 12.0, (1, shared.size))
+        phi = shared.instance_ratios(shared.softmax(theta))
+        arrivals, flows = shared.forward(phi)
+        loads = shared.edge_loads(flows)
+        psi = rng.random(loads.shape)
+        gradients = shared.backward(phi, arrivals, psi, blocks)
+        for batch, columns, gradient in zip((penalty, balance), blocks, gradients):
+            program = FlowProgram(net, dags, batch)
+            alone_arrivals, alone_flows = program.forward(phi)
+            assert np.array_equal(alone_arrivals, arrivals[..., columns])
+            assert np.array_equal(program.edge_loads(alone_flows), loads[..., columns])
+            own_psi = np.ascontiguousarray(psi[..., columns])
+            (alone,) = program.backward(phi, alone_arrivals, own_psi)
+            assert np.array_equal(alone, gradient)
+
+    def test_polish_terms_match_separate_problems(self, batch_case):
+        """Each polish term is bit for bit the same whatever set rides beside it."""
+        net, dags, matrices = batch_case
+        penalty, balance = matrices[:3], matrices[3:] or matrices[:1]
+        theta = np.random.default_rng(2).uniform(-12.0, 12.0, FlowProgram(*batch_case).size)
+        (soft, soft_grad), (mean, mean_grad) = _Problem(net, dags, penalty, balance).penalized(
+            theta, 64.0
+        )
+        value, gradient = smoothed(_Problem(net, dags, penalty), theta, 64.0)
+        assert soft == value and np.array_equal(soft_grad, gradient)
+        _, (other_mean, other_grad) = _Problem(net, dags, balance, balance).penalized(theta, 8.0)
+        assert mean == other_mean and np.array_equal(mean_grad, other_grad)
 
 
 class TestEdgeCases:
@@ -248,11 +390,11 @@ class TestEdgeCases:
         assert any(math.isfinite(diamond.capacity(*e)) for e in idle)
         peak = program.max_utilization(loads)
         for temperature in (8.0, 32.0):
-            value, grad = problem.smoothed(theta, temperature)
+            value, grad = smoothed(problem, theta, temperature)
             assert value == pytest.approx(peak, abs=1e-12)
-            numeric = central_difference(lambda th: problem.smoothed(th, temperature)[0], theta)
+            numeric = central_difference(lambda th: smoothed(problem, th, temperature)[0], theta)
             assert np.allclose(grad, numeric, atol=1e-6)
-        value, _ = problem.mean_utilization(theta)
+        value, _ = mean_utilization(_Problem(diamond, dags, matrices, matrices), theta)
         assert value == pytest.approx(peak, abs=1e-12)
 
     def test_single_out_edge_dags_have_no_variables(self):
@@ -263,7 +405,7 @@ class TestEdgeCases:
         matrices = [DemandMatrix({("a", "c"): 1.0, ("b", "a"): 3.0})]
         problem = _Problem(ring, dags, matrices)
         assert problem.size == 0
-        value, grad = problem.smoothed(np.zeros(0), 8.0)
+        value, grad = smoothed(problem, np.zeros(0), 8.0)
         assert grad.shape == (0,)
         solution = optimize_splitting_softmax(ring, dags, matrices)
         assert solution.evaluations == 0

@@ -174,6 +174,14 @@ class TestLevelSchedule:
         assert flows.shape == (0, 3)
         assert np.array_equal(arrivals, np.ones((2, 3)))
 
+    def test_non_contiguous_state_is_refused(self):
+        net = Network.from_edges([("a", "b", 1.0), ("b", "c", 1.0)])
+        schedule = _schedule(net, [(0, "a", "b"), (0, "b", "c")])
+        # The sweep writes through a flat view; a strided state has none.
+        arrivals = np.asfortranarray(np.ones((3, 2)))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            schedule.forward(np.ones(2), arrivals)
+
     def test_level_keeps_caller_order(self):
         net = Network.from_edges(
             [("a", "d", 1.0), ("b", "d", 1.0), ("c", "d", 1.0), ("a", "b", 1.0)]
@@ -245,6 +253,25 @@ class TestDeltaEvaluator:
         evaluator = EcmpDeltaEvaluator(net, weights, [demand])
         candidate = evaluator.evaluate_move(("a", "c"), 9.0)
         assert candidate.affected.size == 0
+
+    def test_move_for_one_destination_with_several_matrices(self, abilene):
+        """One re-solved destination makes the sweep's arrivals a strided
+        reshape; the move must still score like a fresh evaluation."""
+        weights = {e: 2.0 for e in abilene.edges()}
+        nodes = abilene.nodes()
+        target = nodes[0]
+        matrices = [
+            DemandMatrix({(nodes[1], target): 1.0, (nodes[2], target): 2.0}),
+            DemandMatrix({(nodes[3], target): 3.0}),
+        ]
+        evaluator = EcmpDeltaEvaluator(abilene, weights, matrices)
+        edge = next(e for e in abilene.edges() if e[1] == target)
+        candidate = evaluator.evaluate_move(edge, 7.0)
+        assert candidate.affected.size == 1
+        moved = dict(weights)
+        moved[edge] = 7.0
+        fresh = EcmpDeltaEvaluator(abilene, moved, matrices)
+        assert candidate.utilization == pytest.approx(fresh.utilization(), abs=1e-12)
 
     def test_weight_mapping_round_trips(self, abilene):
         weights = {e: float(i % 5 + 1) for i, e in enumerate(abilene.edges())}

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.config import SolverConfig
@@ -60,7 +61,7 @@ class TestSoftmaxOptimizer:
 
         start = {"t": uniform_ratios(dags["t"])}
         problem = _Problem(net, dags, matrices)
-        start_value = problem.true_objective(problem.theta_from_ratios(start))
+        start_value = problem.true_objective(problem.theta_from_ratios(start)[np.newaxis])[0]
         solution = optimize_splitting_softmax(
             net, dags, matrices, initial_ratios=[start]
         )
