@@ -1,16 +1,13 @@
-"""Robust splitting optimization: the adversarial cutting-plane outer loop.
+"""Robust splitting optimization: COYOTE on the adversarial cutting-plane loop.
 
 The paper handles infinite demand sets through dualization (Appendix C).
 We realize the same guarantee in oracle form, the standard equivalent for
-robust optimization:
-
-1. optimize splitting ratios against a *finite* set ``T`` of demand
-   matrices (each normalized to unit within-DAG optimum, so the raw
-   worst utilization equals the performance ratio);
-2. call the slave-LP oracle to find the worst-case demand for the
-   resulting routing over the *whole* uncertainty cone;
-3. if the oracle ratio exceeds the finite-set objective by more than the
-   tolerance, add the oracle's demand matrix to ``T`` and repeat.
+robust optimization, on the shared loop
+:func:`repro.lp.cutting_plane.cutting_plane`.  Its master here is the
+inner splitting optimizer over a *finite* set ``T`` of demand matrices
+(each normalized to unit within-DAG optimum, so the raw worst
+utilization equals the performance ratio), warm-started from the
+previous round; its oracle is the slave LP over the *whole* cone.
 
 The oracle ratio is an upper bound on the optimal robust ratio
 achievable with these DAGs.  The finite-set objective is *not* a lower
@@ -40,12 +37,19 @@ from typing import Mapping, Sequence
 
 from repro.config import DEFAULT_CONFIG, SolverConfig
 from repro.core.gp import optimize_splitting_gp
-from repro.core.softmax_opt import SplittingSolution, optimize_splitting_softmax
+from repro.core.softmax_opt import (
+    SplittingSolution,
+    optimize_splitting_softmax,
+    polish_balanced,
+)
 from repro.demands.matrix import DemandMatrix
 from repro.demands.uncertainty import UncertaintySet, representative_matrix
 from repro.exceptions import SolverError
 from repro.graph.dag import Dag
 from repro.graph.network import Edge, Network, Node
+from repro.lp.cutting_plane import cutting_plane
+from repro.lp.dag_flow import induced_splitting_ratios
+from repro.lp.mcf import MinCongestionSolver
 from repro.lp.worst_case import OracleResult, WorstCaseOracle, normalize_to_unit_optimum
 from repro.routing.splitting import Routing
 
@@ -62,11 +66,9 @@ class RobustResult:
         rounds: adversarial rounds executed.
         history: per-round (finite-set objective, oracle ratio) pairs.
         matrices: the final critical demand set ``T``.
-        stop: why the cutting-plane loop ended: ``"converged"`` (the
-            oracle ratio came within the tolerance of the finite-set
-            objective), ``"cycling"`` (the oracle's cuts were all in
-            ``T`` already) or ``"round-cap"`` (``max_adversarial_rounds``
-            ran out first).
+        stop: why the cutting-plane loop ended: ``"converged"``,
+            ``"cycling"`` or ``"round-cap"`` (see
+            :class:`~repro.lp.cutting_plane.CuttingPlaneResult`).
         evaluator: the worst-case oracle of this run, for scoring more
             routings on the same DAGs and cone; its memo holds every
             per-edge solve of the run.
@@ -143,81 +145,49 @@ def optimize_robust_splitting(
     oracle = WorstCaseOracle(network, uncertainty, dags=dags, config=config)
     # One min-congestion solver for the whole run: every cut/normalize
     # below re-solves the same factorized within-DAG LP with fresh RHS.
-    from repro.lp.mcf import MinCongestionSolver
-
     mcf_solver = MinCongestionSolver(network, dags)
+
+    def normalize(dm: DemandMatrix) -> DemandMatrix:
+        return normalize_to_unit_optimum(network, dm, dags=dags, solver=mcf_solver)
+
     # Pairs toward destinations without a DAG cannot carry flow in this
     # configuration; drop them before normalizing.
     targets = set(dags)
     matrices: list[DemandMatrix] = [
-        normalize_to_unit_optimum(network, dm, dags=dags, solver=mcf_solver)
+        normalize(dm)
         for dm in (dm.restricted_to_targets(targets) for dm in initial_matrices)
         if dm
     ]
     # The cone's representative matrix seeds T and is the polish's
     # balance set.
     representative = representative_matrix(uncertainty).restricted_to_targets(targets)
-    balance: list[DemandMatrix] = []
-    if representative:
-        balance.append(
-            normalize_to_unit_optimum(network, representative, dags=dags, solver=mcf_solver)
-        )
+    balance = [normalize(representative)] if representative else []
     matrices.extend(balance)
 
-    history: list[tuple[float, float]] = []
-    best_routing: Routing | None = None
-    best_oracle: OracleResult | None = None
-    best_objective = float("inf")
-    previous_starts = list(extra_starts)
-    rounds = 0
-    stop = "round-cap"
+    previous: Routing | None = None
 
-    for rounds in range(1, config.max_adversarial_rounds + 1):
-        solution = _inner_optimize(
-            optimizer, network, dags, matrices, config, previous_starts, name
-        )
-        oracle_result = oracle.evaluate(solution.routing)
-        history.append((solution.objective, oracle_result.ratio))
-        if best_oracle is None or oracle_result.ratio < best_oracle.ratio:
-            best_routing, best_oracle = solution.routing, oracle_result
-            best_objective = solution.objective
-        # Convergence: the oracle cannot find demands (meaningfully) worse
-        # than the finite set already covers.
-        if oracle_result.ratio <= solution.objective * (1.0 + config.ratio_tolerance):
-            stop = "converged"
-            break
-        added = 0
-        for cut in oracle_result.cuts:
-            if not cut:
-                continue
-            normalized = normalize_to_unit_optimum(
-                network, cut, dags=dags, solver=mcf_solver
-            )
-            if any(
-                normalized.close_to(existing, tolerance=1e-6) for existing in matrices
-            ):
-                continue
-            matrices.append(normalized)
-            added += 1
-        if added == 0:
-            stop = "cycling"  # no progress possible
-            break
-        # Warm starts for the next round: the incumbent, the LP optimum
-        # for the newest adversarial matrix, and the caller's starts.
-        from repro.lp.dag_flow import induced_splitting_ratios
+    def master(demand_set: list[DemandMatrix]) -> tuple[float, Routing]:
+        # Warm starts after the first round: the previous round's routing,
+        # the LP optimum for the newest adversarial matrix, and the
+        # caller's starts.
+        nonlocal previous
+        starts = list(extra_starts)
+        if previous is not None:
+            induced = induced_splitting_ratios(dags, mcf_solver.solve(demand_set[-1]))
+            starts = [previous.ratios, induced, *starts]
+        solution = _inner_optimize(optimizer, network, dags, demand_set, config, starts, name)
+        previous = solution.routing
+        return solution.objective, solution.routing
 
-        newest = matrices[-1]
-        induced = induced_splitting_ratios(dags, mcf_solver.solve(newest))
-        previous_starts = [solution.routing.ratios, induced, *extra_starts]
-
-    assert best_routing is not None and best_oracle is not None
+    loop = cutting_plane(
+        master, oracle.evaluate, normalize, matrices, config, dedupe_tolerance=1e-6
+    )
+    best_routing, best_objective, best_oracle = loop.best, loop.objective, loop.oracle
 
     # Balance polish: among (near-)worst-case-optimal routings prefer one
     # with low average utilization (see polish_balanced).  Accepted only
     # if the oracle confirms the worst case did not regress.
     if optimizer == "softmax" and matrices:
-        from repro.core.softmax_opt import polish_balanced
-
         if not balance:
             raise SolverError("the cone's representative matrix loads no DAG destination")
 
@@ -255,10 +225,10 @@ def optimize_robust_splitting(
         routing=best_routing,
         objective=best_objective,
         oracle=best_oracle,
-        rounds=rounds,
-        stop=stop,
+        rounds=loop.rounds,
+        stop=loop.stop,
         evaluator=oracle,
-        history=history,
+        history=loop.history,
         matrices=matrices,
     )
 

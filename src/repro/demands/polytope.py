@@ -16,8 +16,8 @@ from typing import Iterable, Sequence
 from repro.demands.matrix import DemandMatrix, Pair
 from repro.exceptions import DemandError
 from repro.graph.network import Network
-from repro.lp.mcf import min_congestion
-from repro.lp.model import LinExpr, Model
+from repro.lp.mcf import add_capacity_rows, allowed_edges, min_congestion
+from repro.lp.model import LinExpr, Model, add_flow_conservation
 
 
 def dominates(a: DemandMatrix, b: DemandMatrix, tolerance: float = 1e-9) -> bool:
@@ -84,36 +84,12 @@ def max_demand_along(
     demand_vars = {pair: model.add_var(f"d[{pair}]") for pair in direction}
     background = fixed or DemandMatrix({})
     targets = sorted({t for (_s, t) in direction} | background.targets(), key=str)
+    fixed_demands = dict(background.items())
     flow = {}
     for t in targets:
-        edges = [e for e in network.edges() if e[0] != t]
-        flow[t] = {e: model.add_var(f"g[{t}][{e}]") for e in edges}
-        incident = {}
-        for (u, v) in edges:
-            incident.setdefault(u, ([], []))
-            incident.setdefault(v, ([], []))
-            incident[u][0].append((u, v))
-            incident[v][1].append((u, v))
-        for node, (out_list, in_list) in incident.items():
-            if node == t:
-                continue
-            balance = LinExpr()
-            for e in out_list:
-                balance.add_term(flow[t][e], 1.0)
-            for e in in_list:
-                balance.add_term(flow[t][e], -1.0)
-            var = demand_vars.get((node, t))
-            if var is not None:
-                balance.add_term(var, -1.0)
-            model.add_eq(balance, background.get(node, t))
-    for edge in network.finite_capacity_edges():
-        usage = LinExpr()
-        for t in targets:
-            var = flow[t].get(edge)
-            if var is not None:
-                usage.add_term(var, 1.0)
-        if usage.terms:
-            model.add_le(usage, network.capacity(*edge))
+        flow[t] = {e: model.add_var(f"g[{t}][{e}]") for e in allowed_edges(network, t, None)}
+        add_flow_conservation(model, flow[t], t, fixed_demands, demand_vars)
+    add_capacity_rows(model, network, flow.values())
     objective = LinExpr()
     for var in demand_vars.values():
         objective.add_term(var, 1.0)

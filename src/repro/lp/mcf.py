@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from repro.demands.matrix import DemandMatrix
 from repro.exceptions import InfeasibleError, RoutingError
 from repro.graph.dag import Dag
 from repro.graph.network import Edge, Network, Node
-from repro.lp.model import Model, ReusableLP, Variable
+from repro.lp.model import Model, ReusableLP, Variable, add_flow_conservation
 
 
 @dataclass
@@ -58,7 +58,7 @@ class MinCongestionResult:
         return sum(per_dest.get(edge, 0.0) for per_dest in self.flows.values())
 
 
-def _allowed_edges(
+def allowed_edges(
     network: Network, destination: Node, dags: Mapping[Node, Dag] | None
 ) -> list[Edge]:
     """Edges commodity ``destination`` may use."""
@@ -70,6 +70,27 @@ def _allowed_edges(
     # Unrestricted: every edge except those leaving the destination (flow
     # to t terminates at t, so such edges can only waste capacity).
     return [e for e in network.edges() if e[0] != destination]
+
+
+def add_capacity_rows(
+    model: Model,
+    network: Network,
+    flows: Iterable[Mapping[Edge, Variable]],
+    alpha: Variable | None = None,
+) -> None:
+    """``sum(flow[e] for flow in flows) <= alpha * c_e`` per loaded finite edge.
+
+    Without ``alpha`` the bound is ``c_e`` (congestion at most 1).
+    """
+    flows = list(flows)
+    for edge in network.finite_capacity_edges():
+        terms = [(flow[edge], 1.0) for flow in flows if edge in flow]
+        if not terms:
+            continue
+        if alpha is None:
+            model.add_le_terms(terms, network.capacity(*edge))
+        else:
+            model.add_le_terms([*terms, (alpha, -network.capacity(*edge))], 0.0)
 
 
 class _Structure:
@@ -90,32 +111,13 @@ class _Structure:
         self.incident_nodes: dict[Node, set[Node]] = {}
 
         for t in destinations:
-            edges = _allowed_edges(network, t, dags)
+            edges = allowed_edges(network, t, dags)
             self.flow_vars[t] = {e: model.add_var(f"g[{t}][{e}]") for e in edges}
-            incident: dict[Node, tuple[list[Edge], list[Edge]]] = {}
-            for (u, v) in edges:
-                incident.setdefault(u, ([], []))[0].append((u, v))
-                incident.setdefault(v, ([], []))[1].append((u, v))
-            self.incident_nodes[t] = set(incident)
-            for node, (out_list, in_list) in incident.items():
-                if node == t:
-                    continue
-                terms = [(self.flow_vars[t][e], 1.0) for e in out_list]
-                terms += [(self.flow_vars[t][e], -1.0) for e in in_list]
-                model.add_eq_terms(terms, 0.0)
-                self.eq_rows.append((t, node))
+            nodes = add_flow_conservation(model, self.flow_vars[t], t)
+            self.incident_nodes[t] = set(nodes)
+            self.eq_rows.extend((t, node) for node in nodes)
 
-        # Capacity: total load on each finite-capacity edge at most alpha * c.
-        for edge in network.finite_capacity_edges():
-            capacity = network.capacity(*edge)
-            terms = [
-                (self.flow_vars[t][edge], 1.0)
-                for t in destinations
-                if edge in self.flow_vars[t]
-            ]
-            if terms:
-                terms.append((self.alpha, -capacity))
-                model.add_le_terms(terms, 0.0)
+        add_capacity_rows(model, network, self.flow_vars.values(), self.alpha)
 
         self.reusable: ReusableLP = model.compile().reusable()
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 from scipy import sparse
@@ -182,10 +182,6 @@ class Solution:
     def value(self, var: Variable) -> float:
         return float(self.values[var.index])
 
-    def value_map(self, variables: Mapping[object, Variable]) -> dict[object, float]:
-        """Extract a {key: value} dict for a keyed family of variables."""
-        return {key: float(self.values[v.index]) for key, v in variables.items()}
-
 
 def _check_solution(result: BackendSolution, maximize: bool) -> Solution:
     """Map an engine solution onto :class:`Solution` or the library errors."""
@@ -320,10 +316,6 @@ class Model:
     def num_vars(self) -> int:
         return len(self._vars)
 
-    @property
-    def num_constraints(self) -> int:
-        return (len(self._ub_indptr) - 1) + (len(self._eq_indptr) - 1)
-
     # -- constraints ----------------------------------------------------------
 
     def add_le_terms(
@@ -438,11 +430,6 @@ class Model:
             vec[index] = coef
         return vec
 
-    def objective_terms(self, expr: "LinExpr | Variable | None" = None) -> dict[int, float]:
-        """Sparse ``{column: coefficient}`` objective (no dense vector)."""
-        source = LinExpr.of(expr) if expr is not None else self._objective
-        return dict(source.terms)
-
     def solve(self) -> Solution:
         """Compile and solve with the objective set via minimize/maximize."""
         compiled = self.compile()
@@ -456,3 +443,33 @@ class Model:
             f"Model({self.name!r}, vars={self.num_vars}, "
             f"le={len(self._ub_indptr) - 1}, eq={len(self._eq_indptr) - 1})"
         )
+
+
+def add_flow_conservation(
+    model: Model,
+    flow: Mapping[tuple[Hashable, Hashable], Variable],
+    sink: Hashable,
+    demands: Mapping[tuple[Hashable, Hashable], float] | None = None,
+    demand_vars: Mapping[tuple[Hashable, Hashable], Variable] | None = None,
+) -> list[Hashable]:
+    """Conservation rows of the commodity toward ``sink``.
+
+    ``flow`` maps each edge ``(u, v)`` the commodity may use to its
+    variable.  One row ``outflow − inflow − demand_vars[(node, sink)] =
+    demands[(node, sink)]`` is written per node an edge touches, except
+    ``sink``, in first-touch order (tail, then head, over ``flow``'s
+    edges); a pair missing from ``demands`` / ``demand_vars`` contributes
+    0 / no term.  Returns the nodes, in row order.
+    """
+    demands = demands or {}
+    demand_vars = demand_vars or {}
+    rows: dict[Hashable, LinExpr] = {}
+    for (tail, head), var in flow.items():
+        rows.setdefault(tail, LinExpr()).add_term(var, 1.0)
+        rows.setdefault(head, LinExpr()).add_term(var, -1.0)
+    rows.pop(sink, None)
+    for node, balance in rows.items():
+        if (node, sink) in demand_vars:
+            balance.add_term(demand_vars[(node, sink)], -1.0)
+        model.add_eq(balance, demands.get((node, sink), 0.0))
+    return list(rows)

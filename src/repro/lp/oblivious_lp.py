@@ -19,7 +19,9 @@ The separation oracle for the second family is the same slave LP as the
 destination-based case, except the fixed routing's load coefficients
 come from per-*pair* flows instead of per-destination splits, and the
 witness flow is unrestricted.  We reuse :class:`repro.lp.worst_case`'s
-compiled system by passing the per-pair coefficients directly.
+compiled system by passing the per-pair coefficients directly
+(:meth:`~repro.lp.worst_case.WorstCaseOracle.evaluate_coefficients`), on
+the loop COYOTE runs on (:func:`repro.lp.cutting_plane.cutting_plane`).
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ from repro.demands.matrix import DemandMatrix, Pair
 from repro.demands.uncertainty import UncertaintySet, oblivious_set
 from repro.exceptions import SolverError
 from repro.graph.network import Edge, Network, Node
-from repro.lp.model import LinExpr, Model, Variable
+from repro.lp.cutting_plane import cutting_plane
+from repro.lp.mcf import MinCongestionSolver
+from repro.lp.model import LinExpr, Model, Solution, Variable, add_flow_conservation
 from repro.lp.worst_case import WorstCaseOracle, normalize_to_unit_optimum
 
 
@@ -45,13 +49,42 @@ class ObliviousFlowResult:
         flows: (source, target) -> {edge -> fraction of the pair's
             demand routed on that edge} (a unit flow per pair).
         rounds: cutting-plane rounds used.
+        stop: why the cutting-plane loop ended (``"converged"``,
+            ``"cycling"`` or ``"round-cap"``; see
+            :class:`~repro.lp.cutting_plane.CuttingPlaneResult`); the
+            exact LP reports ``"converged"``.
         history: (master objective, oracle ratio) per round.
     """
 
     ratio: float
     flows: dict[Pair, dict[Edge, float]]
     rounds: int
+    stop: str
     history: list[tuple[float, float]] = field(default_factory=list)
+
+
+def per_pair_flows(
+    model: Model, network: Network, pairs: list[Pair]
+) -> dict[Pair, dict[Edge, Variable]]:
+    """One unit flow per pair: variables and conservation rows.
+
+    Pair ``(s, t)`` may use every edge except those leaving ``t`` or
+    entering ``s``.
+
+    Raises:
+        SolverError: a pair's source has no usable edge.
+    """
+    flow: dict[Pair, dict[Edge, Variable]] = {}
+    for pair in pairs:
+        s, t = pair
+        flow[pair] = {
+            e: model.add_var(f"f[{pair}][{e}]")
+            for e in network.edges()
+            if e[0] != t and e[1] != s
+        }
+        if s not in add_flow_conservation(model, flow[pair], t, demands={pair: 1.0}):
+            raise SolverError(f"pair {pair!r} has no usable edges")
+    return flow
 
 
 def _master_lp(
@@ -62,28 +95,7 @@ def _master_lp(
     """Best per-pair routing against a finite demand set (exact LP)."""
     model = Model("oblivious-master")
     r = model.add_var("r")
-    flow: dict[Pair, dict[Edge, Variable]] = {}
-    for pair in pairs:
-        s, t = pair
-        edges = [e for e in network.edges() if e[0] != t and e[1] != s]
-        flow[pair] = {e: model.add_var(f"f[{pair}][{e}]") for e in edges}
-        incident: dict[Node, tuple[list[Edge], list[Edge]]] = {}
-        for (u, v) in edges:
-            incident.setdefault(u, ([], []))
-            incident.setdefault(v, ([], []))
-            incident[u][0].append((u, v))
-            incident[v][1].append((u, v))
-        for node, (out_list, in_list) in incident.items():
-            if node == t:
-                continue
-            balance = LinExpr()
-            for e in out_list:
-                balance.add_term(flow[pair][e], 1.0)
-            for e in in_list:
-                balance.add_term(flow[pair][e], -1.0)
-            model.add_eq(balance, 1.0 if node == s else 0.0)
-        if s not in incident:
-            raise SolverError(f"pair {pair!r} has no usable edges")
+    flow = per_pair_flows(model, network, pairs)
     for dm in matrices:
         for edge in network.finite_capacity_edges():
             load = LinExpr()
@@ -97,15 +109,17 @@ def _master_lp(
                 model.add_le(load, 0.0)
     model.minimize(r)
     solution = model.solve()
-    flows = {
-        pair: {
-            e: solution.value(var)
-            for e, var in per_pair.items()
-            if solution.value(var) > 1e-12
-        }
+    return float(solution.objective), _flow_values(solution, flow, 1e-12)
+
+
+def _flow_values(
+    solution: Solution, flow: dict[Pair, dict[Edge, Variable]], floor: float
+) -> dict[Pair, dict[Edge, float]]:
+    """Each pair's solved flow, values at or below ``floor`` dropped."""
+    return {
+        pair: {e: solution.value(var) for e, var in per_pair.items() if solution.value(var) > floor}
         for pair, per_pair in flow.items()
     }
-    return float(solution.objective), flows
 
 
 def _pair_coefficients(
@@ -148,29 +162,7 @@ def exact_unconstrained_oblivious(
         pairs = [(s, t) for s in network.nodes() for t in network.nodes() if s != t]
     model = Model("applegate-cohen")
     r = model.add_var("r")
-
-    # Unit flow per pair.
-    flow: dict[Pair, dict[Edge, Variable]] = {}
-    for pair in pairs:
-        s, t = pair
-        edges = [e for e in network.edges() if e[0] != t and e[1] != s]
-        flow[pair] = {e: model.add_var(f"f[{pair}][{e}]") for e in edges}
-        incident: dict[Node, tuple[list[Edge], list[Edge]]] = {}
-        for (u, v) in edges:
-            incident.setdefault(u, ([], []))
-            incident.setdefault(v, ([], []))
-            incident[u][0].append((u, v))
-            incident[v][1].append((u, v))
-        for node, (out_list, in_list) in incident.items():
-            if node == t:
-                continue
-            balance = LinExpr()
-            for e in out_list:
-                balance.add_term(flow[pair][e], 1.0)
-            for e in in_list:
-                balance.add_term(flow[pair][e], -1.0)
-            model.add_eq(balance, 1.0 if node == s else 0.0)
-
+    flow = per_pair_flows(model, network, pairs)
     sources = sorted({s for (s, _t) in pairs}, key=str)
     finite = network.finite_capacity_edges()
     for e in finite:
@@ -208,16 +200,11 @@ def exact_unconstrained_oblivious(
 
     model.minimize(r)
     solution = model.solve()
-    flows = {
-        pair: {
-            e: solution.value(var)
-            for e, var in per_pair.items()
-            if solution.value(var) > 1e-9
-        }
-        for pair, per_pair in flow.items()
-    }
     return ObliviousFlowResult(
-        ratio=float(solution.objective), flows=flows, rounds=1, history=[]
+        ratio=float(solution.objective),
+        flows=_flow_values(solution, flow, 1e-9),
+        rounds=1,
+        stop="converged",
     )
 
 
@@ -249,48 +236,23 @@ def optimize_unconstrained_oblivious(
     oracle = WorstCaseOracle(network, uncertainty, dags=None, config=config)
     # Shared across every cut: normalization re-solves one factorized
     # unrestricted min-congestion LP with fresh RHS per round.
-    from repro.lp.mcf import MinCongestionSolver
-
     mcf_solver = MinCongestionSolver(network)
-    matrices: list[DemandMatrix] = [
-        normalize_to_unit_optimum(
-            network, DemandMatrix({pair: 1.0 for pair in pairs}), solver=mcf_solver
-        )
-    ]
-    history: list[tuple[float, float]] = []
-    best_ratio = float("inf")
-    best_flows: dict[Pair, dict[Edge, float]] = {}
-    rounds = 0
-    for rounds in range(1, config.max_adversarial_rounds + 1):
-        objective, flows = _master_lp(network, pairs, matrices)
-        coefficients = _pair_coefficients(flows)
-        findings: list[tuple[float, DemandMatrix]] = []
-        for edge in network.finite_capacity_edges():
-            coeffs = coefficients.get(edge)
-            if not coeffs:
-                continue
-            utilization, demand = oracle.worst_utilization_for_edge(edge, coeffs)
-            if demand:
-                findings.append((utilization, demand))
-        findings.sort(key=lambda item: item[0], reverse=True)
-        worst = findings[0][0] if findings else 0.0
-        history.append((objective, worst))
-        if worst < best_ratio:
-            best_ratio, best_flows = worst, flows
-        if worst <= objective * (1.0 + config.ratio_tolerance) or not findings:
-            break
-        # Multiple cuts per round: the master LP is cheap relative to the
-        # oracle sweep, so feeding it several violated demands converges
-        # in far fewer rounds.
-        added = 0
-        for _u, demand in findings[:4]:
-            normalized = normalize_to_unit_optimum(network, demand, solver=mcf_solver)
-            if any(normalized.close_to(dm, tolerance=1e-9) for dm in matrices):
-                continue
-            matrices.append(normalized)
-            added += 1
-        if added == 0:
-            break
+
+    def normalize(dm: DemandMatrix) -> DemandMatrix:
+        return normalize_to_unit_optimum(network, dm, solver=mcf_solver)
+
+    loop = cutting_plane(
+        lambda matrices: _master_lp(network, pairs, matrices),
+        lambda flows: oracle.evaluate_coefficients(_pair_coefficients(flows)),
+        normalize,
+        [normalize(DemandMatrix({pair: 1.0 for pair in pairs}))],
+        config,
+        dedupe_tolerance=1e-9,
+    )
     return ObliviousFlowResult(
-        ratio=best_ratio, flows=best_flows, rounds=rounds, history=history
+        ratio=loop.oracle.ratio,
+        flows=loop.best,
+        rounds=loop.rounds,
+        stop=loop.stop,
+        history=loop.history,
     )

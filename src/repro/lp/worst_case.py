@@ -70,7 +70,9 @@ from repro.exceptions import SolverError
 from repro.graph.dag import Dag
 from repro.graph.network import Edge, Network, Node
 from repro.lp import backend as lp_backend
-from repro.lp.model import LinExpr, Model, ReusableLP, Variable
+from repro.lp.dag_flow import dag_optimal_congestion
+from repro.lp.mcf import MinCongestionSolver, add_capacity_rows, allowed_edges, min_congestion
+from repro.lp.model import Model, ReusableLP, Variable, add_flow_conservation
 from repro.routing.splitting import Routing
 
 
@@ -95,6 +97,12 @@ class OracleResult:
     demand: DemandMatrix | None
     per_edge: dict[Edge, float]
     cuts: list[DemandMatrix] = field(default_factory=list)
+
+
+#: How many of the most-violated edges' worst-case demands an evaluation
+#: returns as cuts: the cutting-plane master is cheap next to an oracle
+#: sweep, so several cuts per round converge in fewer sweeps.
+CUTS_PER_ROUND = 4
 
 
 def _passes(result: tuple[float, np.ndarray], limit: float) -> bool:
@@ -132,14 +140,6 @@ class WorstCaseOracle:
 
     # -- construction ---------------------------------------------------
 
-    def _witness_edges(self, destination: Node) -> list[Edge]:
-        if self.dags is not None:
-            dag = self.dags.get(destination)
-            if dag is None:
-                raise SolverError(f"no DAG provided for destination {destination!r}")
-            return dag.edges()
-        return [e for e in self.network.edges() if e[0] != destination]
-
     def _pair_allowed(self, source: Node, destination: Node) -> bool:
         if source == destination:
             return False
@@ -158,38 +158,14 @@ class WorstCaseOracle:
         destinations = sorted({t for (_s, t) in self._demand_vars}, key=str)
         flow_vars: dict[Node, dict[Edge, Variable]] = {}
         for t in destinations:
-            edges = self._witness_edges(t)
+            edges = allowed_edges(self.network, t, self.dags)
             flow_vars[t] = {e: model.add_var(f"g[{t}][{e}]") for e in edges}
-            incident: dict[Node, tuple[list[Edge], list[Edge]]] = {}
-            for (u, v) in edges:
-                incident.setdefault(u, ([], []))
-                incident.setdefault(v, ([], []))
-                incident[u][0].append((u, v))
-                incident[v][1].append((u, v))
             # Conservation: outflow - inflow equals the demand originated
             # at the node (equality; see module docstring).
-            for node, (out_list, in_list) in incident.items():
-                if node == t:
-                    continue
-                balance = LinExpr()
-                for e in out_list:
-                    balance.add_term(flow_vars[t][e], 1.0)
-                for e in in_list:
-                    balance.add_term(flow_vars[t][e], -1.0)
-                demand_var = self._demand_vars.get((node, t))
-                if demand_var is not None:
-                    balance.add_term(demand_var, -1.0)
-                model.add_eq(balance, 0.0)
+            add_flow_conservation(model, flow_vars[t], t, demand_vars=self._demand_vars)
 
         # Witness congestion at most 1 on every finite-capacity edge.
-        for edge in self.network.finite_capacity_edges():
-            usage = LinExpr()
-            for t in destinations:
-                var = flow_vars[t].get(edge)
-                if var is not None:
-                    usage.add_term(var, 1.0)
-            if usage.terms:
-                model.add_le(usage, self.network.capacity(*edge))
+        add_capacity_rows(model, self.network, flow_vars.values())
 
         # Margin cone: lambda * lo <= d <= lambda * hi (skipped for the
         # oblivious set, whose only constraint is nonnegativity).
@@ -225,49 +201,31 @@ class WorstCaseOracle:
         """Pairs the adversary can actually use (support of the LP)."""
         return list(self._demand_vars)
 
-    def worst_utilization_for_edge(
-        self,
-        edge: Edge,
-        coefficients: Mapping[Pair, float],
-    ) -> tuple[float, DemandMatrix]:
-        """Maximize the utilization of ``edge`` over the uncertainty set.
-
-        A direct solve: it neither reads nor fills the oracle's memo.
-
-        Args:
-            edge: the link under attack.
-            coefficients: pair -> fraction of that pair's demand crossing
-                ``edge`` under the fixed routing (``f_st(u) * phi_t(e)``).
-
-        Returns:
-            (utilization, worst-case demand matrix).
-        """
-        objective = self._objective(edge, coefficients)
-        if not objective:
-            return 0.0, DemandMatrix({})
-        utilization, demand = self._solve(objective, self._reusable)
-        return utilization, self._demand_matrix(demand)
-
-    def evaluate(
-        self,
-        routing: Routing,
-        edges: list[Edge] | None = None,
-        keep_cuts: int = 4,
-    ) -> OracleResult:
+    def evaluate(self, routing: Routing) -> OracleResult:
         """``PERF(routing, D)`` via one slave LP per (loaded, finite) edge.
 
         Only objectives this oracle has not solved before reach the
         solver; the rest come from the memo.
+        """
+        # Objective coefficients come from the vectorized kernel
+        # (repro.kernel.coefficients); any change to how they are derived
+        # is a solver-semantics change — bump CACHE_VERSION in
+        # repro.runner.spec.
+        return self.evaluate_coefficients(routing.load_coefficients(list(self._pairs)))
+
+    def evaluate_coefficients(
+        self, coefficients: Mapping[Edge, Mapping[Pair, float]]
+    ) -> OracleResult:
+        """:meth:`evaluate` of a fixed routing given by its load coefficients.
 
         Args:
-            routing: the fixed configuration under evaluation.
-            edges: restrict the sweep (default: all finite-capacity edges).
-            keep_cuts: how many of the worst per-edge demand matrices to
-                return for cutting-plane use.
+            coefficients: edge -> {pair: fraction of that pair's demand
+                crossing the edge}; any fixed routing, per destination or
+                per pair.
         """
-        loaded = self._loaded(routing, edges)
+        loaded = self._loaded(coefficients)
         self._fill(loaded)
-        return self._result(loaded, keep_cuts)
+        return self._result(loaded)
 
     def evaluate_within(
         self,
@@ -281,7 +239,7 @@ class WorstCaseOracle:
         ``per_edge``; edges it lacks go last), and every thread stops as
         soon as one edge passes ``limit``, which settles the None.
         """
-        loaded = self._loaded(routing)
+        loaded = self._loaded(routing.load_coefficients(list(self._pairs)))
         hottest = loaded
         if order is not None:
             hottest = sorted(loaded, key=lambda item: order.get(item[0], -math.inf), reverse=True)
@@ -316,31 +274,27 @@ class WorstCaseOracle:
         return columns[order].tobytes() + values[order].tobytes()
 
     def _loaded(
-        self, routing: Routing, edges: list[Edge] | None = None
+        self, coefficients: Mapping[Edge, Mapping[Pair, float]]
     ) -> list[tuple[Edge, dict[int, float], bytes | None]]:
-        """(edge, objective, memo key) per loaded candidate edge.
+        """(edge, objective, memo key) per loaded finite-capacity edge.
 
         The key is None for an empty objective, whose result is (0.0, no
         demand) without a solve.
         """
-        # Objective coefficients come from the vectorized kernel
-        # (repro.kernel.coefficients); any change to how they are derived
-        # is a solver-semantics change — bump CACHE_VERSION in
-        # repro.runner.spec.
-        coefficients = routing.load_coefficients(list(self._pairs))
-        candidates = edges if edges is not None else self.network.finite_capacity_edges()
         loaded = []
-        for edge in candidates:
+        for edge in self.network.finite_capacity_edges():
             coeffs = coefficients.get(edge)
             if coeffs:
                 objective = self._objective(edge, coeffs)
                 loaded.append((edge, objective, self._key(objective) if objective else None))
         return loaded
 
-    def _result(
-        self, loaded: list[tuple[Edge, dict[int, float], bytes | None]], keep_cuts: int = 4
-    ) -> OracleResult:
-        """The evaluation of a routing whose ``loaded`` objectives are all memoized."""
+    def _result(self, loaded: list[tuple[Edge, dict[int, float], bytes | None]]) -> OracleResult:
+        """The evaluation of a routing whose ``loaded`` objectives are all memoized.
+
+        Its cuts are the distinct demands of the :data:`CUTS_PER_ROUND`
+        most-violated edges.
+        """
         per_edge: dict[Edge, float] = {}
         findings: list[tuple[float, Edge, np.ndarray]] = []
         for edge, _objective, key in loaded:
@@ -353,7 +307,7 @@ class WorstCaseOracle:
                 findings.append((utilization, edge, demand))
         findings.sort(key=lambda item: item[0], reverse=True)
         cuts: list[DemandMatrix] = []
-        for _u, _e, demand in findings[: max(keep_cuts, 1)]:
+        for _u, _e, demand in findings[:CUTS_PER_ROUND]:
             matrix = self._demand_matrix(demand)
             if not any(matrix.close_to(seen, tolerance=1e-9) for seen in cuts):
                 cuts.append(matrix)
@@ -447,10 +401,6 @@ class WorstCaseOracle:
             future.result()
         return results
 
-    def check_membership(self, demand: DemandMatrix) -> bool:
-        """True when ``demand`` lies in the uncertainty cone (direction-wise)."""
-        return self.uncertainty.contains_direction(demand)
-
 
 def evaluate_on_matrices(
     network: Network,
@@ -463,8 +413,6 @@ def evaluate_on_matrices(
     Used by the optimizers' inner loops where the adversarial set has
     already been discretized into concrete matrices.
     """
-    from repro.lp.dag_flow import dag_optimal_congestion  # local: avoid cycle
-
     worst = 0.0
     for demand in matrices:
         if not demand:
@@ -481,7 +429,7 @@ def normalize_to_unit_optimum(
     network: Network,
     demand: DemandMatrix,
     dags: Mapping[Node, Dag] | None = None,
-    solver: "object | None" = None,
+    solver: MinCongestionSolver | None = None,
 ) -> DemandMatrix:
     """Scale ``demand`` so its optimal congestion equals 1.
 
@@ -495,8 +443,6 @@ def normalize_to_unit_optimum(
     matrix per cut, and the shared solver re-solves a factorized LP
     instead of rebuilding it each round.
     """
-    from repro.lp.mcf import min_congestion  # local: avoid cycle
-
     if solver is not None:
         optimum = solver.solve(demand).alpha
     else:

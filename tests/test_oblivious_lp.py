@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import SolverConfig
 from repro.demands.uncertainty import oblivious_pairs, oblivious_set
+from repro.exceptions import SolverError
 from repro.lp.oblivious_lp import (
     exact_unconstrained_oblivious,
     optimize_unconstrained_oblivious,
@@ -50,6 +51,17 @@ class TestUnconstrainedOblivious:
         for master, oracle in result.history:
             assert master <= oracle + 1e-6
 
+    def test_stop_reason_matches_the_history(self):
+        """A solve that did not converge says so."""
+        result = optimize_unconstrained_oblivious(ring_network(4), config=FAST)
+        assert len(result.history) == result.rounds
+        master, oracle = result.history[-1]
+        converged = oracle <= master * (1.0 + FAST.ratio_tolerance)
+        assert (result.stop == "converged") == converged
+        # Six rounds are not enough on ring4: the cap ends the loop.
+        assert result.stop == "round-cap"
+        assert result.rounds == FAST.max_adversarial_rounds
+
     @pytest.mark.slow
     def test_abilene_close_to_literature(self, abilene):
         """Applegate-Cohen report oblivious ratios around 2 on ISP maps;
@@ -85,3 +97,12 @@ class TestExactApplegateCohen:
         for (s, t), per_pair in list(result.flows.items())[:4]:
             into_t = sum(v for (u, x), v in per_pair.items() if x == t)
             assert into_t == pytest.approx(1.0, abs=1e-6)
+
+    def test_a_pair_it_cannot_route_is_rejected(self):
+        """A source with no usable edge gets no conservation row, so the
+        LP would certify a ratio for an empty flow; it raises instead."""
+        net = ring_network(4)
+        net.add_node("z")
+        net.add_edge("n0", "z", 1.0)  # z has an in-edge only
+        with pytest.raises(SolverError, match="no usable edges"):
+            exact_unconstrained_oblivious(net, [("z", "n2"), ("n0", "n2")])

@@ -136,39 +136,28 @@ class TestMemo:
 
     def test_demand_extraction_matches_the_per_pair_loop(self, abilene):
         oracle = _oracle(abilene)
+        result = oracle.evaluate(abilene["base"])
         coefficients = abilene["base"].load_coefficients(oracle.demand_pairs)
-        for edge, coeffs in coefficients.items():
-            utilization, demand = oracle.worst_utilization_for_edge(edge, coeffs)
-            if not utilization:
-                continue
+        variables = oracle._demand_vars
+        assert result.edge in result.per_edge
+        for edge, utilization in result.per_edge.items():
             capacity = abilene["network"].capacity(*edge)
-            variables = oracle._demand_vars
             objective = {
                 variables[pair].index: c / capacity
-                for pair, c in coeffs.items()
+                for pair, c in coefficients[edge].items()
                 if pair in variables and c > 0.0
             }
             solution = oracle._reusable.solve(objective, maximize=True)
+            assert utilization == solution.objective, edge
+            if edge != result.edge:
+                continue
             reference = {
                 pair: solution.value(var)
                 for pair, var in variables.items()
                 if solution.value(var) > 1e-10
             }
-            assert utilization == solution.objective
-            assert dict(demand.items()) == reference
-            assert list(demand.pairs()) == list(reference)
-
-    def test_the_direct_edge_solve_bypasses_the_memo(self, abilene, solves):
-        oracle = _oracle(abilene)
-        result = oracle.evaluate(abilene["ecmp"])
-        coefficients = abilene["ecmp"].load_coefficients(oracle.demand_pairs)
-        solves.clear()
-        utilization, demand = oracle.worst_utilization_for_edge(
-            result.edge, coefficients[result.edge]
-        )
-        assert len(solves) == 1
-        assert utilization == result.ratio
-        assert demand == result.demand
+            assert dict(result.demand.items()) == reference
+            assert list(result.demand.pairs()) == list(reference)
 
 
 class TestEvaluateWithin:
