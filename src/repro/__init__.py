@@ -19,36 +19,38 @@ Public API highlights:
   figure.
 """
 
-from repro.config import DEFAULT_CONFIG, ExperimentConfig, SolverConfig
-from repro.core.coyote import Coyote, CoyoteResult
-from repro.demands.bimodal import bimodal_matrix
-from repro.demands.gravity import gravity_matrix
-from repro.demands.matrix import DemandMatrix
-from repro.demands.uncertainty import margin_box, oblivious_set
-from repro.ecmp.routing import ecmp_routing
-from repro.graph.dag import Dag
-from repro.graph.network import Network
-from repro.routing.splitting import Routing
-from repro.topologies.zoo import available_topologies, load_topology
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "DEFAULT_CONFIG",
-    "ExperimentConfig",
-    "SolverConfig",
-    "Coyote",
-    "CoyoteResult",
-    "DemandMatrix",
-    "gravity_matrix",
-    "bimodal_matrix",
-    "margin_box",
-    "oblivious_set",
-    "ecmp_routing",
-    "Dag",
-    "Network",
-    "Routing",
-    "available_topologies",
-    "load_topology",
-]
+#: Public name -> the module defining it, imported on first access
+#: (PEP 562), so importing any submodule loads only what it uses.
+_EXPORTS = {
+    "DEFAULT_CONFIG": "repro.config",
+    "ExperimentConfig": "repro.config",
+    "SolverConfig": "repro.config",
+    "Coyote": "repro.core.coyote",
+    "CoyoteResult": "repro.core.coyote",
+    "DemandMatrix": "repro.demands.matrix",
+    "gravity_matrix": "repro.demands.gravity",
+    "bimodal_matrix": "repro.demands.bimodal",
+    "margin_box": "repro.demands.uncertainty",
+    "oblivious_set": "repro.demands.uncertainty",
+    "ecmp_routing": "repro.ecmp.routing",
+    "Dag": "repro.graph.dag",
+    "Network": "repro.graph.network",
+    "Routing": "repro.routing.splitting",
+    "available_topologies": "repro.topologies.zoo",
+    "load_topology": "repro.topologies.zoo",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value

@@ -6,43 +6,3 @@ use, emits machine-readable ``BENCH_<name>.json`` results, and — given a
 baseline — fails past a wall-clock regression threshold, giving CI a
 real performance gate.
 """
-
-from repro.bench.baseline import (
-    BaselineError,
-    Comparison,
-    compare_to_baseline,
-    load_baselines,
-)
-from repro.bench.harness import (
-    BENCH_SCHEMA,
-    BenchResult,
-    bench_path,
-    run_benchmark,
-    spec_fingerprint,
-    write_bench_result,
-)
-from repro.bench.registry import (
-    BENCHMARKS,
-    Benchmark,
-    benchmark_names,
-    get_benchmark,
-    register_benchmark,
-)
-
-__all__ = [
-    "BENCHMARKS",
-    "BENCH_SCHEMA",
-    "BaselineError",
-    "Benchmark",
-    "BenchResult",
-    "Comparison",
-    "bench_path",
-    "benchmark_names",
-    "compare_to_baseline",
-    "get_benchmark",
-    "load_baselines",
-    "register_benchmark",
-    "run_benchmark",
-    "spec_fingerprint",
-    "write_bench_result",
-]

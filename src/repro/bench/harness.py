@@ -26,7 +26,7 @@ from repro.bench.registry import Benchmark, get_benchmark
 from repro.config import ExperimentConfig
 from repro.runner.executor import SweepCell, SweepReport, run_sweep, solve_cell
 from repro.runner.faults import FailurePolicy
-from repro.runner.spec import CACHE_VERSION, spec_fingerprint  # noqa: F401  (re-export)
+from repro.runner.spec import CACHE_VERSION, spec_fingerprint
 from repro.runner.store import CellStore
 from repro.utils.jsonio import write_json_atomic
 

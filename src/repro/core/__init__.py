@@ -1,15 +1,1 @@
 """COYOTE's algorithmic core: DAG construction, splitting optimization, pipeline."""
-
-from repro.core.dag_builder import augment_dag, build_dags, reverse_capacity_dags
-from repro.core.robust import RobustResult, optimize_robust_splitting
-from repro.core.coyote import Coyote, CoyoteResult
-
-__all__ = [
-    "augment_dag",
-    "build_dags",
-    "reverse_capacity_dags",
-    "RobustResult",
-    "optimize_robust_splitting",
-    "Coyote",
-    "CoyoteResult",
-]

@@ -63,8 +63,7 @@ class Coyote:
     """COYOTE pipeline driver.
 
     Example:
-        >>> from repro.topologies import load_topology
-        >>> from repro.demands import gravity_matrix, margin_box
+        >>> from repro import gravity_matrix, load_topology, margin_box
         >>> net = load_topology("abilene")
         >>> bounds = margin_box(gravity_matrix(net), margin=2.0)
         >>> result = Coyote(net, bounds).run()       # doctest: +SKIP

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.config import DEFAULT_CONFIG, SolverConfig
-from repro.core.gp import optimize_splitting_gp
 from repro.core.softmax_opt import (
     SplittingSolution,
     optimize_splitting_softmax,
@@ -98,6 +97,8 @@ def _inner_optimize(
             network, dags, matrices, config, initial_ratios=starts, name=name
         )
     if optimizer == "gp":
+        from repro.core.gp import optimize_splitting_gp
+
         best: SplittingSolution | None = None
         for start in list(starts) or [None]:
             solution = optimize_splitting_gp(

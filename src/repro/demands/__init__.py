@@ -1,15 +1,1 @@
 """Traffic demand models: matrices, gravity/bimodal samplers, uncertainty sets."""
-
-from repro.demands.matrix import DemandMatrix
-from repro.demands.gravity import gravity_matrix
-from repro.demands.bimodal import bimodal_matrix
-from repro.demands.uncertainty import UncertaintySet, margin_box, oblivious_set
-
-__all__ = [
-    "DemandMatrix",
-    "gravity_matrix",
-    "bimodal_matrix",
-    "UncertaintySet",
-    "margin_box",
-    "oblivious_set",
-]

@@ -1,16 +1,1 @@
 """Traditional TE with ECMP: link weights and equal-split shortest-path routing."""
-
-from repro.ecmp.weights import (
-    inverse_capacity_weights,
-    unit_weights,
-    integer_scaled_weights,
-)
-from repro.ecmp.routing import ecmp_routing, ecmp_dags
-
-__all__ = [
-    "inverse_capacity_weights",
-    "unit_weights",
-    "integer_scaled_weights",
-    "ecmp_routing",
-    "ecmp_dags",
-]

@@ -5,7 +5,3 @@ the series the paper plots.  The registry maps experiment ids
 ("fig6", "table1", ...) to drivers; the CLI and the benchmark harness
 both go through it.
 """
-
-from repro.experiments.registry import EXPERIMENTS, run_experiment, experiment_ids
-
-__all__ = ["EXPERIMENTS", "run_experiment", "experiment_ids"]

@@ -13,7 +13,7 @@ Schemes:
 * **COYOTE** — *per-prefix* DAGs realized through actual OSPF lies:
   traffic to t1 is split at s1, traffic to t2 is split at s2.  The
   forwarding state is extracted from a converged
-  :class:`repro.ospf.OspfDomain` with the fake LSAs installed, so this
+  :class:`repro.ospf.domain.OspfDomain` with the fake LSAs installed, so this
   experiment exercises the whole pipeline down to the FIBs.
 
 The emulator reports per-phase drop rates; the paper's reading is that

@@ -7,7 +7,7 @@ beat ECMP throughout, and the Base routing — optimal with *no*
 uncertainty — degrades quickly as the margin widens, often falling
 behind even ECMP.
 
-The drivers declare their grid as a :class:`~repro.runner.SweepSpec`
+The drivers declare their grid as a :class:`~repro.runner.spec.SweepSpec`
 (one cell per margin) and hand execution to the sweep runner, which can
 fan cells out over a process pool and serve repeats from the result
 cache.

@@ -7,7 +7,7 @@ margins {1, 2, 3}; pass ``--full`` (or set ``REPRO_FULL=1``) for the
 paper grid.
 
 The driver declares the (topology x margin) grid as a
-:class:`~repro.runner.SweepSpec`; the sweep runner executes it serially
+:class:`~repro.runner.spec.SweepSpec`; the sweep runner executes it serially
 or across a process pool and reassembles the table in the declared
 topology-major order.
 """

@@ -5,20 +5,6 @@ injecting fake nodes/links into the link-state database; Németh et
 al. [18] approximate unequal splits by giving ECMP repeated virtual
 next hops.  This package implements both: ratio apportionment into
 bounded integer multiplicities, fake-LSA synthesis, and an end-to-end
-controller that installs the lies into :class:`repro.ospf.OspfDomain`
+controller that installs the lies into :class:`repro.ospf.domain.OspfDomain`
 and verifies the realized FIBs.
 """
-
-from repro.fibbing.apportionment import apportion, approximate_routing
-from repro.fibbing.lies import lies_for_destination, lies_for_routing, LIE_COST_FRACTION
-from repro.fibbing.controller import FibbingController, FibbingReport
-
-__all__ = [
-    "apportion",
-    "approximate_routing",
-    "lies_for_destination",
-    "lies_for_routing",
-    "LIE_COST_FRACTION",
-    "FibbingController",
-    "FibbingReport",
-]

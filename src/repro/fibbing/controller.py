@@ -6,7 +6,7 @@ approximation of [18]):
 
 1. apportion the target splitting ratios into bounded multiplicities;
 2. synthesize one fake LSA per (router, next hop, virtual copy);
-3. inject them into an :class:`repro.ospf.OspfDomain` and flood;
+3. inject them into an :class:`repro.ospf.domain.OspfDomain` and flood;
 4. extract every router's FIB and check that the realized forwarding
    DAGs and splitting fractions match the target.
 

@@ -1,13 +1,1 @@
 """Traffic simulators: steady-state fluid loads and packet-level emulation."""
-
-from repro.flowsim.fluid import FluidReport, fluid_report, delivery_fractions
-from repro.flowsim.packet import CbrFlow, PacketSimulator, PrefixForwarding
-
-__all__ = [
-    "FluidReport",
-    "fluid_report",
-    "delivery_fractions",
-    "CbrFlow",
-    "PacketSimulator",
-    "PrefixForwarding",
-]

@@ -16,7 +16,7 @@ Model, chosen to mirror the prototype experiment of Section VII:
 
 Forwarding state is a :class:`PrefixForwarding` per destination prefix
 — either hand-built (the TE1/TE2 baselines) or extracted from a
-converged :class:`repro.ospf.OspfDomain` (the COYOTE configuration with
+converged :class:`repro.ospf.domain.OspfDomain` (the COYOTE configuration with
 its lies installed), which is exactly how the paper's prototype drives
 real routers.
 """

@@ -1,19 +1,1 @@
 """Network model substrate: capacitated digraphs, per-destination DAGs, paths."""
-
-from repro.graph.network import Network
-from repro.graph.dag import Dag
-from repro.graph.paths import (
-    dijkstra_to_target,
-    shortest_path_dag,
-    hop_distances_to_target,
-    reachable_to,
-)
-
-__all__ = [
-    "Network",
-    "Dag",
-    "dijkstra_to_target",
-    "shortest_path_dag",
-    "hop_distances_to_target",
-    "reachable_to",
-]

@@ -39,19 +39,3 @@ oracle's coefficients, and ``core.local_search._weight_search_reference``
 load oracle and finite differences as its gradient oracle
 (``tests/test_flowgrad.py``).
 """
-
-from __future__ import annotations
-
-from repro.kernel.csr import CsrIndex, csr_index, weight_vector
-from repro.kernel.spf import SpfState, all_targets_spf, shortest_path_dags
-from repro.kernel.delta import EcmpDeltaEvaluator
-
-__all__ = [
-    "CsrIndex",
-    "EcmpDeltaEvaluator",
-    "SpfState",
-    "all_targets_spf",
-    "csr_index",
-    "shortest_path_dags",
-    "weight_vector",
-]

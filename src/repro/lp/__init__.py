@@ -29,18 +29,3 @@ LP families.  Normalized statuses map onto ``linprog`` statuses as
 and surface as ``InfeasibleError`` / ``UnboundedError`` / ``SolverError``
 at the modeling layer.
 """
-
-from repro.lp.model import LinExpr, Model, Solution, Variable
-from repro.lp.mcf import MinCongestionResult, min_congestion
-from repro.lp.dag_flow import dag_optimal_congestion, induced_splitting_ratios
-
-__all__ = [
-    "LinExpr",
-    "Model",
-    "Solution",
-    "Variable",
-    "MinCongestionResult",
-    "min_congestion",
-    "dag_optimal_congestion",
-    "induced_splitting_ratios",
-]

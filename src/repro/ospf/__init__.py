@@ -8,18 +8,3 @@ Fibbing [8, 9]) participate in SPF exactly like real routers, which is
 what lets :mod:`repro.fibbing` reshape forwarding without touching any
 router logic.
 """
-
-from repro.ospf.lsa import FakeNodeLsa, LsaLink, PrefixLsa, RouterLsa
-from repro.ospf.lsdb import LinkStateDatabase
-from repro.ospf.router import Router
-from repro.ospf.domain import OspfDomain
-
-__all__ = [
-    "FakeNodeLsa",
-    "LsaLink",
-    "PrefixLsa",
-    "RouterLsa",
-    "LinkStateDatabase",
-    "Router",
-    "OspfDomain",
-]

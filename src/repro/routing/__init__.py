@@ -1,15 +1,1 @@
 """Destination-based routing configurations: splitting ratios + propagation."""
-
-from repro.routing.splitting import Routing
-from repro.routing.propagation import (
-    propagate_to_destination,
-    source_fractions,
-    load_coefficients,
-)
-
-__all__ = [
-    "Routing",
-    "propagate_to_destination",
-    "source_fractions",
-    "load_coefficients",
-]

@@ -1,37 +1,1 @@
 """Evaluation topologies: Internet Topology Zoo equivalents plus gadgets."""
-
-from repro.topologies.zoo import (
-    TopologySpec,
-    available_topologies,
-    load_topology,
-    topology_info,
-    TABLE1_TOPOLOGIES,
-    STRETCH_TOPOLOGIES,
-)
-from repro.topologies.generators import (
-    running_example_network,
-    prototype_network,
-    integer_gadget_network,
-    path_sink_network,
-    ring_network,
-    grid_network,
-    ring_with_chords,
-    tree_with_chords,
-)
-
-__all__ = [
-    "TopologySpec",
-    "available_topologies",
-    "load_topology",
-    "topology_info",
-    "TABLE1_TOPOLOGIES",
-    "STRETCH_TOPOLOGIES",
-    "running_example_network",
-    "prototype_network",
-    "integer_gadget_network",
-    "path_sink_network",
-    "ring_network",
-    "grid_network",
-    "ring_with_chords",
-    "tree_with_chords",
-]

@@ -1,12 +1,1 @@
 """Small shared utilities: table rendering, seeding, validation helpers."""
-
-from repro.utils.tables import Table, format_markdown, format_csv
-from repro.utils.seeding import rng_from_seed, stable_hash
-
-__all__ = [
-    "Table",
-    "format_markdown",
-    "format_csv",
-    "rng_from_seed",
-    "stable_hash",
-]

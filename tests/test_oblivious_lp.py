@@ -66,8 +66,9 @@ class TestUnconstrainedOblivious:
     def test_abilene_close_to_literature(self, abilene):
         """Applegate-Cohen report oblivious ratios around 2 on ISP maps;
         the exact dual LP lands below destination-based ECMP's oblivious
-        ratio of 3.0, and the cutting-plane master bound agrees from
-        below."""
+        ratio of 3.0, the cutting-plane master bound agrees from below,
+        and the certified ratio of the loop's routing, feasible for the
+        exact LP, cannot beat its optimum."""
         exact = exact_unconstrained_oblivious(abilene)
         assert exact.ratio < 3.0
         deep = SolverConfig(max_adversarial_rounds=8, max_inner_iterations=10)
@@ -76,6 +77,8 @@ class TestUnconstrainedOblivious:
         )
         master_bound = bound.history[-1][0]
         assert master_bound <= exact.ratio + 1e-3
+        assert bound.ratio >= exact.ratio - 1e-9
+        assert bound.stop in ("converged", "cycling", "round-cap")
 
 
 class TestExactApplegateCohen:

@@ -1,16 +1,25 @@
-"""Repo hygiene: ignore rules and lint coverage track the tree's litter.
+"""Repo hygiene: ignore rules and lint coverage track the tree's litter,
+and importing a module loads only what it uses.
 
 ``benchmarks/`` and ``examples/`` historically grew ``__pycache__``
 directories that nothing ignored, and runtime artifacts (bench results,
 sweep caches) would otherwise show up as untracked noise.  These tests
 pin the ``.gitignore`` and ruff coverage so the fix can't silently rot.
+
+Every process pays for the modules it imports, so package ``__init__``
+files import nothing and ``repro``'s public names resolve on first
+access; the import tests below run in fresh interpreters to pin that.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import re
 import shutil
 import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -163,3 +172,118 @@ def test_benchmark_and_example_pycache_ignored_by_git():
         capture_output=True, text=True,
     )
     assert result.returncode == 0, f"paths not ignored:\n{result.stdout}"
+
+
+#: Modules that solving a ``margin`` or ``fig11-stretch`` cell never runs:
+#: the other experiment drivers and their registry, the
+#: OSPF/Fibbing/flow-simulation stack, the pipeline, GP and local-search
+#: cores, and the artifact writer.
+UNUSED_BY_SWEEPS = (
+    "repro.core.coyote",
+    "repro.core.gp",
+    "repro.core.local_search",
+    "repro.experiments.fig10_approximation",
+    "repro.experiments.fig12_prototype",
+    "repro.experiments.fig9_local_search",
+    "repro.experiments.hardness",
+    "repro.experiments.margin_sweep",
+    "repro.experiments.registry",
+    "repro.experiments.running_example",
+    "repro.experiments.table1",
+    "repro.fibbing",
+    "repro.fibbing.apportionment",
+    "repro.fibbing.controller",
+    "repro.fibbing.lies",
+    "repro.flowsim",
+    "repro.flowsim.fluid",
+    "repro.flowsim.packet",
+    "repro.kernel.delta",
+    "repro.ospf",
+    "repro.ospf.domain",
+    "repro.ospf.lsa",
+    "repro.ospf.lsdb",
+    "repro.ospf.router",
+    "repro.ospf.spf",
+    "repro.runner.artifacts",
+)
+
+
+def _fresh(code: str) -> dict:
+    """Run ``code`` in a new interpreter; the JSON object it prints last."""
+    paths = [str(REPO_ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_the_sweep_path_imports_no_unused_module():
+    loaded = _fresh("""
+        import json, sys
+        import repro.experiments.common, repro.experiments.fig11_stretch
+        import repro.runner.executor, repro.lp.worst_case
+        print(json.dumps(sorted(sys.modules)))
+    """)
+    extra = sorted(set(UNUSED_BY_SWEEPS) & set(loaded))
+    assert not extra, f"the sweep path imports modules it never runs: {extra}"
+
+
+def test_every_public_name_resolves_on_first_access():
+    result = _fresh("""
+        import json, sys
+        import repro
+        before = sorted(name for name in sys.modules if name.startswith("repro."))
+        from repro import Coyote, gravity_matrix, load_topology, margin_box
+        quickstart = [Coyote.__name__, gravity_matrix.__name__,
+                      load_topology.__name__, margin_box.__name__]
+        missing = [name for name in repro.__all__ if not hasattr(repro, name)]
+        try:
+            repro.no_such_name
+        except AttributeError:
+            unknown = "AttributeError"
+        print(json.dumps({"before": before, "quickstart": quickstart,
+                          "missing": missing, "unknown": unknown}))
+    """)
+    assert result["before"] == []
+    assert result["quickstart"] == ["Coyote", "gravity_matrix", "load_topology", "margin_box"]
+    assert result["missing"] == []
+    assert result["unknown"] == "AttributeError"
+
+
+def test_a_worker_resolves_any_kind_through_the_registry():
+    # A worker unpickles cells before any driver module has run: the
+    # first lookup of a kind it has not seen imports the registry.
+    result = _fresh("""
+        import json, sys
+        from repro.runner.spec import cell_kind
+        before = "repro.experiments.registry" in sys.modules
+        kind = cell_kind("fig9-local-search")
+        print(json.dumps({"before": before, "name": kind.name,
+                          "after": "repro.experiments.registry" in sys.modules}))
+    """)
+    assert result == {"before": False, "name": "fig9-local-search", "after": True}
+
+
+def test_the_gp_optimizer_loads_on_its_branch():
+    result = _fresh("""
+        import json, sys
+        from repro.core.robust import optimize_robust_splitting
+        from repro.demands.uncertainty import oblivious_pairs
+        from repro.graph.dag import Dag
+        from repro.topologies.generators import running_example_network
+        before = "repro.core.gp" in sys.modules
+        network = running_example_network()
+        dag = Dag("t", [("s1", "s2"), ("s1", "v"), ("s2", "t"), ("s2", "v"), ("v", "t")],
+                  network)
+        result = optimize_robust_splitting(
+            network, {"t": dag}, oblivious_pairs([("s1", "t"), ("s2", "t")]),
+            optimizer="gp",
+        )
+        print(json.dumps({"before": before, "ratio": result.oracle.ratio,
+                          "after": "repro.core.gp" in sys.modules}))
+    """)
+    assert result["before"] is False and result["after"] is True
+    assert abs(result["ratio"] - (5**0.5 - 1)) <= 0.02
