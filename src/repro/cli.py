@@ -7,10 +7,8 @@ Examples:
     repro run table1 --csv /tmp/table1.csv --jobs 4
     repro sweep table1 --jobs 4 --out artifacts/
     repro sweep fig11 --full --jobs 8        # topology-parallel stretch
-    repro sweep fig11 --full --shard 0/4 --cache-dir /shared/store
-    repro sweep fig9 --cache-dir /fast/local --cache-dir /shared/store
-    repro cache merge shard0 shard1 --into merged
-    repro cache stats merged && repro cache verify merged
+    repro sweep fig9 --cache-dir store --keep-going
+    repro cache verify store && repro cache failures store
     repro bench fig6 --jobs 2                # emits BENCH_fig6.json
     repro bench all --out bench/             # every declared benchmark
     repro bench fig6 --baseline BENCH_fig6.json --fail-on-regress 20
@@ -36,16 +34,6 @@ from repro.experiments.registry import (
     sweepable_experiment_ids,
 )
 from repro.runner.artifacts import write_artifacts
-from repro.runner.campaign import (
-    DEFAULT_CLAIM_TTL,
-    CampaignError,
-    ClaimPolicy,
-    build_manifest,
-    default_owner,
-    load_manifest,
-    parse_shard,
-    write_manifest,
-)
 from repro.runner.executor import run_sweep
 from repro.runner.faults import (
     DEFAULT_MAX_ATTEMPTS,
@@ -53,16 +41,7 @@ from repro.runner.faults import (
     FailurePolicy,
     parse_faults,
 )
-from repro.runner.store import (
-    CellStore,
-    DirStore,
-    OverlayStore,
-    default_cache_dir,
-    merge_stores,
-    open_store,
-    store_stats,
-    verify_store,
-)
+from repro.runner.store import DirStore, default_cache_dir, verify_store
 from repro.topologies.zoo import available_topologies, load_topology, topology_info
 from repro.utils.tables import format_csv, format_markdown
 
@@ -76,38 +55,18 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig.paper() if args.full else ExperimentConfig.from_environment()
 
 
-def _cache_from(args: argparse.Namespace, default_on: bool) -> CellStore | None:
+def _cache_from(args: argparse.Namespace, default_on: bool) -> DirStore | None:
     """The result store an invocation should use, if any.
 
     ``repro sweep`` caches by default (``default_on=True``); ``repro run``
     solves fresh unless ``--cache-dir`` opts in, so editing solver code and
     re-running the established command can never serve stale rows.
-    Repeating ``--cache-dir`` layers the directories into a read-through
-    :class:`~repro.runner.store.OverlayStore` (first = local fast store,
-    later = shared authoritative; writes land in every layer).
     """
     if args.no_cache:
         return None
     if args.cache_dir:
-        return open_store(args.cache_dir)
+        return DirStore(args.cache_dir)
     return DirStore(default_cache_dir()) if default_on else None
-
-
-def _store_root(store: CellStore):
-    """The directory campaign metadata (claims, manifest) lives under.
-
-    An overlay anchors its campaign state at the *last* (shared,
-    authoritative) layer: claims only coordinate if every host overlaying
-    the same shared store reads and writes them in that shared
-    directory, and the manifest's completion counts describe the store a
-    resumed run will actually be served from.
-    """
-    anchor = store.stores[-1] if isinstance(store, OverlayStore) else store
-    if isinstance(anchor, DirStore):
-        return anchor.root
-    raise ReproError(
-        f"store {store.describe()} has no directory root for campaign metadata"
-    )
 
 
 def _write_csv(table, path: str | None) -> None:
@@ -200,25 +159,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _experiment_config(args)
     spec = experiment_spec(args.experiment, config)
-    shard = parse_shard(args.shard) if args.shard else None
-    cache = _cache_from(args, default_on=True)
-    if (shard is not None or args.steal) and cache is None:
-        raise ReproError(
-            "--shard/--steal coordinate through a result store; drop --no-cache"
-        )
-    claims = None
-    if shard is not None or args.steal:
-        claims = ClaimPolicy(
-            root=_store_root(cache), owner=default_owner(), ttl=args.claim_ttl
-        )
     try:
         report = run_sweep(
             spec,
             jobs=args.jobs,
-            cache=cache,
-            shard=shard,
-            claims=claims,
-            steal=args.steal,
+            cache=_cache_from(args, default_on=True),
             failures=_failure_policy(args),
         )
     except BaseException as error:
@@ -229,78 +174,35 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             for path in write_artifacts(partial, args.out):
                 print(f"partial artifact written to {path}", file=sys.stderr)
         raise
-    table = None
-    if report.table_ready:
-        table = report.table()
-        print(format_markdown(table))
-        if report.quarantined:
-            print(
-                f"warning: {report.quarantined} cell(s) quarantined after repeated "
-                "failures; their rows are omitted (triage: `repro cache failures`)",
-                file=sys.stderr,
-            )
-    else:
+    table = report.table()
+    print(format_markdown(table))
+    if report.quarantined:
         print(
-            f"partial sweep ({len(report.skipped)} of {len(spec.cells)} cells left "
-            "to other shards/owners); no table emitted -- merge the campaign "
-            "stores (`repro cache merge`) and re-run against the merged store",
+            f"warning: {report.quarantined} cell(s) quarantined after repeated "
+            "failures; their rows are omitted (triage: `repro cache failures`)",
             file=sys.stderr,
         )
     print(report.summary())
-    if cache is not None:
-        manifest = build_manifest(spec, report, cache, shard=shard, policy=claims)
-        manifest_file = write_manifest(manifest, _store_root(cache))
-        print(f"campaign manifest written to {manifest_file}")
     if args.out:
         for path in write_artifacts(report, args.out):
             print(f"artifact written to {path}")
-    if table is not None:
-        _write_csv(table, args.csv)
-    elif args.csv:
-        print("note: --csv skipped for a partial sweep", file=sys.stderr)
+    _write_csv(table, args.csv)
     # Exit 3 = "ran to completion, but some cells are quarantined": distinct
-    # from 0 (clean, possibly shard-partial) and 1 (hard error) so CI and
-    # campaign drivers can branch on it.
+    # from 0 (clean) and 1 (hard error) so CI and scripts can branch on it.
     return 3 if report.quarantined else 0
 
 
 def _cache_targets(paths: list[str]) -> list[DirStore]:
-    return [DirStore(path) for path in (paths or [default_cache_dir()])]
+    """The stores a ``repro cache`` command names; each must exist.
 
-
-def _cmd_cache_stats(args: argparse.Namespace) -> int:
-    for store in _cache_targets(args.stores):
-        stats = store_stats(store)
-        mib = stats["bytes"] / (1024 * 1024)
-        print(f"{stats['root']}: {stats['entries']} entries, {mib:.2f} MiB")
-        for version, count in sorted(stats["by_version"].items()):
-            print(f"  version {version}: {count}")
-        for kind, count in sorted(stats["by_kind"].items()):
-            print(f"  kind {kind}: {count}")
-        if stats["unreadable"]:
-            print(f"  unreadable: {stats['unreadable']}")
-        try:
-            manifest = load_manifest(store.root)
-        except CampaignError:
-            continue
-        shard_info = manifest.get("shard", {})
-        print(
-            f"  campaign: {manifest.get('experiment')} "
-            f"shard {shard_info.get('index')}/{shard_info.get('count')}, "
-            f"{manifest.get('completed_cells')}/{manifest.get('cells_total')} "
-            "cells completed"
-        )
-    return 0
-
-
-def _cmd_cache_merge(args: argparse.Namespace) -> int:
-    dest = DirStore(args.into)
-    sources = [DirStore(path) for path in args.sources]
-    stats = merge_stores(sources, dest)
-    print(f"merged {len(sources)} store(s) into {dest.describe()}: {stats.summary()}")
-    # Conflicts mean two stores hold different results for the same
-    # content key -- determinism is broken somewhere; surface it loudly.
-    return 1 if stats.conflicting else 0
+    A missing directory is an error, not an empty store, so a mistyped
+    path cannot pass a check by having nothing to check.
+    """
+    stores = [DirStore(path) for path in (paths or [default_cache_dir()])]
+    for store in stores:
+        if not store.root.is_dir():
+            raise ReproError(f"no result store at {store.root}")
+    return stores
 
 
 def _cmd_cache_failures(args: argparse.Namespace) -> int:
@@ -440,11 +342,10 @@ def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
         help="worker processes for sweep cells (default: 1, serial)",
     )
     parser.add_argument(
-        "--cache-dir", metavar="PATH", action="append",
+        "--cache-dir", metavar="PATH",
         help="result store directory ($REPRO_CACHE_DIR, $XDG_CACHE_HOME/repro, "
         "or ~/.cache/repro; `sweep` caches by default, `run` only when this "
-        "flag is given).  Repeat to layer stores read-through: first is the "
-        "local fast layer, last is the shared authoritative one",
+        "flag is given)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -508,47 +409,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", metavar="DIR",
         help="write JSON artifacts (table + per-cell results + lifecycle events)",
     )
-    sweep.add_argument(
-        "--shard", metavar="I/N",
-        help="solve only the cells hashing into shard I of N (0-based); other "
-        "shards' cells are skipped, the run is coordinated through claim "
-        "files, and a campaign manifest records progress (docs/campaigns.md)",
-    )
-    sweep.add_argument(
-        "--steal", action="store_true",
-        help="after this shard's own cells, also solve unstored foreign cells "
-        "whose claims are absent or expired (bounded duplicate solves on "
-        "claim-expiry races are the documented cost)",
-    )
-    sweep.add_argument(
-        "--claim-ttl", type=_non_negative_float, default=DEFAULT_CLAIM_TTL,
-        metavar="SECONDS",
-        help="seconds before a claim counts as abandoned and becomes stealable "
-        f"(default: {DEFAULT_CLAIM_TTL:g}; must outlive the slowest chunk)",
-    )
     _add_runner_flags(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
     cache = sub.add_parser(
-        "cache", help="inspect, merge, and verify result stores (docs/campaigns.md)"
+        "cache", help="verify result stores and triage failures (docs/campaigns.md)"
     )
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
-    stats = cache_sub.add_parser(
-        "stats", help="entry counts, sizes, and campaign progress per store"
-    )
-    stats.add_argument(
-        "stores", nargs="*", metavar="DIR",
-        help="store roots (default: the default cache directory)",
-    )
-    stats.set_defaults(func=_cmd_cache_stats)
-    merge = cache_sub.add_parser(
-        "merge", help="fold every valid entry of the source stores into one store"
-    )
-    merge.add_argument("sources", nargs="+", metavar="SRC", help="source store roots")
-    merge.add_argument(
-        "--into", required=True, metavar="DEST", help="destination store root"
-    )
-    merge.set_defaults(func=_cmd_cache_merge)
     verify = cache_sub.add_parser(
         "verify", help="re-hash every entry's fingerprint against its filename"
     )

@@ -5,20 +5,18 @@ three files per experiment:
 
 * ``<experiment>.table.json`` — the assembled table (title, columns,
   rows, notes) plus run counters; enough to re-render or diff a sweep
-  without re-solving anything.  Partial (sharded / claim-deferred /
-  aborted) runs cannot assemble a faithful table, so this file is
-  skipped for them — merge the campaign stores and re-run to produce
-  it.  ``--keep-going`` runs whose only skips are quarantined cells do
-  emit the table, with the failed rows omitted under an explicit note.
+  without re-solving anything.  An aborted run cannot assemble a
+  faithful table, so this file is skipped for it.  ``--keep-going``
+  runs with quarantined cells do emit the table, with the failed rows
+  omitted under an explicit note.
 * ``<experiment>.cells.json`` — one record per resolved cell with its
   full cache fingerprint, content key, result values, and lifecycle
-  status (cache-hit / solved / stolen); the raw material for cross-run
+  status (cache-hit / solved); the raw material for cross-run
   regression comparisons.
 * ``<experiment>.events.json`` — the run's structured lifecycle event
   log (see :mod:`repro.runner.timing`) plus the skipped-cell list, so a
-  campaign's scheduling behavior (claims, steals, deferrals) is
-  reconstructable per run and mergeable across runs via the epoch
-  timestamps.
+  run's hits, solves, retries and quarantines are reconstructable
+  after the fact.
 
 All files are written atomically (temp file + ``os.replace``, the same
 pattern as :meth:`~repro.runner.store.DirStore.put`), so a crash
@@ -37,17 +35,17 @@ from repro.utils.jsonio import write_json_atomic
 def write_artifacts(report: SweepReport, out_dir: str | Path) -> list[Path]:
     """Write the sweep's JSON artifacts; returns the paths written.
 
-    Table-ready runs produce ``[table, cells, events]``; sharded /
-    deferred / aborted partials omit the table (a partial table would
-    silently diff as "rows vanished").  A ``--keep-going`` run whose
-    only skips are quarantined cells is table-ready: its table carries
-    an explicit omission note instead of silently-missing rows.
+    Table-ready runs produce ``[table, cells, events]``; an aborted run
+    omits the table (a partial table would silently diff as "rows
+    vanished").  A ``--keep-going`` run with quarantined cells is
+    table-ready: its table carries an explicit omission note instead of
+    silently-missing rows.
     """
     out = Path(out_dir).expanduser()
     out.mkdir(parents=True, exist_ok=True)
     paths: list[Path] = []
 
-    if report.table_ready:
+    if not report.aborted:
         table = report.table()
         table_payload = {
             "experiment": report.spec.experiment,
@@ -57,7 +55,6 @@ def write_artifacts(report: SweepReport, out_dir: str | Path) -> list[Path]:
             "notes": list(table.notes),
             "solved": report.solved,
             "cached": report.cached,
-            "stolen": report.stolen,
             "jobs": report.jobs,
             "quarantined": report.quarantined,
             "elapsed_seconds": round(report.elapsed, 3),
@@ -83,7 +80,6 @@ def write_artifacts(report: SweepReport, out_dir: str | Path) -> list[Path]:
 
     events_payload = {
         "experiment": report.spec.experiment,
-        "shard": str(report.shard) if report.shard is not None else None,
         "complete": report.complete,
         "aborted": report.aborted,
         "lifecycle": report.lifecycle_counts(),

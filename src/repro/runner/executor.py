@@ -5,21 +5,20 @@ cells and one pump that pulls work from it as capacity frees up:
 
 1. **Probe** — every cell is checked against the store first; hits are
    recorded as ``cache-hit`` lifecycle events and never scheduled.
-   Cells with a persisted *failure record* at or past the attempt
-   budget are quarantined up front instead of re-attempted (see
+   Cells with a persisted *deterministic* failure record are
+   quarantined up front instead of re-attempted (see
    :mod:`repro.runner.faults`).
-2. **Partition** — under ``--shard i/N`` the remaining cells split into
-   ours and foreign (deterministic hash of the cell key, see
-   :mod:`repro.runner.campaign`); foreign cells are skipped, or queued
-   *after* our own when work stealing is on.
-3. **Pull** — chunks are dispatched one at a time as workers become
+2. **Pull** — chunks are dispatched one at a time as workers become
    idle.  Immediately before dispatch each chunk is *re*-probed against
-   the store (another host may have stored the cell since step 1) and,
-   when a claim policy is active, claimed: a live foreign claim defers
-   the cell to its owner, an expired one is stolen.
-4. **Record** — results are stored and their claims released as they
-   arrive (not at sweep end), so a killed run preserves every solved
-   cell and a resumed run re-solves none of them.
+   the store, so a cell another sweep on the same store has stored
+   since step 1 is served as a hit instead of solved again.
+3. **Record** — results are stored as they arrive (not at sweep end),
+   so a killed run preserves every solved cell and a resumed run
+   re-solves none of them.
+
+Two sweeps sharing one store need no coordination: a cell both miss is
+solved twice, and since entries are content-addressed and written
+atomically, the second write replaces an identical entry.
 
 The job count only picks what a chunk is and where it runs.  ``jobs ==
 1`` queues one chunk per cell and solves each in-process the moment it
@@ -50,8 +49,8 @@ land on the same long-lived worker.
   pool's workers when exceeded, re-queues the innocent chunks, and
   retries (then quarantines) the overdue cell.  Budgets apply with
   ``jobs > 1`` only — an in-process solve has no worker to kill.
-* Quarantining a cell persists a failure record in the store, releases
-  its claim, and emits a ``quarantined`` event.  By default any
+* Quarantining a cell persists a failure record in the store and emits
+  a ``quarantined`` event.  By default any
   quarantine aborts the sweep with the original error once in-flight
   work drains; ``--max-failures N`` / ``--keep-going`` instead turn
   quarantined cells into ``SkippedCell(reason="failed")`` rows of a
@@ -65,14 +64,10 @@ decomposes into independent units rides the same executor.
 
 Results are reassembled strictly in ``spec.cells`` order regardless of
 completion order, so every job count emits a table row-for-row
-identical to the others.  Sharded runs resolve only part of the
-grid: unresolved cells are reported as *skipped* (with a reason), the
-report's ``complete`` flag turns false, and table assembly refuses to
-emit a partial table — merge the shard stores (``repro cache merge``)
-and re-run against the merged store to assemble the full table from
-hits alone.  The one sanctioned exception: a report whose only skips
-are quarantined cells still assembles its table, omitting those rows
-with a note, so ``--keep-going`` campaigns yield usable output.
+identical to the others.  Quarantined cells are reported as *skipped*
+and turn the report's ``complete`` flag false; the table still
+assembles, omitting their rows with a note, so ``--keep-going`` sweeps
+yield usable output.
 """
 
 from __future__ import annotations
@@ -91,13 +86,6 @@ from typing import Callable
 
 from repro.exceptions import ExperimentError
 from repro.runner import faults
-from repro.runner.campaign import (
-    ClaimPolicy,
-    Shard,
-    cell_shard,
-    release_claim,
-    try_claim,
-)
 from repro.runner.faults import (
     CellTimeoutError,
     FailurePolicy,
@@ -227,9 +215,7 @@ class CellResult:
 
     ``timings`` maps phase names ("setup"/"solve"/"evaluate" plus
     "total") to seconds for freshly solved cells; store-served cells
-    carry an empty dict — no work was timed.  ``stolen`` marks results
-    this run produced by taking over an abandoned claim or a foreign
-    shard's cell under work stealing.
+    carry an empty dict — no work was timed.
     """
 
     cell: SweepCell
@@ -237,27 +223,21 @@ class CellResult:
     ratios: dict[str, float]
     cached: bool
     timings: dict[str, float] = field(default_factory=dict)
-    stolen: bool = False
 
     @property
     def status(self) -> str:
-        """``"cache-hit"``, ``"stolen"``, or ``"solved"``."""
-        if self.cached:
-            return "cache-hit"
-        return "stolen" if self.stolen else "solved"
+        """``"cache-hit"`` or ``"solved"``."""
+        return "cache-hit" if self.cached else "solved"
 
 
 @dataclass(frozen=True)
 class SkippedCell:
-    """One cell this run deliberately did not resolve, and why.
+    """One cell this run quarantined instead of resolving.
 
-    ``reason`` is ``"foreign-shard"`` (belongs to another shard, work
-    stealing off), ``"claimed-elsewhere"`` (another owner holds a live
-    claim; resume picks the result up from the store once they finish),
-    or ``"failed"`` (quarantined after exhausting its attempts — a
-    failure record in the store carries the error; triage with
-    ``repro cache failures``).  ``detail`` refines the reason (e.g. the
-    failure's error class).
+    ``reason`` is ``"failed"``: the cell exhausted its attempts (or
+    failed deterministically), and a failure record in the store
+    carries the error; triage with ``repro cache failures``.
+    ``detail`` is the failure's label (e.g. its error class).
     """
 
     cell: SweepCell
@@ -273,7 +253,7 @@ class SweepReport:
     ``elapsed`` is measured on the monotonic clock
     (``time.perf_counter``), so wall-clock adjustments (NTP steps, DST)
     can never corrupt benchmark payloads; lifecycle *events* keep epoch
-    timestamps for cross-host merging (see :mod:`repro.runner.timing`).
+    timestamps (see :mod:`repro.runner.timing`).
     ``aborted`` marks the partial report attached to a raised sweep
     error — its results are real, but the run did not finish.
     """
@@ -284,7 +264,6 @@ class SweepReport:
     jobs: int = 1
     skipped: list[SkippedCell] = field(default_factory=list)
     events: list[CellEvent] = field(default_factory=list)
-    shard: Shard | None = None
     aborted: bool = False
 
     @property
@@ -296,29 +275,14 @@ class SweepReport:
         return sum(1 for result in self.results if result.cached)
 
     @property
-    def stolen(self) -> int:
-        return sum(1 for result in self.results if result.stolen)
-
-    @property
     def quarantined(self) -> int:
-        """Cells skipped as ``"failed"`` (quarantined) by this run."""
-        return sum(1 for skip in self.skipped if skip.reason == "failed")
+        """Cells this run quarantined (every skipped cell is one)."""
+        return len(self.skipped)
 
     @property
     def complete(self) -> bool:
         """Whether every cell of the spec was resolved by this run."""
         return not self.skipped and not self.aborted
-
-    @property
-    def table_ready(self) -> bool:
-        """Whether :meth:`table` can assemble a faithful table.
-
-        True for complete runs, and for runs whose *only* skips are
-        quarantined cells — those assemble with the failed rows omitted
-        and a note, so ``--keep-going`` campaigns still emit output.
-        Sharded/deferred partials (and aborted reports) stay False.
-        """
-        return not self.aborted and all(skip.reason == "failed" for skip in self.skipped)
 
     def lifecycle_counts(self) -> dict[str, int]:
         """Event-name -> occurrence totals for this run's lifecycle log."""
@@ -346,20 +310,14 @@ class SweepReport:
         values equal) merge their result dicts into one row; the row's
         values are then picked in the spec's declared column order.
 
-        A partial (sharded / claim-deferred) report cannot assemble a
-        faithful table and refuses to: merge the shard stores and re-run
-        against the merged store to serve every cell from hits.  A
-        report whose only skips are *quarantined* cells does assemble —
-        rows touching a failed cell are omitted and counted in a note,
-        which is the usable-partial-output contract of ``--keep-going``.
+        An aborted report refuses to: it did not finish.  Rows touching
+        a *quarantined* cell are omitted and counted in a note, which is
+        the usable-partial-output contract of ``--keep-going``.
         """
-        if not self.table_ready:
-            reasons = sorted({skip.reason for skip in self.skipped} or {"aborted"})
+        if self.aborted:
             raise ExperimentError(
-                f"sweep {self.spec.experiment!r} is partial: {len(self.skipped)} of "
-                f"{len(self.spec.cells)} cells unresolved ({', '.join(reasons)}); "
-                f"merge the campaign stores (repro cache merge) and re-run against "
-                f"the merged store to assemble the full table"
+                f"sweep {self.spec.experiment!r} aborted with {len(self.results)} of "
+                f"{len(self.spec.cells)} cells resolved; no table to assemble"
             )
         spec = self.spec
         omitted = {
@@ -419,18 +377,10 @@ class SweepReport:
             f"{len(self.results)} cells: {self.solved} solved, "
             f"{self.cached} from cache (jobs={self.jobs}, {self.elapsed:.1f}s)"
         )
-        if self.stolen:
-            base += f" [{self.stolen} stolen]"
         if self.skipped:
-            reasons: dict[str, int] = {}
-            for skip in self.skipped:
-                reasons[skip.reason] = reasons.get(skip.reason, 0) + 1
-            detail = ", ".join(f"{count} {reason}" for reason, count in sorted(reasons.items()))
-            base += f"; {len(self.skipped)} skipped ({detail})"
+            base += f"; {self.quarantined} skipped ({self.quarantined} failed)"
         if self.aborted:
             base += " [aborted]"
-        if self.shard is not None:
-            base = f"shard {self.shard}: {base}"
         return base
 
 
@@ -438,25 +388,19 @@ class SweepReport:
 class _Frontier:
     """One sweep's per-cell state machine, shared by every job count.
 
-    The pump moves each runnable cell through :meth:`prepare` (re-probe,
-    claim), a solve, and then :meth:`record` or :meth:`fail`.  Everything
-    the run knows about its cells — resolved, quarantined, claimed,
-    stolen and deferred ones, attempt counts, and the error that aborts
-    the sweep — lives here.
+    The pump moves each runnable cell through :meth:`prepare` (re-probe),
+    a solve, and then :meth:`record` or :meth:`fail`.  Everything the run
+    knows about its cells — resolved and quarantined ones, attempt
+    counts, and the error that aborts the sweep — lives here.
     """
 
     keys: list[str]
     events: EventLog
     policy: FailurePolicy
     cache: CellStore | None
-    claims: ClaimPolicy | None
-    foreign: set[int] = field(default_factory=set)
     resolved: dict[int, CellResult] = field(default_factory=dict)
     failed: dict[int, SkippedCell] = field(default_factory=dict)
     attempts: dict[int, int] = field(default_factory=dict)
-    claimed: set[int] = field(default_factory=set)
-    stolen: set[int] = field(default_factory=set)
-    deferred: list[tuple[int, SweepCell]] = field(default_factory=list)
     first_error: Exception | None = None
 
     def probe(self, index: int, cell: SweepCell) -> bool:
@@ -467,11 +411,6 @@ class _Frontier:
         self.events.emit(self.keys[index], "cache-hit")
         self.resolved[index] = CellResult(cell=cell, key=self.keys[index], ratios=hit, cached=True)
         return True
-
-    def release(self, index: int) -> None:
-        if self.claims is not None and index in self.claimed:
-            release_claim(self.claims, self.keys[index])
-            self.claimed.discard(index)
 
     def live(self, chunk: list[tuple[int, SweepCell]]) -> list[tuple[int, SweepCell]]:
         """The chunk's cells that are neither resolved nor quarantined."""
@@ -510,7 +449,6 @@ class _Frontier:
                     cell, key, attempts=count, label=label, error=error, detail=detail
                 ),
             )
-        self.release(index)
         self.failed[index] = SkippedCell(cell=cell, key=key, reason="failed", detail=label)
         over_budget = not self.policy.keep_going and len(self.failed) > self.policy.max_failures
         if over_budget and self.first_error is None:
@@ -549,40 +487,12 @@ class _Frontier:
         return None
 
     def prepare(self, batch: list[tuple[int, SweepCell]]) -> list[tuple[int, SweepCell]]:
-        """Frontier gate: re-probe the store, then claim, just before dispatch."""
-        runnable: list[tuple[int, SweepCell]] = []
-        for index, cell in self.live(batch):
-            if self.probe(index, cell):
-                self.release(index)  # a retried cell may already hold its claim
-                continue  # another host stored it since the first probe
-            if self.claims is not None and index not in self.claimed:
-                key = self.keys[index]
-                outcome = try_claim(self.claims, key)
-                if outcome == "held":
-                    self.events.emit(key, "deferred", detail="live claim by another owner")
-                    self.deferred.append((index, cell))
-                    continue
-                self.claimed.add(index)
-                # Probe-then-claim is not atomic: another owner can store
-                # the result and release its claim between our miss above
-                # and this acquisition.  An owner always stores before
-                # releasing, so one more probe now that we hold the claim
-                # closes that duplicate-solve window (only claim-*expiry*
-                # races can still duplicate work, which is the documented
-                # cost).
-                if self.probe(index, cell):
-                    self.release(index)
-                    continue
-                if outcome == "stolen" or index in self.foreign:
-                    self.stolen.add(index)
-                detail = "expired claim taken over" if outcome == "stolen" else ""
-                if index in self.foreign:
-                    detail = (detail + "; " if detail else "") + "foreign-shard steal"
-                self.events.emit(
-                    key, "stolen" if index in self.stolen else "claimed", detail=detail
-                )
-            runnable.append((index, cell))
-        return runnable
+        """Frontier gate: re-probe the store just before dispatch.
+
+        Another sweep on the same store may have stored a cell since
+        the first probe; serving it as a hit here saves the solve.
+        """
+        return [(i, c) for i, c in self.live(batch) if not self.probe(i, c)]
 
     # Results are stored as they arrive, not after the sweep completes, so
     # an interrupted or partially failed run preserves every solved cell.
@@ -595,7 +505,6 @@ class _Frontier:
             ratios=ratios,
             cached=False,
             timings=timings,
-            stolen=index in self.stolen,
         )
         if self.cache is not None:
             self.cache.put(cell, ratios)
@@ -604,7 +513,6 @@ class _Frontier:
                 # it would quarantine a now-working cell on resume.
                 self.cache.clear_failure(cell)
         self.events.emit(self.keys[index], "solved")
-        self.release(index)
 
 
 def run_sweep(
@@ -613,9 +521,6 @@ def run_sweep(
     jobs: int = 1,
     cache: CellStore | None = None,
     solve: Callable[[SweepCell], dict[str, float]] = solve_cell,
-    shard: Shard | None = None,
-    claims: ClaimPolicy | None = None,
-    steal: bool = False,
     failures: FailurePolicy | None = None,
 ) -> SweepReport:
     """Execute a sweep spec through the pull-based frontier.
@@ -627,18 +532,6 @@ def run_sweep(
             ``None`` disables caching entirely (including failure
             records — nothing persists, so every run re-attempts).
         solve: cell solver (injectable for tests).
-        shard: restrict solving to one deterministic slice of the grid;
-            cells outside it are skipped (``"foreign-shard"``) unless
-            ``steal`` is set.  Requires ``cache``: a sharded run only
-            makes sense against a store that outlives it.
-        claims: participate in claim-file coordination rooted at the
-            policy's store directory — live foreign claims defer cells,
-            expired ones are stolen.  Claims held when the sweep exits
-            for *any* reason (abort, ``KeyboardInterrupt``) are released
-            on the way out, so sibling owners never wait out the TTL.
-        steal: after this shard's own cells, also pull unstored foreign
-            cells (claim-guarded).  Requires ``claims`` so two stealing
-            hosts don't duplicate whole shards.
         failures: the retry/timeout/quarantine policy (see
             :class:`~repro.runner.faults.FailurePolicy`); defaults to
             3 attempts with backoff, kind-default timeouts, and abort on
@@ -646,9 +539,8 @@ def run_sweep(
 
     Returns:
         A :class:`SweepReport` whose ``results`` hold every resolved
-        cell in ``spec.cells`` order; unresolved cells (sharded,
-        deferred, or quarantined) appear in ``skipped`` and flip
-        ``complete`` to False.
+        cell in ``spec.cells`` order; quarantined cells appear in
+        ``skipped`` and flip ``complete`` to False.
 
     Raises:
         The first failing cell's error once quarantined cells exceed the
@@ -659,10 +551,6 @@ def run_sweep(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if steal and claims is None:
-        raise ValueError("work stealing requires a claim policy (claims=...)")
-    if (shard is not None or claims is not None) and cache is None:
-        raise ValueError("sharded or claim-coordinated sweeps need a result store (cache=...)")
     # Each sweep starts from cold per-process memos so its cost never
     # depends on what an earlier in-process sweep happened to solve
     # (forked workers would otherwise inherit a warm parent memo too).
@@ -670,31 +558,11 @@ def run_sweep(
     started = time.perf_counter()
     keys = [cell_key(cell) for cell in spec.cells]
     frontier = _Frontier(
-        keys, EventLog(), failures if failures is not None else FailurePolicy(), cache, claims
+        keys, EventLog(), failures if failures is not None else FailurePolicy(), cache
     )
-    pending = [
+    worklist = [
         (index, cell) for index, cell in enumerate(spec.cells) if not frontier.probe(index, cell)
     ]
-
-    mine, foreign = pending, []
-    if shard is not None:
-        mine, foreign = [], []
-        for index, cell in pending:
-            slot = cell_shard(keys[index], shard.count)
-            (mine if slot == shard.index else foreign).append((index, cell))
-    frontier.foreign = {index for index, _ in foreign}
-
-    skipped: list[SkippedCell] = []
-    if shard is not None and not steal:
-        for index, cell in foreign:
-            frontier.events.emit(
-                keys[index], "foreign",
-                detail=f"shard {cell_shard(keys[index], shard.count)}/{shard.count}",
-            )
-            skipped.append(SkippedCell(cell=cell, key=keys[index], reason="foreign-shard"))
-    # Own cells first; foreign cells join the tail of the frontier only
-    # under work stealing, so stealing never delays our own shard.
-    worklist = mine + (foreign if steal else [])
 
     # Resume gate: a persisted *deterministic* failure record marks a
     # poison cell — resume quarantines it up front instead of blindly
@@ -726,38 +594,17 @@ def run_sweep(
             frontier.quarantine(index, cell, error, "persisted-record", "", persist=False)
         worklist = remaining
 
-    try:
-        if worklist and frontier.first_error is None:
-            _pump(frontier, worklist, jobs, solve)
-    finally:
-        # Claims must never outlive the run that holds them: on abort,
-        # KeyboardInterrupt, or SIGTERM-turned-exception, releasing here
-        # lets sibling owners reclaim the cells immediately instead of
-        # waiting out the TTL.
-        for index in list(frontier.claimed):
-            frontier.release(index)
+    if worklist and frontier.first_error is None:
+        _pump(frontier, worklist, jobs, solve)
 
     first_error = frontier.first_error
-    # Cells deferred to a live claim may have been stored by their owner
-    # while we worked; pick those up as hits, report the rest as skipped.
-    for index, cell in frontier.deferred:
-        if index in frontier.resolved:
-            continue
-        if first_error is None and frontier.probe(index, cell):
-            continue
-        skipped.append(SkippedCell(cell=cell, key=keys[index], reason="claimed-elsewhere"))
-
-    skipped.extend(frontier.failed.values())
-    key_order = {key: index for index, key in enumerate(keys)}
-    skipped.sort(key=lambda skip: key_order[skip.key])
     report = SweepReport(
         spec=spec,
         results=[frontier.resolved[index] for index in sorted(frontier.resolved)],
         elapsed=time.perf_counter() - started,
         jobs=jobs,
-        skipped=skipped,
+        skipped=[frontier.failed[index] for index in sorted(frontier.failed)],
         events=frontier.events.events,
-        shard=shard,
         aborted=first_error is not None,
     )
     if first_error is not None:
@@ -794,8 +641,8 @@ def _pump(
     """The frontier pump: dispatch, retries, watchdog, bisection.
 
     ``jobs == 1`` queues one chunk per cell, in worklist order, on an
-    :class:`_InProcessExecutor`: each cell is re-probed and claimed just
-    before it runs, the coordinator's LP-thread cap is left alone, and no
+    :class:`_InProcessExecutor`: each cell is re-probed just before it
+    runs, the coordinator's LP-thread cap is left alone, and no
     deadline is set (there is no worker to kill).
     ``jobs > 1`` queues same-setup chunks on a process pool and owns the
     pool's whole lifecycle — including *replacing* it after a worker
@@ -929,8 +776,7 @@ def _pump(
             if delay is not None:
                 schedule_retry([(index, cell)], delay)
         # A failed chunk stops mid-way; its unreached cells are innocent
-        # — re-queue them as one chunk (we may still hold their claims,
-        # which prepare() won't re-take).
+        # — re-queue them as one chunk.
         rest = frontier.live(chunk[len(outcomes):])
         if rest:
             queue.append(rest)

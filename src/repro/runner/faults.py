@@ -1,6 +1,6 @@
 """The sweep executor's failure domain: classification, policy, injection.
 
-Paper-scale campaigns sweep hundreds of LP/L-BFGS solves across
+Paper-scale sweeps run hundreds of LP/L-BFGS solves across
 Topology-Zoo graphs; one numerically pathological cell must not sink an
 hours-long run.  This module collects the three pieces the executor's
 fault tolerance is built from:
@@ -22,19 +22,18 @@ store persists so a *resumed* run consults past failures instead of
 blindly re-attempting the same poison cell.
 
 **Deterministic fault injection.**  The test substrate for all of the
-above plus the claim/TTL machinery.  ``$REPRO_FAULTS`` (or ``repro …
+above.  ``$REPRO_FAULTS`` (or ``repro …
 --inject-fault``) holds ``;``-separated specs of ``,``-separated
 ``name=value`` fields::
 
     site=solve,action=raise,exc=ValueError,key=3fa9
     site=solve,action=kill,hash=1/3,times=1,state=.faults-state
     site=store.put,action=hang,seconds=2
-    site=claim,action=raise,exc=OSError,times=2
+    site=store.get,action=raise,exc=OSError,times=2
 
 * ``site`` (required): where to fire — ``solve`` (inside the worker,
-  before the cell solves), ``store.get`` / ``store.put`` (the
-  :class:`~repro.runner.store.DirStore` boundary), ``claim``
-  (:func:`~repro.runner.campaign.try_claim`).
+  before the cell solves) or ``store.get`` / ``store.put`` (the
+  :class:`~repro.runner.store.DirStore` boundary).
 * ``action`` (required): ``raise`` an exception (``exc=`` names the
   type), ``hang`` for ``seconds=`` (a stuck solver, for the watchdog),
   or ``kill`` — ``SIGKILL`` the calling process (a segfault/OOM stand-in
@@ -81,7 +80,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 FAULTS_ENV = "REPRO_FAULTS"
 
 #: Injection points the runner instruments.
-FAULT_SITES = ("solve", "store.get", "store.put", "claim")
+FAULT_SITES = ("solve", "store.get", "store.put")
 
 #: What an injected fault does at its site.
 FAULT_ACTIONS = ("raise", "hang", "kill")
@@ -405,8 +404,8 @@ def _fire(spec: FaultSpec, site: str, key: str) -> None:
 def trigger(site: str, key: str) -> None:
     """Fire any matching injected fault; a no-op unless ``$REPRO_FAULTS`` is set.
 
-    The instrumented call sites (worker solve loop, store get/put,
-    claim acquisition) call this unconditionally — the unset-env early
+    The instrumented call sites (worker solve loop, store get/put) call
+    this unconditionally — the unset-env early
     return is a single dict lookup, so production sweeps pay nothing.
     """
     if not os.environ.get(FAULTS_ENV):

@@ -310,9 +310,9 @@ def spec_fingerprint(spec: SweepSpec) -> str:
 
     Built from the per-cell content keys (which already fold in the
     solver config, kind params, columns, and :data:`CACHE_VERSION`) plus
-    the experiment id and declared columns — two runs (benchmark
-    comparisons, campaign manifests) are over the same workload iff
-    their fingerprints match.
+    the experiment id and declared columns — two runs (say, a benchmark
+    and its baseline) are over the same workload iff their fingerprints
+    match.
     """
     payload = json.dumps(
         [spec.experiment, list(spec.columns()), [cell_key(cell) for cell in spec.cells]],

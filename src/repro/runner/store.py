@@ -1,4 +1,4 @@
-"""Pluggable cell stores: the unit of distribution for sweep campaigns.
+"""Cell stores: where sweeps keep solved cells and resume from.
 
 A :class:`CellStore` is the get/put contract the sweep runner caches
 solved cells through.  :class:`DirStore` is the canonical on-disk layout
@@ -19,25 +19,17 @@ fingerprints rather than silently returning the wrong row.  Entries are
 validated against the *cell's own* column set — a margin cell requires
 the four scheme ratios, a Fig. 10 budget cell only its "k NHs" column —
 so an entry missing any column its kind declares is a miss.  Writes are
-atomic (temp file + ``os.replace``) so parallel workers, concurrent
-sweeps, and multiple *hosts* can share one store directory.
+atomic (temp file + ``os.replace``) so parallel workers and concurrent
+sweeps can share one store directory: two sweeps that solve the same
+cell write identical content, and readers see one complete entry.
 
-Because entries are content-addressed and self-describing, stores
-compose and merge mechanically:
-
-* :class:`OverlayStore` layers N stores read-through — a local fast
-  store in front of a shared authoritative one — filling earlier layers
-  on a hit in a later one and writing puts back to every layer.
-* :func:`merge_stores` folds shard stores into one directory after a
-  distributed campaign (the ``repro cache merge`` CLI), skipping
-  identical entries and refusing to overwrite conflicting ones.
-* :func:`verify_store` re-hashes every entry's fingerprint and checks it
-  against the filename, so shared-store corruption is detectable without
-  re-solving anything (``repro cache verify``).
+:func:`verify_store` re-hashes every entry's fingerprint and checks it
+against the filename, so store corruption is detectable without
+re-solving anything (``repro cache verify``).
 
 Rejected entries are never served, and — unlike the historical silent
 miss — each drop is logged as a structured warning (key + reason) on
-the ``repro.runner.store`` logger, so corruption in a shared store is
+the ``repro.runner.store`` logger, so corruption in a store is
 diagnosable instead of quietly re-solved around.
 
 Alongside results, stores persist **failure records**
@@ -49,7 +41,7 @@ the record instead of blindly re-attempting the same cell (see
 :mod:`repro.runner.faults`).  A later successful solve clears the
 record; ``repro cache failures [--clear]`` lists and re-arms them.
 Failure records are never entries — :func:`_is_entry` excludes them by
-stem shape — so result iteration, merge, and verify are unaffected.
+stem shape — so result iteration and verify are unaffected.
 """
 
 from __future__ import annotations
@@ -60,7 +52,7 @@ import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.runner import faults
 from repro.runner.spec import SweepCell, cell_key, fingerprint_key
@@ -95,9 +87,8 @@ class CellStore(ABC):
 
     Implementations must make ``put`` atomic per entry (readers observe
     either no entry or a complete one, never a torn write) — that
-    guarantee is what lets executors on several hosts share one store
-    with no coordination beyond the claim files in
-    :mod:`repro.runner.campaign`.
+    guarantee is what lets several executors share one store with no
+    coordination at all.
     """
 
     @abstractmethod
@@ -149,10 +140,10 @@ class CellStore(ABC):
 def _is_entry(path: Path) -> bool:
     """True iff ``path`` is a ``<xx>/<key>.json`` cell-entry leaf.
 
-    Stores share their directory with non-entry JSON (campaign
-    manifests, claim litter, nested artifacts); only leaves whose stem
-    is a full-length hex key sharded under its own two-char prefix
-    directory count as entries.
+    Stores share their directory with non-entry JSON (nested artifacts,
+    and the campaign manifests and ``claims/`` files older versions
+    wrote); only leaves whose stem is a full-length hex key
+    filed under its own two-char prefix directory count as entries.
     """
     stem = path.stem
     return (
@@ -323,115 +314,6 @@ class DirStore(CellStore):
             return json.load(handle)
 
 
-class OverlayStore(CellStore):
-    """Read-through union of N stores; writes land in every layer.
-
-    Layer order is significance order: ``stores[0]`` is the local fast
-    store consulted first, later layers are shared/authoritative.  A hit
-    in layer *i* is written back into layers ``0..i-1`` so subsequent
-    probes stay local; a put goes to all layers so both the local and
-    the shared store end up authoritative ("write-back to both").
-    """
-
-    def __init__(self, stores: Sequence[CellStore]):
-        if not stores:
-            raise ValueError("OverlayStore needs at least one underlying store")
-        self.stores = list(stores)
-
-    @property
-    def primary(self) -> CellStore:
-        """The first (local, fastest) layer."""
-        return self.stores[0]
-
-    def describe(self) -> str:
-        return " + ".join(store.describe() for store in self.stores)
-
-    def get(self, cell: SweepCell) -> dict[str, float] | None:
-        for i, store in enumerate(self.stores):
-            hit = store.get(cell)
-            if hit is not None:
-                for nearer in self.stores[:i]:
-                    nearer.put(cell, hit)
-                return hit
-        return None
-
-    def put(self, cell: SweepCell, result: dict[str, float]) -> Path:
-        paths = [store.put(cell, result) for store in self.stores]
-        return paths[0]
-
-    def contains(self, cell: SweepCell) -> bool:
-        return any(store.contains(cell) for store in self.stores)
-
-    def entry_keys(self) -> Iterator[str]:
-        seen: set[str] = set()
-        for store in self.stores:
-            for key in store.entry_keys():
-                if key not in seen:
-                    seen.add(key)
-                    yield key
-
-    def get_failure(self, cell: SweepCell) -> dict | None:
-        for store in self.stores:
-            record = store.get_failure(cell)
-            if record is not None:
-                return record
-        return None
-
-    def put_failure(self, cell: SweepCell, record: dict) -> None:
-        for store in self.stores:
-            store.put_failure(cell, record)
-
-    def clear_failure(self, cell: SweepCell) -> None:
-        # Cleared in *every* layer: a record surviving in the shared
-        # layer would re-quarantine a cell the local layer knows solved.
-        for store in self.stores:
-            store.clear_failure(cell)
-
-    def failure_records(self) -> Iterator[tuple[str, dict]]:
-        seen: set[str] = set()
-        for store in self.stores:
-            for key, record in store.failure_records():
-                if key not in seen:
-                    seen.add(key)
-                    yield key, record
-
-    def clear_failures(self) -> int:
-        return sum(store.clear_failures() for store in self.stores)
-
-
-def open_store(roots: Sequence[str | Path]) -> CellStore:
-    """A store over ``roots``: one DirStore, or an overlay of several."""
-    stores = [DirStore(root) for root in roots]
-    if not stores:
-        raise ValueError("open_store needs at least one root directory")
-    return stores[0] if len(stores) == 1 else OverlayStore(stores)
-
-
-@dataclass
-class MergeStats:
-    """Outcome counts of one :func:`merge_stores` run."""
-
-    copied: int = 0
-    present: int = 0
-    conflicting: int = 0
-    invalid: int = 0
-    failures_copied: int = 0
-    failures_superseded: int = 0
-
-    def summary(self) -> str:
-        base = (
-            f"{self.copied} copied, {self.present} already present, "
-            f"{self.conflicting} conflicting (kept destination), "
-            f"{self.invalid} invalid (skipped)"
-        )
-        if self.failures_copied or self.failures_superseded:
-            base += (
-                f"; failure records: {self.failures_copied} copied, "
-                f"{self.failures_superseded} superseded by results"
-            )
-        return base
-
-
 def _entry_problem(key: str, payload: object) -> str | None:
     """Why a raw entry payload is unusable, or None if it checks out.
 
@@ -465,69 +347,6 @@ def _entry_problem(key: str, payload: object) -> str | None:
     return None
 
 
-def merge_stores(sources: Sequence[DirStore], dest: DirStore) -> MergeStats:
-    """Fold every valid entry of ``sources`` into ``dest``.
-
-    Entries already present in ``dest`` with identical content count as
-    ``present``; a key present with *different* content is a conflict —
-    the destination's entry is kept (first write wins, matching the
-    shared-directory behavior of concurrent executors) and the conflict
-    is logged and counted so the caller can investigate.  Invalid source
-    entries (corrupt, mis-keyed) are skipped, not propagated.
-    """
-    stats = MergeStats()
-    for source in sources:
-        for key in source.entry_keys():
-            try:
-                payload = source.load_entry(key)
-            except (OSError, json.JSONDecodeError) as error:
-                logger.warning(
-                    "merge: skipping unreadable entry %s in %s: %s",
-                    key, source.root, error,
-                )
-                stats.invalid += 1
-                continue
-            problem = _entry_problem(key, payload)
-            if problem is not None:
-                logger.warning(
-                    "merge: skipping invalid entry %s in %s: %s", key, source.root, problem
-                )
-                stats.invalid += 1
-                continue
-            dest_path = dest.path_for_key(key)
-            if dest_path.is_file():
-                try:
-                    existing = dest.load_entry(key)
-                except (OSError, json.JSONDecodeError):
-                    existing = None
-                if existing == payload:
-                    stats.present += 1
-                else:
-                    logger.warning(
-                        "merge: entry %s conflicts between %s and %s; keeping destination",
-                        key, source.root, dest.root,
-                    )
-                    stats.conflicting += 1
-                continue
-            write_json_atomic(dest_path, payload, sort_keys=True)
-            stats.copied += 1
-    # Failure records merge after results on purpose: a result stored by
-    # *any* source supersedes another shard's failure record for the
-    # same key (e.g. a steal succeeded where the owner's worker died),
-    # so quarantine never outlives a successful solve.
-    for source in sources:
-        for key, record in source.failure_records():
-            if dest.path_for_key(key).is_file():
-                stats.failures_superseded += 1
-                continue
-            dest_path = dest.failure_path_for_key(key)
-            if dest_path.is_file():
-                continue  # first record wins, matching entry semantics
-            write_json_atomic(dest_path, record, sort_keys=True)
-            stats.failures_copied += 1
-    return stats
-
-
 @dataclass
 class VerifyReport:
     """Outcome of one :func:`verify_store` scan."""
@@ -559,34 +378,3 @@ def verify_store(store: DirStore) -> VerifyReport:
         if problem is not None:
             report.problems.append((key, problem))
     return report
-
-
-def store_stats(store: DirStore) -> dict:
-    """Entry counts, byte size, and per-kind/version breakdowns for one store."""
-    entries = 0
-    total_bytes = 0
-    by_kind: dict[str, int] = {}
-    by_version: dict[str, int] = {}
-    unreadable = 0
-    for path in store.entry_paths():
-        entries += 1
-        try:
-            total_bytes += path.stat().st_size
-            payload = store.load_entry(path.stem)
-            fingerprint = payload.get("fingerprint", {}) if isinstance(payload, dict) else {}
-        except (OSError, json.JSONDecodeError):
-            unreadable += 1
-            continue
-        kind = str(fingerprint.get("kind", "?"))
-        version = str(fingerprint.get("version", "?"))
-        by_kind[kind] = by_kind.get(kind, 0) + 1
-        by_version[version] = by_version.get(version, 0) + 1
-    return {
-        "root": store.describe(),
-        "entries": entries,
-        "bytes": total_bytes,
-        "by_kind": by_kind,
-        "by_version": by_version,
-        "unreadable": unreadable,
-        "failures": sum(1 for _ in store.failure_records()),
-    }

@@ -10,9 +10,9 @@ wraps its hot sections in :func:`phase`.  With no sink installed —
 every non-benchmark caller — :func:`phase` is a no-op, so drivers and
 tests pay nothing.
 
-Campaign runs additionally want to know *what happened* to each cell —
-served from the store, claimed, stolen from an abandoned claim, solved,
-deferred to another owner.  :class:`EventLog` records those transitions
+Sweeps additionally want to know *what happened* to each cell —
+served from the store, solved, retried, timed out, quarantined.
+:class:`EventLog` records those transitions
 as structured :class:`CellEvent` records (cell key, event name, epoch
 timestamp, optional detail); the executor emits them from the
 coordinating process and threads the log into sweep reports, JSON
@@ -41,19 +41,15 @@ T = TypeVar("T")
 
 #: The lifecycle transitions the executor emits, in rough order of
 #: occurrence.  "cache-hit": served from the store without solving;
-#: "claimed"/"stolen": this run took ownership (fresh claim / expired
-#: claim takeover or foreign-shard steal); "solved": result produced and
-#: stored; "deferred": live claim held elsewhere, left for its owner;
-#: "foreign": belongs to another shard and stealing is off; "failed":
-#: one solve attempt raised; "retried": a failed/crashed/timed-out cell
+#: "solved": result produced and stored; "failed": one solve attempt
+#: raised; "retried": a failed/crashed/timed-out cell
 #: was re-queued with backoff; "timed-out": the cell (or its chunk)
 #: exceeded its wall-clock budget and the watchdog killed the worker;
 #: "quarantined": attempts are exhausted (or the failure is
 #: deterministic) — a failure record is persisted and the cell becomes
 #: a ``SkippedCell(reason="failed")``.
 LIFECYCLE_EVENTS = (
-    "cache-hit", "claimed", "stolen", "solved", "deferred", "foreign",
-    "failed", "retried", "timed-out", "quarantined",
+    "cache-hit", "solved", "failed", "retried", "timed-out", "quarantined",
 )
 
 

@@ -65,6 +65,13 @@ class TestParser:
         assert raised.value.code == 2
         assert "invalid choice: 'backends'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["merge", "stats"])
+    def test_store_merge_and_stats_commands_are_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["cache", command])
+        assert raised.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
     def test_run_fast_experiment(self, capsys, tmp_path):
         csv_path = tmp_path / "out.csv"
         assert main(["run", "thm4", "--csv", str(csv_path)]) == 0
@@ -99,24 +106,21 @@ class TestSweepParsing:
         )
         assert args.experiment == "table1"
         assert args.jobs == 4
-        assert args.cache_dir == ["/tmp/c"]
+        assert args.cache_dir == "/tmp/c"
         assert args.out == "/tmp/o"
         assert not args.no_cache and not args.full
-        assert args.shard is None and not args.steal
 
-    def test_cache_dir_repeats_into_layers(self):
-        args = build_parser().parse_args(
-            ["sweep", "table1", "--cache-dir", "/fast/local", "--cache-dir", "/shared"]
-        )
-        assert args.cache_dir == ["/fast/local", "/shared"]
-
-    def test_shard_and_steal_flags(self):
-        args = build_parser().parse_args(
-            ["sweep", "fig9", "--shard", "1/4", "--steal", "--claim-ttl", "120"]
-        )
-        assert args.shard == "1/4"
-        assert args.steal
-        assert args.claim_ttl == 120.0
+    @pytest.mark.parametrize(
+        "flags",
+        [["--shard", "0/2"], ["--steal"], ["--claim-ttl", "5"]],
+        ids=["shard", "steal", "claim-ttl"],
+    )
+    def test_multi_host_flags_are_rejected(self, flags, capsys):
+        # One host, one store: there is no shard or claim to select.
+        with pytest.raises(SystemExit) as raised:
+            main(["sweep", "fig9", *flags])
+        assert raised.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
     def test_sweep_defaults(self):
         args = build_parser().parse_args(["sweep", "fig6"])
@@ -251,7 +255,7 @@ class TestFaultFlags:
             "sweep", "fig6", "--cell-timeout", "5", "--max-attempts", "2",
             "--max-failures", "1", "--keep-going",
             "--inject-fault", "site=solve,action=raise",
-            "--inject-fault", "site=claim,action=raise,exc=OSError",
+            "--inject-fault", "site=store.get,action=raise,exc=OSError",
         ])
         assert args.cell_timeout == 5.0 and args.max_attempts == 2
         assert args.max_failures == 1 and args.keep_going
@@ -271,6 +275,21 @@ class TestFaultFlags:
     def test_cache_failures_empty_store(self, capsys, tmp_path):
         assert main(["cache", "failures", str(tmp_path)]) == 0
         assert "0 failure record(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command",
+        [["verify"], ["failures"], ["failures", "--clear"]],
+        ids=["verify", "failures", "failures-clear"],
+    )
+    def test_cache_commands_refuse_a_missing_store(self, command, capsys, tmp_path):
+        # A mistyped path must fail, not read as an empty, healthy store.
+        missing = tmp_path / "no-such-store"
+        assert main(["cache", *command, str(missing)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: no result store at {missing}" in captured.err
+        assert "entries checked" not in captured.out
+        assert "failure record(s)" not in captured.out
+        assert not missing.exists()
 
 
 class TestQuarantineCli:

@@ -10,10 +10,11 @@ from repro.core.evaluate import (
     project_ecmp_into_dags,
 )
 from repro.demands.gravity import gravity_matrix
-from repro.demands.uncertainty import margin_box
+from repro.demands.uncertainty import margin_box, oblivious_set
 from repro.exceptions import SolverError
 from repro.fibbing.controller import FibbingController
 from repro.lp.worst_case import WorstCaseOracle
+from repro.topologies.generators import ring_network
 
 FAST = SolverConfig(
     max_adversarial_rounds=3,
@@ -30,14 +31,29 @@ class TestPipeline:
         assert set(result.dags) == set(abilene.nodes())
         assert result.oracle.ratio > 0
 
-    def test_never_worse_than_ecmp(self, abilene):
-        """The paper's guarantee: COYOTE >= ECMP never happens."""
-        base = gravity_matrix(abilene)
-        uncertainty = margin_box(base, 2.0)
-        result = Coyote(abilene, uncertainty, config=FAST).run()
-        oracle = WorstCaseOracle(abilene, uncertainty, dags=result.dags, config=FAST)
-        ecmp_ratio = oracle.evaluate(result.ecmp).ratio
-        assert result.oracle.ratio <= ecmp_ratio + 1e-6
+    @pytest.mark.parametrize("cone", ["margin", "oblivious"])
+    @pytest.mark.parametrize("topology", ["running_example", "ring", "abilene"])
+    def test_never_worse_than_ecmp(self, request, topology, cone):
+        """The paper's guarantee, certified: ECMP never beats COYOTE.
+
+        On each small topology and cone the certified ratio is at least
+        1, at most the ECMP projection's on the run's own oracle (the
+        fallback guarantee), and at least the finite-set objective of
+        the returned routing.
+        """
+        network = ring_network(6) if topology == "ring" else request.getfixturevalue(topology)
+        if cone == "margin":
+            uncertainty = margin_box(gravity_matrix(network), 2.0)
+        else:
+            uncertainty = oblivious_set(network.nodes())
+        result = Coyote(network, uncertainty, config=FAST).run()
+        ratio = result.oracle.ratio
+        assert ratio >= 1 - 1e-6
+        projection = project_ecmp_into_dags(result.ecmp, result.dags)
+        assert ratio <= result.robust.evaluator.evaluate(projection).ratio
+        assert result.robust.objective <= ratio * (1 + 1e-6)
+        oracle = WorstCaseOracle(network, uncertainty, dags=result.dags, config=FAST)
+        assert ratio <= oracle.evaluate(result.ecmp).ratio + 1e-6
 
     def test_augmented_dags_contain_sp_dags(self, abilene):
         base = gravity_matrix(abilene)

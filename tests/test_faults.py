@@ -1,5 +1,5 @@
 """Tests for the sweep failure domain: classification, retries, timeouts,
-quarantine, failure records, fault injection, and claim release on death."""
+quarantine, failure records, fault injection, and resume after a killed run."""
 
 import json
 import multiprocessing
@@ -13,14 +13,6 @@ from repro.exceptions import ExperimentError, InfeasibleError
 from repro.experiments.common import SCHEME_COLUMNS
 from repro.runner import executor, faults
 from repro.runner.artifacts import write_artifacts
-from repro.runner.campaign import (
-    ClaimPolicy,
-    build_manifest,
-    claim_path,
-    claim_status,
-    default_owner,
-    try_claim,
-)
 from repro.runner.executor import run_sweep
 from repro.runner.faults import (
     FAULTS_ENV,
@@ -36,7 +28,7 @@ from repro.runner.faults import (
     parse_faults,
 )
 from repro.runner.spec import SweepCell, SweepSpec, cell_key
-from repro.runner.store import DirStore, merge_stores, store_stats
+from repro.runner.store import DirStore
 
 TINY_SOLVER = SolverConfig(
     max_adversarial_rounds=2,
@@ -172,6 +164,7 @@ class TestFaultSpecParsing:
         [
             "action=raise",  # no site
             "site=nowhere,action=raise",
+            "site=claim,action=raise,exc=OSError",  # the runner has no claim boundary
             "site=solve",  # no action
             "site=solve,action=explode",
             "site=solve,action=raise,exc=SystemExit",  # not injectable
@@ -187,11 +180,11 @@ class TestFaultSpecParsing:
     )
     def test_rejected(self, bad):
         with pytest.raises(FaultError):
-            parse_fault(bad)
+            parse_faults(bad)
 
     def test_parse_faults_splits_and_skips_blanks(self):
-        specs = parse_faults("site=solve,action=raise; ;site=claim,action=raise,exc=OSError")
-        assert [s.site for s in specs] == ["solve", "claim"]
+        specs = parse_faults("site=solve,action=raise; ;site=store.get,action=raise,exc=OSError")
+        assert [s.site for s in specs] == ["solve", "store.get"]
 
     def test_trigger_noop_when_env_unset(self):
         faults.trigger("solve", "deadbeef")  # must not raise
@@ -247,25 +240,9 @@ class TestFailureRecords:
             cell, failure_record(cell, cell_key(cell), attempts=1, label="deterministic",
                                  error=ValueError("x")),
         )
-        stats = store_stats(store)
-        assert stats["entries"] == 0 and stats["failures"] == 1
+        assert len(store) == 0
         assert list(store.entry_keys()) == []
         assert [key for key, _ in store.failure_records()] == [cell_key(cell)]
-
-    def test_merge_copies_records_and_results_supersede(self, tmp_path):
-        source, dest = DirStore(tmp_path / "src"), DirStore(tmp_path / "dst")
-        failed_cell, solved_cell = make_cell(margin=1.0), make_cell(margin=2.0)
-        for cell in (failed_cell, solved_cell):
-            source.put_failure(
-                cell, failure_record(cell, cell_key(cell), attempts=3,
-                                     label="transient", error=OSError("x")),
-            )
-        dest.put(solved_cell, _stub_solve(solved_cell))  # result beats record
-        stats = merge_stores([source], dest)
-        assert stats.failures_copied == 1 and stats.failures_superseded == 1
-        assert dest.get_failure(failed_cell) is not None
-        assert dest.get_failure(solved_cell) is None
-        assert "failure records" in stats.summary()
 
 
 class RetryContract:
@@ -282,7 +259,7 @@ class RetryContract:
             run_sweep(make_spec(), jobs=self.jobs, cache=store, solve=_poison_margin2_solve,
                       failures=FAST_RETRIES)
         partial = excinfo.value.partial_report
-        assert partial.aborted and not partial.complete and not partial.table_ready
+        assert partial.aborted and not partial.complete
         assert partial.quarantined == 1
         counts = partial.lifecycle_counts()
         assert counts["quarantined"] == 1 and "retried" not in counts
@@ -299,7 +276,7 @@ class RetryContract:
             solve=_poison_margin2_solve,
             failures=FailurePolicy(keep_going=True, backoff_base=0.001),
         )
-        assert not report.complete and report.table_ready
+        assert not report.complete and not report.aborted
         assert report.quarantined == 1
         [skip] = report.skipped
         assert skip.reason == "failed" and skip.key == cell_key(make_cell(margin=2.0))
@@ -325,18 +302,6 @@ class RetryContract:
         # raises the original error (the seed contract).
         with pytest.raises(ValueError, match="margin 2 is poison"):
             run_sweep(make_spec(), jobs=self.jobs, solve=_poison_margin2_solve)
-
-    def test_manifest_carries_failure_counters(self, tmp_path):
-        store = DirStore(tmp_path)
-        spec = make_spec()
-        report = run_sweep(
-            spec, jobs=self.jobs, cache=store, solve=_poison_margin2_solve,
-            failures=FailurePolicy(keep_going=True, backoff_base=0.001),
-        )
-        manifest = build_manifest(spec, report, store)
-        assert manifest["failures"]["quarantined"] == 1
-        assert manifest["failures"]["records"] == 1
-        assert manifest["lifecycle"]["quarantined"] == 1
 
     def test_partial_artifacts_flush_on_abort(self, tmp_path):
         with pytest.raises(ValueError) as excinfo:
@@ -385,7 +350,7 @@ class TestSerialRetries(RetryContract):
             make_spec(margins=(1.0, 2.0)), cache=DirStore(tmp_path / "a"),
             solve=all_poison, failures=tolerant,
         )
-        assert report.table_ready and report.quarantined == 2
+        assert not report.aborted and report.quarantined == 2
         with pytest.raises(ValueError):
             run_sweep(
                 make_spec(margins=(1.0, 2.0, 3.0)), cache=DirStore(tmp_path / "b"),
@@ -490,7 +455,7 @@ class TestParallelFaults:
             spec, jobs=2, cache=store, solve=_injected_solve,
             failures=FailurePolicy(max_attempts=2, keep_going=True, backoff_base=0.001),
         )
-        assert report.table_ready and report.quarantined == 1
+        assert not report.aborted and report.quarantined == 1
         [skip] = report.skipped
         assert skip.key == poison and skip.detail == "worker-death"
         record = store.get_failure(spec.cells[2])
@@ -514,7 +479,7 @@ class TestParallelFaults:
             ),
         )
         assert time.monotonic() - started < 25.0  # never waited out a hang
-        assert report.table_ready and report.quarantined == 1
+        assert not report.aborted and report.quarantined == 1
         [skip] = report.skipped
         assert skip.key == hung and skip.detail == "timeout"
         counts = report.lifecycle_counts()
@@ -532,12 +497,14 @@ class TestParallelFaults:
         store.put(cell, _stub_solve(cell))  # budget spent
         assert store.get(cell) is not None
 
-    def test_claim_fault_fires_at_boundary(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "site=claim,action=raise,exc=OSError,times=1")
-        policy = ClaimPolicy(root=tmp_path, owner="tester", ttl=3600.0)
-        with pytest.raises(OSError, match="injected"):
-            try_claim(policy, "deadbeef")
-        assert try_claim(policy, "deadbeef") == "claimed"
+    def test_store_get_fault_fires_at_boundary(self, tmp_path, monkeypatch):
+        store = DirStore(tmp_path)
+        cell = make_cell()
+        store.put(cell, _stub_solve(cell))
+        monkeypatch.setenv(FAULTS_ENV, "site=store.get,action=raise,exc=OSError,times=1")
+        with pytest.raises(OSError, match="injected OSError at store.get"):
+            store.get(cell)
+        assert store.get(cell) == _stub_solve(cell)  # budget spent
 
 
 def _hang_solve(cell):
@@ -545,52 +512,50 @@ def _hang_solve(cell):
     return _stub_solve(cell)
 
 
-def _claiming_child(root):
-    """Child process: start a claim-coordinated sweep that hangs mid-solve."""
-    policy = ClaimPolicy(root=root, owner=default_owner(), ttl=3600.0)
-    run_sweep(
-        make_spec(margins=(1.0,)), cache=DirStore(root), claims=policy,
-        solve=_hang_solve,
-    )
+def _hanging_child(root):
+    """Child process: a sweep that stores margin 1 and hangs on margin 2."""
+
+    def solve(cell):
+        return _hang_solve(cell) if cell.margin == 2.0 else _stub_solve(cell)
+
+    run_sweep(make_spec(), cache=DirStore(root), solve=solve)
 
 
-class TestClaimReleaseOnDeath:
-    def test_keyboard_interrupt_releases_claims(self, tmp_path):
+class TestInterruptedRuns:
+    def test_keyboard_interrupt_keeps_solved_cells(self, tmp_path):
         def interrupted(cell):
             if cell.margin == 2.0:
                 raise KeyboardInterrupt
             return _stub_solve(cell)
 
         store = DirStore(tmp_path)
-        policy = ClaimPolicy(root=tmp_path, owner="tester", ttl=3600.0)
         with pytest.raises(KeyboardInterrupt):
-            run_sweep(make_spec(), cache=store, claims=policy, solve=interrupted)
-        for cell in make_spec().cells:
-            assert claim_status(tmp_path, cell_key(cell)) == "unclaimed"
+            run_sweep(make_spec(), cache=store, solve=interrupted)
         # Work done before the interrupt is preserved.
         assert store.get(make_cell(margin=1.0)) is not None
+        assert store.get(make_cell(margin=2.0)) is None
 
-    def test_sigterm_killed_owner_claim_is_stealable(self, tmp_path):
-        key = cell_key(make_cell(margin=1.0))
+    def test_sigterm_killed_run_resumes_from_store(self, tmp_path):
+        stored = DirStore(tmp_path).path_for(make_cell(margin=1.0))
         ctx = multiprocessing.get_context("fork")
-        child = ctx.Process(target=_claiming_child, args=(tmp_path,))
+        child = ctx.Process(target=_hanging_child, args=(tmp_path,))
         child.start()
         try:
             deadline = time.monotonic() + 20.0
-            while not claim_path(tmp_path, key).exists():
-                assert time.monotonic() < deadline, "child never claimed the cell"
+            while not stored.exists():
+                assert time.monotonic() < deadline, "child never stored margin 1"
                 assert child.is_alive()
                 time.sleep(0.05)
-            child.terminate()  # SIGTERM mid-solve: no chance to release
+            child.terminate()  # SIGTERM mid-solve of margin 2
             child.join(timeout=10.0)
             assert not child.is_alive()
         finally:
             if child.is_alive():
                 child.kill()
                 child.join()
-        # The claim file survives the kill, but the same-host dead-pid
-        # probe expires it immediately -- no TTL wait for a resumer.
-        assert claim_path(tmp_path, key).exists()
-        assert claim_status(tmp_path, key) == "expired"
-        resumer = ClaimPolicy(root=tmp_path, owner="resumer", ttl=3600.0)
-        assert try_claim(resumer, key) == "stolen"
+        # Resume solves only what the killed run did not store.
+        report = run_sweep(make_spec(), cache=DirStore(tmp_path), solve=_stub_solve)
+        assert report.complete
+        assert [result.status for result in report.results] == [
+            "cache-hit", "solved", "solved",
+        ]

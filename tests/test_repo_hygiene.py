@@ -35,7 +35,6 @@ REQUIRED_IGNORES = {
     ".benchmarks/",       # pytest-benchmark's storage
     ".hypothesis/",       # hypothesis' example database
     ".sweep-cache/",      # CI sweep smoke cache
-    ".campaign/",         # conventional in-repo campaign store (docs/campaigns.md)
     ".faults/",           # CI fault-injection smoke stores
     ".faults-state/",     # fault-injection trigger counters (docs/campaigns.md)
     "BENCH_*.json",       # repro bench results (committed only as CI artifacts)

@@ -615,7 +615,7 @@ class TestArtifacts:
         assert not cells[0]["cached"]
         assert cells[0]["status"] == "solved"
         events = json.loads(events_path.read_text())
-        assert events["complete"] and events["shard"] is None
+        assert events["complete"] and "shard" not in events
         assert events["lifecycle"] == {"solved": 3}
         assert [e["event"] for e in events["events"]] == ["solved"] * 3
 

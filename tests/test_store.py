@@ -1,23 +1,13 @@
-"""Tests for the pluggable cell-store layer: DirStore, OverlayStore,
-merge/verify/stats, and the default-location rules."""
+"""Tests for the cell store: DirStore, verify, and the default-location
+rules."""
 
 import json
 import logging
 
-import pytest
-
 from repro.config import SolverConfig
 from repro.experiments.common import SCHEME_COLUMNS
 from repro.runner.spec import SweepCell, cell_key
-from repro.runner.store import (
-    DirStore,
-    OverlayStore,
-    default_cache_dir,
-    merge_stores,
-    open_store,
-    store_stats,
-    verify_store,
-)
+from repro.runner.store import DirStore, default_cache_dir, verify_store
 
 TINY_SOLVER = SolverConfig(
     max_adversarial_rounds=2,
@@ -114,8 +104,9 @@ class TestDirStore:
         cell = make_cell()
         store.put(cell, result_for(cell))
         key = cell_key(cell)
-        # Campaign litter sharing the store directory must not count.
-        (tmp_path / "campaign.json").write_text("{}")
+        # Litter older versions left in the store (a campaign manifest,
+        # claim files) must not count.
+        (tmp_path / "manifest.json").write_text("{}")
         claims = tmp_path / "claims"
         claims.mkdir()
         (claims / f"{key}.claim").write_text("{}")
@@ -128,82 +119,7 @@ class TestDirStore:
         assert list(store.entry_keys()) == [key]
 
 
-class TestOverlayStore:
-    def test_put_writes_every_layer(self, tmp_path):
-        local, shared = DirStore(tmp_path / "local"), DirStore(tmp_path / "shared")
-        overlay = OverlayStore([local, shared])
-        cell = make_cell()
-        overlay.put(cell, result_for(cell))
-        assert local.contains(cell) and shared.contains(cell)
-
-    def test_hit_in_later_layer_fills_earlier(self, tmp_path):
-        local, shared = DirStore(tmp_path / "local"), DirStore(tmp_path / "shared")
-        cell = make_cell()
-        shared.put(cell, result_for(cell))
-        overlay = OverlayStore([local, shared])
-        assert not local.contains(cell)
-        assert overlay.get(cell) == result_for(cell)
-        assert local.contains(cell)  # read-through fill
-
-    def test_contains_any_layer(self, tmp_path):
-        local, shared = DirStore(tmp_path / "local"), DirStore(tmp_path / "shared")
-        cell = make_cell()
-        local.put(cell, result_for(cell))
-        assert OverlayStore([local, shared]).contains(cell)
-
-    def test_entry_keys_deduplicate(self, tmp_path):
-        local, shared = DirStore(tmp_path / "local"), DirStore(tmp_path / "shared")
-        cell = make_cell()
-        local.put(cell, result_for(cell))
-        shared.put(cell, result_for(cell))
-        shared.put(make_cell(margin=2.0), result_for(make_cell(margin=2.0)))
-        assert len(OverlayStore([local, shared])) == 2
-
-    def test_open_store_single_and_layered(self, tmp_path):
-        single = open_store([tmp_path / "one"])
-        assert isinstance(single, DirStore)
-        layered = open_store([tmp_path / "a", tmp_path / "b"])
-        assert isinstance(layered, OverlayStore)
-        assert isinstance(layered.primary, DirStore)
-        with pytest.raises(ValueError):
-            open_store([])
-
-
-class TestMergeVerifyStats:
-    def _stores(self, tmp_path):
-        return DirStore(tmp_path / "a"), DirStore(tmp_path / "b"), DirStore(tmp_path / "dest")
-
-    def test_merge_copies_and_skips(self, tmp_path):
-        a, b, dest = self._stores(tmp_path)
-        one, two = make_cell(), make_cell(margin=2.0)
-        a.put(one, result_for(one))
-        b.put(one, result_for(one))  # identical duplicate across shards
-        b.put(two, result_for(two))
-        stats = merge_stores([a, b], dest)
-        assert stats.copied == 2 and stats.present == 1
-        assert stats.conflicting == 0 and stats.invalid == 0
-        assert dest.get(one) == result_for(one) and dest.get(two) == result_for(two)
-
-    def test_merge_keeps_destination_on_conflict(self, tmp_path):
-        a, _b, dest = self._stores(tmp_path)
-        cell = make_cell()
-        dest.put(cell, result_for(cell))
-        conflicting = dict(result_for(cell))
-        conflicting[SCHEME_COLUMNS[0]] += 1.0
-        a.put(cell, conflicting)
-        stats = merge_stores([a], dest)
-        assert stats.conflicting == 1 and stats.copied == 0
-        assert dest.get(cell) == result_for(cell)
-
-    def test_merge_skips_invalid_entries(self, tmp_path):
-        a, _b, dest = self._stores(tmp_path)
-        cell = make_cell()
-        path = a.put(cell, result_for(cell))
-        path.write_text("{broken")
-        stats = merge_stores([a], dest)
-        assert stats.invalid == 1 and stats.copied == 0
-        assert len(dest) == 0
-
+class TestVerify:
     def test_verify_detects_miskeyed_entry(self, tmp_path):
         store = DirStore(tmp_path)
         one, two = make_cell(), make_cell(margin=2.0)
@@ -227,13 +143,3 @@ class TestMergeVerifyStats:
         report = verify_store(store)
         assert report.ok and report.checked == 1
         assert "ok" in report.summary()
-
-    def test_store_stats(self, tmp_path):
-        store = DirStore(tmp_path)
-        for margin in (1.0, 2.0):
-            store.put(make_cell(margin=margin), result_for(make_cell(margin=margin)))
-        stats = store_stats(store)
-        assert stats["entries"] == 2 and stats["bytes"] > 0
-        assert stats["by_kind"] == {"margin": 2}
-        assert list(stats["by_version"]) == [make_cell().fingerprint()["version"]]
-        assert stats["unreadable"] == 0

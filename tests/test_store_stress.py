@@ -1,10 +1,9 @@
-"""Multiprocess stress: two executors race put/get/claim on one DirStore.
+"""Multiprocess stress: two executors race put/get on one DirStore.
 
-The satellite contract for the campaign layer: concurrent executors
-sharing a store directory must exhibit no torn reads (every entry in the
-store verifies), no duplicate solves beyond claim-expiry races (the TTL
-here is generous, so there must be none at all), and a merged/warm pass
-over the shared store must reproduce the serial table row-identically.
+Concurrent executors sharing a store directory need no coordination.
+They may solve a cell twice, but the store must show no torn reads
+(every entry in it verifies), and a warm pass over the shared store
+must reproduce the serial table row-identically.
 """
 
 import json
@@ -15,7 +14,6 @@ import pytest
 
 from repro.config import SolverConfig
 from repro.experiments.common import SCHEME_COLUMNS
-from repro.runner.campaign import ClaimPolicy
 from repro.runner.executor import run_sweep
 from repro.runner.spec import SweepCell, SweepSpec
 from repro.runner.store import DirStore, verify_store
@@ -52,28 +50,12 @@ def _slow_stub_solve(cell):
     return {scheme: cell.margin + i for i, scheme in enumerate(SCHEME_COLUMNS)}
 
 
-def _race_one_executor(store_root, owner, out_path, barrier):
-    """One contender: a full claim-coordinated sweep over the shared store."""
+def _race_one_executor(store_root, out_path, barrier):
+    """One contender: a full sweep over the shared store."""
     barrier.wait()  # maximize overlap between the two executors
-    store = DirStore(store_root)
-    report = run_sweep(
-        make_spec(),
-        cache=store,
-        solve=_slow_stub_solve,
-        claims=ClaimPolicy(root=store.root, owner=owner, ttl=3600.0),
-    )
+    report = run_sweep(make_spec(), cache=DirStore(store_root), solve=_slow_stub_solve)
     with open(out_path, "w") as handle:
-        json.dump(
-            {
-                "owner": owner,
-                "solved": report.solved,
-                "cached": report.cached,
-                "stolen": report.stolen,
-                "skipped": [skip.reason for skip in report.skipped],
-                "resolved": report.solved + report.cached,
-            },
-            handle,
-        )
+        json.dump({"complete": report.complete, "resolved": len(report.results)}, handle)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork start method")
@@ -87,7 +69,7 @@ class TestConcurrentExecutors:
         procs = [
             ctx.Process(
                 target=_race_one_executor,
-                args=(str(store_root), f"owner{i}", str(outs[i]), barrier),
+                args=(str(store_root), str(outs[i]), barrier),
             )
             for i in range(2)
         ]
@@ -97,14 +79,8 @@ class TestConcurrentExecutors:
             proc.join(timeout=120)
             assert proc.exitcode == 0
         reports = [json.loads(path.read_text()) for path in outs]
-
-        # No duplicate solves: claims are long-lived, so every cell was
-        # solved by exactly one executor; the other saw it as a hit or
-        # deferred to the live claim.
-        assert sum(report["solved"] for report in reports) == len(spec.cells)
-        for report in reports:
-            assert all(reason == "claimed-elsewhere" for reason in report["skipped"])
-            assert report["stolen"] == 0
+        # Each executor resolved the whole grid, by solving or from hits.
+        assert reports == [{"complete": True, "resolved": len(spec.cells)}] * 2
 
         # No torn reads / torn writes: every entry in the shared store
         # parses and re-hashes to its own filename.
@@ -113,7 +89,7 @@ class TestConcurrentExecutors:
         verification = verify_store(store)
         assert verification.ok, verification.problems
 
-        # Row-identical merged output: a warm pass over the raced store
+        # Row-identical output: a warm pass over the raced store
         # reproduces the serial table exactly.
         warm = run_sweep(spec, cache=store, solve=_slow_stub_solve)
         assert warm.complete and warm.solved == 0
