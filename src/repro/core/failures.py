@@ -146,7 +146,7 @@ def _coyote_ratio(
         extra_starts=[projection.ratios],
         fallbacks=[projection],
     )
-    # The solve's oracle: the ECMP score shares the solves of the
-    # projection fallback.
-    ecmp_ratio = result.evaluator.evaluate(ecmp).ratio
+    # The solve's oracle: the ECMP score reuses the solve's memo (the
+    # projection fallback has ECMP's objectives) and its bounds.
+    ecmp_ratio = result.evaluator.ratio(ecmp)
     return _ScenarioResult(result.routing, result.oracle.ratio, ecmp_ratio)

@@ -158,8 +158,10 @@ def coyote_partial_for_margin(setup: ExperimentSetup, margin: float) -> RobustRe
 def evaluate_margin(setup: ExperimentSetup, margin: float) -> dict[str, float]:
     """All four schemes' worst-case ratios for one uncertainty margin.
 
-    The oracle evaluations below run on the vectorized kernel when
-    enabled (batched coefficient assembly in the slave LP; see
+    Each is scored on the margin solve's own oracle with
+    :meth:`~repro.lp.worst_case.WorstCaseOracle.ratio`, which solves only
+    the per-edge LPs its memo's bounds cannot rule out.  The objective
+    coefficients come from the vectorized kernel (see
     :mod:`repro.kernel`); semantics changes on that path require a
     ``CACHE_VERSION`` bump in :mod:`repro.runner.spec`.
     """
@@ -167,10 +169,10 @@ def evaluate_margin(setup: ExperimentSetup, margin: float) -> dict[str, float]:
     oracle = partial.evaluator
     with phase("evaluate"):
         return {
-            "ECMP": oracle.evaluate(setup.ecmp).ratio,
-            "Base": oracle.evaluate(setup.base_routing).ratio,
-            "COYOTE-obl": oracle.evaluate(setup.coyote_oblivious).ratio,
-            "COYOTE-pk": oracle.evaluate(partial.routing).ratio,
+            "ECMP": oracle.ratio(setup.ecmp),
+            "Base": oracle.ratio(setup.base_routing),
+            "COYOTE-obl": oracle.ratio(setup.coyote_oblivious),
+            "COYOTE-pk": oracle.ratio(partial.routing),
         }
 
 

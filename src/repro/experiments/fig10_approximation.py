@@ -75,12 +75,12 @@ def solve_fig10_cell(cell: SweepCell) -> dict[str, float]:
         setup = shared_setup(cell)
         with phase("evaluate"):
             return {
-                "ECMP": oracle.evaluate(setup.ecmp).ratio,
-                "ideal": oracle.evaluate(ideal).ratio,
+                "ECMP": oracle.ratio(setup.ecmp),
+                "ideal": oracle.ratio(ideal),
             }
     approx, _stats = approximate_routing(ideal, budget)
     with phase("evaluate"):
-        return {f"{budget} NHs": oracle.evaluate(approx).ratio}
+        return {f"{budget} NHs": oracle.ratio(approx)}
 
 
 FIG10_KIND = register_cell_kind(

@@ -62,12 +62,12 @@ def solve_fig9_cell(cell: SweepCell) -> dict[str, float]:
             fallbacks=[projection],
             name="COYOTE",
         )
-    # The solve's oracle: the ECMP score shares the solves of the
-    # projection fallback.
+    # The solve's oracle: the ECMP score reuses the solve's memo (the
+    # projection fallback has ECMP's objectives) and its bounds.
     oracle = coyote.evaluator
     with phase("evaluate"):
-        ecmp_ratio = oracle.evaluate(ecmp).ratio
-        coyote_ratio = oracle.evaluate(coyote.routing).ratio
+        ecmp_ratio = oracle.ratio(ecmp)
+        coyote_ratio = oracle.ratio(coyote.routing)
     gap = ecmp_ratio / coyote_ratio if coyote_ratio > 0 else float("nan")
     return {"ECMP": ecmp_ratio, "COYOTE": coyote_ratio, "ECMP/COYOTE": gap}
 

@@ -113,7 +113,7 @@ def theorem1_table(
     )
     for label, part in (("balanced", balanced), ("unbalanced", unbalanced)):
         routing = lemma2_routing(weights, part)
-        ratio = oracle.evaluate(routing).ratio
+        ratio = oracle.ratio(routing)
         bound = 4.0 / 3.0 if label == "balanced" else float("nan")
         table.add_row(f"{label} P1={sorted(part)}", ratio, bound)
     table.add_note(f"instance weights={list(weights)}, SUM={total}")
@@ -163,7 +163,7 @@ def theorem4_table(
         oracle = WorstCaseOracle(
             network, oblivious_pairs(pairs), dags=None, config=config.solver
         )
-        ratio = oracle.evaluate(routing).ratio
+        ratio = oracle.ratio(routing)
         table.add_row(n, optimum, ratio, float(n))
     table.add_note(
         "OPT(spike) is the demands-aware optimum of routing n units from x1; "

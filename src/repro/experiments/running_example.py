@@ -90,11 +90,11 @@ def running_example_table(config: ExperimentConfig | None = None) -> Table:
         "Fig. 1 / Appendix B — running example oblivious ratios",
         ["scheme", "measured", "paper"],
     )
-    table.add_row("ECMP (Fig. 1b)", oracle.evaluate(fig1b_routing(network)).ratio, 1.5)
-    table.add_row("COYOTE (Fig. 1c)", oracle.evaluate(fig1c_routing(network)).ratio, 4.0 / 3.0)
+    table.add_row("ECMP (Fig. 1b)", oracle.ratio(fig1b_routing(network)), 1.5)
+    table.add_row("COYOTE (Fig. 1c)", oracle.ratio(fig1c_routing(network)), 4.0 / 3.0)
     table.add_row(
         "COYOTE (optimized)",
-        oracle.evaluate(optimal).ratio,
+        oracle.ratio(optimal),
         GOLDEN_RATIO_UTILIZATION,
     )
     phi12 = optimal.ratios["t"].get(("s1", "s2"), 0.0)

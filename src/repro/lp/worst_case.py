@@ -45,12 +45,42 @@ share it (an ECMP routing and its DAG projection, a routing the
 cutting-plane loop already certified and the table then scores).  The
 memo lives and dies with the oracle.
 
+The memo also bounds objectives it has not solved.  Every per-edge LP
+maximizes a non-negative objective ``c`` over the same polytope, which
+lies in ``d >= 0``:
+
+* *upper bound* — a memoized objective ``c'`` of the same edge with
+  value ``u'`` gives ``u(c) <= u' * max_p c_p / c'_p`` whenever
+  ``supp c`` lies in ``supp c'`` (each edge keeps its own sources:
+  other edges' objectives rarely cover its support);
+* *lower bound* — every memoized worst-case demand ``d_k`` is a point of
+  the polytope, so ``u(c) >= c . d_k``.
+
+Both are kept incrementally, one row per memo entry, appended on the
+calling thread as the entry enters the memo.
+:meth:`WorstCaseOracle.ratio` returns exactly ``evaluate(routing).ratio``
+but solves only the edges whose upper bound reaches the best value the
+routing is already known to attain (its memoized findings or its best
+lower bound); the others cannot hold the maximum.  The bounds come from
+solves at HiGHS's 1e-7 tolerances, so they are trusted only past the
+relative safety margin :data:`BOUND_MARGIN` (1e-6): an edge is skipped
+only if its upper bound misses the threshold by more than that margin,
+and the edge whose lower bound sets the threshold is always solved.
+Skipping decides *which* LPs run, never what a solve returns, so the
+ratio is the maximum over the same per-edge values a full evaluation
+reads.
+
 :meth:`WorstCaseOracle.evaluate_within` is the bounded form of
-:meth:`~WorstCaseOracle.evaluate` for accept/reject checks: it sweeps
+:meth:`~WorstCaseOracle.evaluate` for accept/reject checks: it returns
+None before any solve when a memoized finding passes the limit, or an
+unsolved edge's lower bound passes it by the margin; otherwise it sweeps
 the edges hottest-first (in the order of an incumbent's per-edge
 ratios), stops every thread, through one shared flag, as soon as one
 edge passes the limit, and returns None then.  Otherwise every edge was
-solved and it returns the full evaluation.
+solved and it returns the full evaluation.  Which edges a stopped sweep
+solved depends on thread timing, so the memo it leaves, and so the
+number of solves later calls need, can vary from run to run; their
+results cannot.
 """
 
 from __future__ import annotations
@@ -104,6 +134,14 @@ class OracleResult:
 #: sweep, so several cuts per round converge in fewer sweeps.
 CUTS_PER_ROUND = 4
 
+#: Relative margin by which a bound must clear a threshold or limit
+#: before it settles anything without a solve: well above the 1e-7
+#: tolerances of the solves the bounds come from.
+BOUND_MARGIN = 1e-6
+
+#: Unsolved per-edge objectives: memo key -> (edge, objective).
+Pending = dict[bytes, tuple[Edge, dict[int, float]]]
+
 
 def _passes(result: tuple[float, np.ndarray], limit: float) -> bool:
     """Whether a per-edge result alone puts the ratio above ``limit``.
@@ -113,6 +151,24 @@ def _passes(result: tuple[float, np.ndarray], limit: float) -> bool:
     """
     utilization, demand = result
     return utilization > limit and bool(demand.any())
+
+
+class _Rows:
+    """A float matrix grown one row at a time (its capacity doubles)."""
+
+    def __init__(self, width: int):
+        self._data = np.empty((4, width))
+        self._size = 0
+
+    def append(self, row: np.ndarray) -> None:
+        if self._size == len(self._data):
+            self._data = np.concatenate([self._data, np.empty_like(self._data)])
+        self._data[self._size] = row
+        self._size += 1
+
+    @property
+    def array(self) -> np.ndarray:
+        return self._data[: self._size]
 
 
 class WorstCaseOracle:
@@ -189,10 +245,16 @@ class WorstCaseOracle:
         self._demand_columns = np.array(
             [var.index for var in self._demand_vars.values()], dtype=np.intp
         )
+        self._position = {var.index: i for i, var in enumerate(self._demand_vars.values())}
         # Per-edge results by objective bytes (see _key): utilization and
         # the worst-case demand per adversary pair, as a dense array.
-        # Only the calling thread reads or writes it.
+        # Only the calling thread reads or writes it, or the bound
+        # sources that grow with it (see the module docstring): per
+        # edge, its memoized objectives over their values (c' / u'), and
+        # every memoized non-empty worst-case demand.
         self._memo: dict[bytes, tuple[float, np.ndarray]] = {}
+        self._upper: dict[Edge, _Rows] = {}
+        self._demands = _Rows(len(self._pairs))
 
     # -- queries ----------------------------------------------------------
 
@@ -224,8 +286,30 @@ class WorstCaseOracle:
                 per pair.
         """
         loaded = self._loaded(coefficients)
-        self._fill(loaded)
+        self._fill(self._pending(loaded))
         return self._result(loaded)
+
+    def ratio(self, routing: Routing) -> float:
+        """``evaluate(routing).ratio``, solving only edges that could attain it.
+
+        The memo's bounds (see the module docstring) give a threshold
+        the ratio is known to reach; one sweep solves the unsolved edges
+        whose upper bound reaches it, and the ratio is the largest
+        memoized finding, as in :meth:`evaluate`.
+        """
+        loaded = self._loaded(routing.load_coefficients(list(self._pairs)))
+        pending = self._pending(loaded)
+        if pending:
+            dense = self._rows(pending)
+            lower = self._lower_bounds(dense)
+            threshold = max(self._ratio(loaded), float(lower.max()))
+            self._fill({
+                key: entry
+                for (key, entry), row, bound in zip(pending.items(), dense, lower)
+                if bound == threshold
+                or self._upper_bound(entry[0], row) * (1.0 + BOUND_MARGIN) >= threshold
+            })
+        return self._ratio(loaded)
 
     def evaluate_within(
         self,
@@ -235,16 +319,24 @@ class WorstCaseOracle:
     ) -> OracleResult | None:
         """``evaluate(routing)`` if its ratio is at most ``limit``, else None.
 
-        Edges are swept in descending ``order`` (e.g. an incumbent's
-        ``per_edge``; edges it lacks go last), and every thread stops as
-        soon as one edge passes ``limit``, which settles the None.
+        A memoized finding past ``limit``, or an unsolved edge's lower
+        bound past it by :data:`BOUND_MARGIN`, settles the None before
+        any solve.  Otherwise edges are swept in descending ``order``
+        (e.g. an incumbent's ``per_edge``; edges it lacks go last), and
+        every thread stops as soon as one edge passes ``limit``, which
+        settles the None.
         """
         loaded = self._loaded(routing.load_coefficients(list(self._pairs)))
+        if self._ratio(loaded) > limit:
+            return None
         hottest = loaded
         if order is not None:
             hottest = sorted(loaded, key=lambda item: order.get(item[0], -math.inf), reverse=True)
-        if self._fill(hottest, limit):
-            return None
+        pending = self._pending(hottest)
+        if pending:
+            lower = self._lower_bounds(self._rows(pending))
+            if lower.max() > limit * (1.0 + BOUND_MARGIN) or self._fill(pending, limit):
+                return None
         result = self._result(loaded)
         return None if result.ratio > limit else result
 
@@ -289,6 +381,62 @@ class WorstCaseOracle:
                 loaded.append((edge, objective, self._key(objective) if objective else None))
         return loaded
 
+    def _pending(self, loaded: list[tuple[Edge, dict[int, float], bytes | None]]) -> Pending:
+        """The distinct objectives of ``loaded`` missing from the memo, in order."""
+        pending: Pending = {}
+        for edge, objective, key in loaded:
+            if key is not None and key not in self._memo:
+                pending.setdefault(key, (edge, objective))
+        return pending
+
+    def _ratio(self, loaded: list[tuple[Edge, dict[int, float], bytes | None]]) -> float:
+        """The largest memoized finding among ``loaded``'s objectives, or 0.0."""
+        ratio = 0.0
+        for _edge, _objective, key in loaded:
+            result = self._memo.get(key) if key is not None else None
+            if result is not None and result[1].any():
+                ratio = max(ratio, result[0])
+        return ratio
+
+    def _row(self, objective: Mapping[int, float]) -> np.ndarray:
+        """An objective as a dense row over the adversary pairs."""
+        row = np.zeros(len(self._pairs))
+        row[[self._position[column] for column in objective]] = list(objective.values())
+        return row
+
+    def _rows(self, pending: Pending) -> np.ndarray:
+        """The ``pending`` objectives, one dense row each."""
+        return np.array([self._row(objective) for _edge, objective in pending.values()])
+
+    def _lower_bounds(self, dense: np.ndarray) -> np.ndarray:
+        """Per objective row, its best value at a memoized worst-case demand."""
+        demands = self._demands.array
+        if not len(demands):
+            return np.full(len(dense), -math.inf)
+        return (dense @ demands.T).max(axis=1)
+
+    def _upper_bound(self, edge: Edge, row: np.ndarray) -> float:
+        """The least upper bound on the objective ``row``'s value from ``edge``'s sources."""
+        sources = self._upper.get(edge)
+        if sources is None:
+            return math.inf
+        support = np.flatnonzero(row)
+        with np.errstate(divide="ignore"):
+            scaled = row[support] / sources.array[:, support]
+        return float(scaled.max(axis=1).min())
+
+    def _remember(
+        self, key: bytes, edge: Edge, objective: dict[int, float], result: tuple[float, np.ndarray]
+    ) -> None:
+        """Memoize one solve and append its bound sources."""
+        self._memo[key] = result
+        utilization, demand = result
+        if utilization > 0.0:
+            sources = self._upper.setdefault(edge, _Rows(len(self._pairs)))
+            sources.append(self._row(objective) / utilization)
+        if demand.any():
+            self._demands.append(demand)
+
     def _result(self, loaded: list[tuple[Edge, dict[int, float], bytes | None]]) -> OracleResult:
         """The evaluation of a routing whose ``loaded`` objectives are all memoized.
 
@@ -329,33 +477,20 @@ class WorstCaseOracle:
         pairs = self._pairs
         return DemandMatrix({pairs[i]: float(demand[i]) for i in np.flatnonzero(demand)})
 
-    def _fill(
-        self,
-        loaded: list[tuple[Edge, dict[int, float], bytes | None]],
-        limit: float | None = None,
-    ) -> bool:
-        """Solve the objectives of ``loaded`` missing from the memo, in order.
+    def _fill(self, pending: Pending, limit: float | None = None) -> bool:
+        """Solve the ``pending`` objectives, in order, in one sweep.
 
-        With a ``limit`` it solves nothing once a memoized result passes
-        it, and the sweep stops once a solve does; returns whether one
-        did.  Results enter the memo here, on the calling thread, after
-        the sweep.
+        With a ``limit`` the sweep stops once a solve passes it; returns
+        whether one did.  Results enter the memo here, on the calling
+        thread, after the sweep.
         """
-        pending: dict[bytes, dict[int, float]] = {}
-        for _edge, objective, key in loaded:
-            if key is None:
-                continue
-            if key not in self._memo:
-                pending.setdefault(key, objective)
-            elif limit is not None and _passes(self._memo[key], limit):
-                return True
         if not pending:
             return False
-        results = self._sweep(list(pending.values()), limit)
+        results = self._sweep([objective for _edge, objective in pending.values()], limit)
         passed = False
-        for key, result in zip(pending, results):
+        for (key, (edge, objective)), result in zip(pending.items(), results):
             if result is not None:
-                self._memo[key] = result
+                self._remember(key, edge, objective, result)
                 passed = passed or (limit is not None and _passes(result, limit))
         return passed
 

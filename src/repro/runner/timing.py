@@ -57,12 +57,9 @@ LIFECYCLE_EVENTS = (
 class CellEvent:
     """One structured lifecycle transition for one cell.
 
-    ``at`` is epoch seconds (``time.time``), not a monotonic clock:
-    events from different hosts sharing a store must be mergeable onto
-    one timeline, which monotonic clocks (arbitrary per-boot origin)
-    cannot provide.  Sub-second ordering across hosts is therefore
-    best-effort — fine for diagnostics, and correctness never depends
-    on event order.
+    ``event`` is one of :data:`LIFECYCLE_EVENTS`.  ``at`` is epoch
+    seconds (``time.time``), so a run's events line up with other
+    timestamped records; correctness never depends on event order.
     """
 
     key: str

@@ -29,6 +29,7 @@ from repro.runner.faults import (
 )
 from repro.runner.spec import SweepCell, SweepSpec, cell_key
 from repro.runner.store import DirStore
+from repro.runner.timing import LIFECYCLE_EVENTS, EventLog
 
 TINY_SOLVER = SolverConfig(
     max_adversarial_rounds=2,
@@ -74,6 +75,21 @@ def _clean_fault_state(monkeypatch):
     monkeypatch.delenv(FAULTS_ENV, raising=False)
     monkeypatch.setattr(faults, "_plan", ("", ()))
     monkeypatch.setattr(faults, "_local_counts", {})
+
+
+@pytest.fixture(autouse=True)
+def _declared_events_only(monkeypatch):
+    """Every event a sweep here emits must be one of ``LIFECYCLE_EVENTS``."""
+    emitted: set[str] = set()
+    emit = EventLog.emit
+
+    def recorded(self, key, event, detail=""):
+        emitted.add(event)
+        return emit(self, key, event, detail)
+
+    monkeypatch.setattr(EventLog, "emit", recorded)
+    yield
+    assert emitted <= set(LIFECYCLE_EVENTS), emitted - set(LIFECYCLE_EVENTS)
 
 
 class TestClassification:
@@ -559,3 +575,33 @@ class TestInterruptedRuns:
         assert [result.status for result in report.results] == [
             "cache-hit", "solved", "solved",
         ]
+
+
+def test_lifecycle_events_are_the_events_sweeps_emit(tmp_path, monkeypatch):
+    """Sweeps that solve, serve from the store, fail, retry, time out and
+    quarantine emit exactly the names ``LIFECYCLE_EVENTS`` declares."""
+    calls = []
+
+    def flaky(cell):
+        calls.append(cell.margin)
+        if cell.margin == 1.0 and calls.count(1.0) == 1:
+            raise OSError("transient glitch")
+        return _poison_margin2_solve(cell)
+
+    keep_going = FailurePolicy(keep_going=True, backoff_base=0.001, backoff_cap=0.01)
+    store = DirStore(tmp_path / "serial")
+    reports = [
+        run_sweep(make_spec(), cache=store, solve=flaky, failures=keep_going),
+        run_sweep(make_spec(), cache=store, solve=_stub_solve, failures=keep_going),
+    ]
+    spec = make_spec(margins=(1.0, 2.0))
+    hung = cell_key(spec.cells[0])
+    monkeypatch.setenv(FAULTS_ENV, f"site=solve,action=hang,seconds=30,key={hung[:12]}")
+    reports.append(run_sweep(
+        spec, jobs=2, cache=DirStore(tmp_path / "parallel"), solve=_injected_solve,
+        failures=FailurePolicy(
+            max_attempts=1, keep_going=True, cell_timeout=0.75, backoff_base=0.001
+        ),
+    ))
+    emitted = {event.event for report in reports for event in report.events}
+    assert emitted == set(LIFECYCLE_EVENTS)

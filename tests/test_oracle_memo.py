@@ -1,13 +1,16 @@
-"""The worst-case oracle's per-objective memo and its bounded evaluation.
+"""The worst-case oracle's per-objective memo and its bounded evaluations.
 
-An oracle solves each distinct per-edge objective once, and
-``evaluate_within`` stops its sweep as soon as an edge passes a limit.
-Neither may change a result: every memoized answer must equal a fresh
-solve bit for bit, and every experiment that now shares one
+An oracle solves each distinct per-edge objective once,
+``evaluate_within`` stops its sweep as soon as an edge passes a limit,
+and ``ratio`` solves only the edges the memo's bounds cannot rule out.
+None may change a result: every memoized answer must equal a fresh
+solve bit for bit, ``ratio`` must equal ``evaluate(...).ratio`` bit for
+bit whatever the memo holds, and every experiment that now shares one
 oracle between the robust solve and its scores must report what
 scoring each scheme on a fresh oracle reports.
 """
 
+import functools
 import math
 import sys
 from collections import Counter
@@ -21,10 +24,10 @@ from repro.core.failures import precompute_failure_plan
 from repro.core.robust import optimize_robust_splitting
 from repro.demands.bimodal import bimodal_matrix
 from repro.demands.gravity import gravity_matrix
-from repro.demands.uncertainty import margin_box, oblivious_pairs
+from repro.demands.uncertainty import margin_box, oblivious_pairs, oblivious_set
 from repro.ecmp.routing import ecmp_routing
 from repro.ecmp.weights import inverse_capacity_weights
-from repro.experiments.common import solve_margin_cell
+from repro.experiments.common import coyote_partial_for_margin, prepare_setup, solve_margin_cell
 from repro.experiments.fig10_approximation import solve_fig10_cell
 from repro.experiments.fig9_local_search import solve_fig9_cell
 from repro.experiments.running_example import example_dag, fig1b_routing
@@ -35,6 +38,7 @@ from repro.lp.worst_case import OracleResult, WorstCaseOracle
 from repro.routing.splitting import Routing
 from repro.runner.memo import clear_all_memos
 from repro.runner.spec import SweepCell, freeze_params
+from repro.topologies.generators import ring_network, running_example_network
 from repro.topologies.zoo import load_topology
 
 TINY = SolverConfig(
@@ -63,7 +67,8 @@ def solves(monkeypatch):
 
 
 def score_on_fresh_oracles(monkeypatch) -> None:
-    """Make every ``evaluate`` run on a brand-new oracle (no shared memo)."""
+    """Make every ``evaluate`` and ``ratio`` run a full evaluation on a
+    brand-new oracle (no shared memo)."""
     evaluate = WorstCaseOracle.evaluate
 
     def on_a_fresh_oracle(self, routing, *args, **kwargs):
@@ -73,6 +78,9 @@ def score_on_fresh_oracles(monkeypatch) -> None:
         return evaluate(fresh, routing, *args, **kwargs)
 
     monkeypatch.setattr(WorstCaseOracle, "evaluate", on_a_fresh_oracle)
+    monkeypatch.setattr(
+        WorstCaseOracle, "ratio", lambda self, routing: on_a_fresh_oracle(self, routing).ratio
+    )
 
 
 def snapshot(result: OracleResult) -> tuple:
@@ -229,6 +237,116 @@ def test_early_exit_under_thread_stress(abilene):
                     assert (demand == expected_demand).all()
     finally:
         sys.setswitchinterval(interval)
+
+
+TOPOLOGIES = ("running-example", "ring-6", "abilene", "nsf")
+
+
+@functools.cache
+def _scoring_instance(topology: str) -> dict:
+    """A topology's DAGs, four fixed routings and both cones."""
+    if topology == "running-example":
+        network = running_example_network()
+    elif topology == "ring-6":
+        network = ring_network(6)
+    else:
+        network = load_topology(topology)
+    weights = inverse_capacity_weights(network)
+    dags = build_dags(network, weights, augment=True)
+    base = bimodal_matrix(network, 7)
+    ecmp = ecmp_routing(network, weights)
+    return {
+        "network": network,
+        "dags": dags,
+        "routings": {
+            "ecmp": ecmp,
+            "projection": project_ecmp_into_dags(ecmp, dags),
+            "base": optimal_dag_routing(network, dags, base, name="Base"),
+            "gravity": optimal_dag_routing(network, dags, gravity_matrix(network), name="gravity"),
+        },
+        "cones": {"margin": margin_box(base, 2.0), "oblivious": oblivious_set(network.nodes())},
+    }
+
+
+def _scoring_oracle(topology: str, cone: str) -> WorstCaseOracle:
+    instance = _scoring_instance(topology)
+    return WorstCaseOracle(instance["network"], instance["cones"][cone], dags=instance["dags"])
+
+
+@functools.cache
+def _full_ratios(topology: str, cone: str) -> dict[str, float]:
+    """Each routing's ``evaluate(...).ratio``, each on a fresh oracle."""
+    routings = _scoring_instance(topology)["routings"]
+    return {name: _scoring_oracle(topology, cone).evaluate(r).ratio for name, r in routings.items()}
+
+
+class TestRatio:
+    """``ratio`` is ``evaluate(...).ratio`` bit for bit, on fewer solves."""
+
+    @pytest.mark.parametrize("threads", (1, 2))
+    @pytest.mark.parametrize("cone", ("margin", "oblivious"))
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_equals_evaluate_whatever_the_memo_holds(self, topology, cone, threads):
+        full = _full_ratios(topology, cone)
+        assert max(full.values()) > 1.0
+        lp_backend.set_lp_threads(threads)
+        routings = _scoring_instance(topology)["routings"]
+        names = list(routings)
+        # Each order starts on a fresh oracle; every other routing is
+        # first rejected by a bounded check, which leaves a partial memo.
+        for order in (names, names[::-1], names[1:] + names[:1]):
+            oracle = _scoring_oracle(topology, cone)
+            for index, name in enumerate(order):
+                if index % 2:
+                    assert oracle.evaluate_within(routings[name], full[name] / 2) is None
+                assert oracle.ratio(routings[name]) == full[name], (order, name)
+
+    @pytest.fixture(scope="class")
+    def margin_setup(self):
+        network = load_topology("abilene")
+        return prepare_setup(network, bimodal_matrix(network, 7), TINY)
+
+    @staticmethod
+    def _table(setup, partial) -> list[Routing]:
+        return [setup.ecmp, setup.base_routing, setup.coyote_oblivious, partial.routing]
+
+    @pytest.mark.parametrize("threads", (1, 2))
+    def test_equals_evaluate_after_a_margin_solve(self, margin_setup, threads):
+        lp_backend.set_lp_threads(threads)
+        partial = coyote_partial_for_margin(margin_setup, 2.0)
+        oracle = partial.evaluator
+        for routing in self._table(margin_setup, partial):
+            fresh = WorstCaseOracle(oracle.network, oracle.uncertainty, dags=oracle.dags)
+            assert oracle.ratio(routing) == fresh.evaluate(routing).ratio, routing.name
+
+    def test_table_scoring_skips_most_solves(self, margin_setup, solves):
+        # Serial solves leave the same memo on both runs of the solve.
+        lp_backend.set_lp_threads(1)
+        schemes = self._table(margin_setup, coyote_partial_for_margin(margin_setup, 2.0))[:3]
+        evaluated = coyote_partial_for_margin(margin_setup, 2.0).evaluator
+        solves.clear()
+        full = [evaluated.evaluate(routing).ratio for routing in schemes]
+        full_solves = len(solves)
+        bounded = coyote_partial_for_margin(margin_setup, 2.0).evaluator
+        solves.clear()
+        assert [bounded.ratio(routing) for routing in schemes] == full
+        assert len(solves) <= 0.6 * full_solves, (len(solves), full_solves)
+
+    def test_a_lower_bound_past_the_limit_rejects_without_solving(self, abilene, solves):
+        oracle = _oracle(abilene)
+        cuts = oracle.evaluate(abilene["base"]).cuts
+        ecmp = abilene["ecmp"]
+        # ECMP shares no objective with Base, so no memoized finding of
+        # its own settles the check: its load under a memoized cut does.
+        coefficients = ecmp.load_coefficients(oracle.demand_pairs)
+        assert len(oracle._pending(oracle._loaded(coefficients))) == len(
+            oracle._loaded(coefficients)
+        )
+        lower = max(ecmp.max_link_utilization(cut, abilene["network"]) for cut in cuts)
+        solves.clear()
+        assert oracle.evaluate_within(ecmp, lower / 2) is None
+        assert solves == []
+        assert _oracle(abilene).evaluate(ecmp).ratio > lower / 2
 
 
 class TestSharedOracleResults:
