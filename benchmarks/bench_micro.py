@@ -13,7 +13,8 @@ from repro.ecmp.routing import ecmp_routing
 from repro.ecmp.weights import unit_weights
 from repro.lp.mcf import min_congestion
 from repro.lp.model import ReusableLP
-from repro.lp.worst_case import WorstCaseOracle
+from repro.lp.backend import lp_threads
+from repro.lp.worst_case import CUTS_PER_ROUND, WorstCaseOracle
 from repro.ospf.domain import OspfDomain
 from repro.topologies.zoo import load_topology
 
@@ -49,8 +50,13 @@ def test_slave_lp_sweep(benchmark, monkeypatch):
 
     result = benchmark.pedantic(WorstCaseOracle.evaluate, setup=fresh_oracle, rounds=5)
     assert result.ratio >= 1.0
+    # Every round solves at least the top findings on its empty memo.  On
+    # threads the pruned sweep's count varies with timing, so only a
+    # serial sweep repeats it exactly.
     per_round = [end - start for start, end in zip(starts, [*starts[1:], len(solves)])]
-    assert per_round[0] > 0 and len(set(per_round)) == 1, per_round
+    assert min(per_round) >= CUTS_PER_ROUND, per_round
+    if lp_threads() == 1:
+        assert len(set(per_round)) == 1, per_round
 
 
 def test_ospf_convergence(benchmark):

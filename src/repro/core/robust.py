@@ -203,9 +203,7 @@ def optimize_robust_splitting(
             name=name,
         )
         limit = best_oracle.ratio * (1.0 + config.ratio_tolerance)
-        polished_oracle = oracle.evaluate_within(
-            polished.routing, limit, order=best_oracle.per_edge
-        )
+        polished_oracle = oracle.evaluate_within(polished.routing, limit)
         if polished_oracle is not None:
             best_routing, best_oracle = polished.routing, polished_oracle
             # Keep (objective, oracle) describing the same routing:
@@ -215,9 +213,7 @@ def optimize_robust_splitting(
     # ECMP-dominance safeguard: keep the best oracle-certified routing.
     # A fallback that ties the incumbent does not replace it.
     for fallback in fallbacks:
-        fallback_result = oracle.evaluate_within(
-            fallback, best_oracle.ratio, order=best_oracle.per_edge
-        )
+        fallback_result = oracle.evaluate_within(fallback, best_oracle.ratio)
         if fallback_result is not None and fallback_result.ratio < best_oracle.ratio:
             best_routing, best_oracle = fallback, fallback_result
             best_objective = fallback_result.ratio

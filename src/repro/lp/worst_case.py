@@ -45,42 +45,61 @@ share it (an ECMP routing and its DAG projection, a routing the
 cutting-plane loop already certified and the table then scores).  The
 memo lives and dies with the oracle.
 
-The memo also bounds objectives it has not solved.  Every per-edge LP
-maximizes a non-negative objective ``c`` over the same polytope, which
-lies in ``d >= 0``:
+Only a few per-edge values matter.  The ratio is the largest finding
+(an edge whose worst-case demand is not empty), the cuts are the
+worst-case demands of the :data:`CUTS_PER_ROUND` largest, and
+``per_edge`` holds exactly the loaded edges whose value is at or above
+the ``CUTS_PER_ROUND``-th largest finding (every loaded edge when there
+are fewer findings).  So a sweep solves only the edges that could reach
+that finding, its *keep-th* one, and bounds rule the others out:
 
-* *upper bound* — a memoized objective ``c'`` of the same edge with
-  value ``u'`` gives ``u(c) <= u' * max_p c_p / c'_p`` whenever
-  ``supp c`` lies in ``supp c'`` (each edge keeps its own sources:
-  other edges' objectives rarely cover its support);
 * *lower bound* — every memoized worst-case demand ``d_k`` is a point of
-  the polytope, so ``u(c) >= c . d_k``.
+  the polytope, so ``u(c) >= c . d_k``;
+* *caps* — at construction each adversary pair gets a cap ``M_p >= d_p``
+  over the polytope: the witness routes ``d`` at congestion <= 1, so
+  ``d_p`` is at most the capacity of the witness edges leaving ``s``
+  toward ``t`` and at most the capacity entering ``t``; in a margin cone
+  ``d_p <= lambda * hi_p``, and ``lambda`` is at most ``1 / OPT(lo)``
+  (``d = lambda * lo`` must be routable over the oracle's pairs), its
+  largest value over the polytope: one solve of the oracle's own LP;
+* *upper bound* — a memoized objective ``c'`` of the same edge with value
+  ``u'`` puts the polytope inside ``s . d <= 1`` for ``s = c' / u'``, so
+  by LP duality over ``{0 <= d <= M, s . d <= 1}``
+  ``u(c) <= min over alpha >= 0 of alpha + sum_p max(c_p - alpha s_p, 0) M_p``,
+  a fractional knapsack minimized at the weighted-median breakpoint of
+  ``c_p / s_p`` (weights ``s_p M_p``).  ``alpha = 0`` gives the box bound
+  ``c . M`` (so an edge with no memoized objective is bounded too) and
+  ``alpha = max_p c_p / s_p`` gives the plain scaling bound.  Each edge
+  keeps its own sources: other edges' objectives rarely help.
 
-Both are kept incrementally, one row per memo entry, appended on the
-calling thread as the entry enters the memo.
-:meth:`WorstCaseOracle.ratio` returns exactly ``evaluate(routing).ratio``
-but solves only the edges whose upper bound reaches the best value the
-routing is already known to attain (its memoized findings or its best
-lower bound); the others cannot hold the maximum.  The bounds come from
-solves at HiGHS's 1e-7 tolerances, so they are trusted only past the
-relative safety margin :data:`BOUND_MARGIN` (1e-6): an edge is skipped
-only if its upper bound misses the threshold by more than that margin,
-and the edge whose lower bound sets the threshold is always solved.
-Skipping decides *which* LPs run, never what a solve returns, so the
-ratio is the maximum over the same per-edge values a full evaluation
-reads.
+Both sources are kept incrementally, one row per memo entry, appended on
+the calling thread as the entry enters the memo.  One pruned sweep
+serves :meth:`~WorstCaseOracle.evaluate` (keep =
+:data:`CUTS_PER_ROUND`), :meth:`~WorstCaseOracle.ratio` (keep = 1) and
+:meth:`~WorstCaseOracle.evaluate_within` (the same keep as ``evaluate``
+plus its limit stop).  It takes the unsolved edges in descending lower
+bound, and an edge is skipped only when both of its bounds, times
+``1 + BOUND_MARGIN``, fall below the running keep-th largest of the
+memoized findings, this sweep's findings and the unsolved edges' lower
+bounds: each of those is a lower bound on a distinct loaded edge's
+finding, so that threshold never passes the final keep-th finding, and
+every edge that can reach it is solved.  The bounds come from solves at
+HiGHS's 1e-7 tolerances, so they are trusted only past the relative
+safety margin :data:`BOUND_MARGIN`.  Skipping decides *which* LPs run,
+never what a solve returns, so ratio, edge, demand and cuts are what
+solving every edge gives (:func:`evaluate_reference`), and ``per_edge``
+is its restriction to the top edges, whatever the memo holds and
+however many threads share the sweep.  The threshold rises as solves land on any
+thread, so which edges a threaded sweep skips, and so its solve count,
+can vary from run to run; its results cannot.
 
 :meth:`WorstCaseOracle.evaluate_within` is the bounded form of
 :meth:`~WorstCaseOracle.evaluate` for accept/reject checks: it returns
 None before any solve when a memoized finding passes the limit, or an
-unsolved edge's lower bound passes it by the margin; otherwise it sweeps
-the edges hottest-first (in the order of an incumbent's per-edge
-ratios), stops every thread, through one shared flag, as soon as one
-edge passes the limit, and returns None then.  Otherwise every edge was
-solved and it returns the full evaluation.  Which edges a stopped sweep
-solved depends on thread timing, so the memo it leaves, and so the
-number of solves later calls need, can vary from run to run; their
-results cannot.
+unsolved edge's lower bound passes it by the margin; otherwise the
+pruned sweep stops every thread, through one shared flag, as soon as
+one edge passes the limit, and returns None then.  Otherwise it returns
+the evaluation.
 """
 
 from __future__ import annotations
@@ -116,7 +135,11 @@ class OracleResult:
         edge: the link attaining the worst ratio.
         demand: a worst-case demand matrix (already scaled to be routable
             at congestion <= 1 under the witness mode).
-        per_edge: worst-case utilization per evaluated edge.
+        per_edge: worst-case utilization of exactly the loaded edges at or
+            above the :data:`CUTS_PER_ROUND`-th largest finding (of every
+            loaded edge when there are fewer findings), in edge order.
+            The sweep solves no edge below it, so this depends on neither
+            the memo nor the thread count.
         cuts: worst-case demands of the most-violated edges, best first —
             the cutting-plane loop adds several per round to converge in
             fewer oracle sweeps.
@@ -135,9 +158,15 @@ class OracleResult:
 CUTS_PER_ROUND = 4
 
 #: Relative margin by which a bound must clear a threshold or limit
-#: before it settles anything without a solve: well above the 1e-7
-#: tolerances of the solves the bounds come from.
-BOUND_MARGIN = 1e-6
+#: before it settles anything without a solve: over 100 times the worst
+#: relative bound error measured against solves at HiGHS's 1e-7
+#: tolerances (under 1.1e-6, in robust solves on Abilene and GEANT;
+#: ``tests/test_oracle_bounds.py`` checks it on fixed routings).
+BOUND_MARGIN = 2e-4
+
+#: One loaded finite-capacity edge: (edge, objective, memo key); the key
+#: is None for an empty objective, whose result is (0.0, no demand).
+Loaded = list[tuple[Edge, dict[int, float], bytes | None]]
 
 #: Unsolved per-edge objectives: memo key -> (edge, objective).
 Pending = dict[bytes, tuple[Edge, dict[int, float]]]
@@ -151,6 +180,13 @@ def _passes(result: tuple[float, np.ndarray], limit: float) -> bool:
     """
     utilization, demand = result
     return utilization > limit and bool(demand.any())
+
+
+def _kth_largest(values: np.ndarray, k: int) -> float:
+    """The ``k``-th largest entry of ``values``, or -inf if it has fewer."""
+    if len(values) < k:
+        return -math.inf
+    return float(np.partition(values, len(values) - k)[len(values) - k])
 
 
 class _Rows:
@@ -225,6 +261,7 @@ class WorstCaseOracle:
 
         # Margin cone: lambda * lo <= d <= lambda * hi (skipped for the
         # oblivious set, whose only constraint is nonnegativity).
+        lam = None
         if not self.uncertainty.oblivious:
             lam = model.add_var("lambda")
             for pair, var in self._demand_vars.items():
@@ -246,6 +283,7 @@ class WorstCaseOracle:
             [var.index for var in self._demand_vars.values()], dtype=np.intp
         )
         self._position = {var.index: i for i, var in enumerate(self._demand_vars.values())}
+        self._caps = self._pair_caps(flow_vars, lam)
         # Per-edge results by objective bytes (see _key): utilization and
         # the worst-case demand per adversary pair, as a dense array.
         # Only the calling thread reads or writes it, or the bound
@@ -256,6 +294,33 @@ class WorstCaseOracle:
         self._upper: dict[Edge, _Rows] = {}
         self._demands = _Rows(len(self._pairs))
 
+    def _pair_caps(
+        self, flow_vars: Mapping[Node, Mapping[Edge, Variable]], lam: Variable | None
+    ) -> np.ndarray:
+        """Per adversary pair, a cap ``M_p >= d_p`` over the polytope.
+
+        The witness edges leaving ``s`` toward ``t`` and those entering
+        ``t`` carry all of ``d_st`` at congestion <= 1.  In a margin cone
+        ``d_p <= lambda * hi_p``, and ``lambda`` is at most its largest
+        value over the polytope, ``1 / OPT(lo)`` (``d = lambda * lo`` is
+        routable), found by one solve of this LP.
+        """
+        capacity = self.network.capacity
+        leaving: dict[tuple[Node, Node], float] = {}
+        entering: dict[Node, float] = {}
+        for t, flows in flow_vars.items():
+            for (u, v) in flows:
+                leaving[(u, t)] = leaving.get((u, t), 0.0) + capacity(u, v)
+                if v == t:
+                    entering[t] = entering.get(t, 0.0) + capacity(u, v)
+        caps = np.array(
+            [min(leaving.get(pair, 0.0), entering.get(pair[1], 0.0)) for pair in self._pairs]
+        )
+        if lam is None or not any(self.uncertainty.bounds[pair][0] > 0 for pair in self._pairs):
+            return caps  # lambda is unbounded
+        scale = self._reusable.solve({lam.index: 1.0}, maximize=True).objective
+        return np.minimum(caps, [self.uncertainty.bounds[pair][1] * scale for pair in self._pairs])
+
     # -- queries ----------------------------------------------------------
 
     @property
@@ -264,7 +329,8 @@ class WorstCaseOracle:
         return list(self._demand_vars)
 
     def evaluate(self, routing: Routing) -> OracleResult:
-        """``PERF(routing, D)`` via one slave LP per (loaded, finite) edge.
+        """``PERF(routing, D)`` via one slave LP per (loaded, finite) edge
+        that could reach the :data:`CUTS_PER_ROUND`-th largest finding.
 
         Only objectives this oracle has not solved before reach the
         solver; the rest come from the memo.
@@ -286,57 +352,31 @@ class WorstCaseOracle:
                 per pair.
         """
         loaded = self._loaded(coefficients)
-        self._fill(self._pending(loaded))
+        self._sweep(loaded, CUTS_PER_ROUND)
         return self._result(loaded)
 
     def ratio(self, routing: Routing) -> float:
         """``evaluate(routing).ratio``, solving only edges that could attain it.
 
-        The memo's bounds (see the module docstring) give a threshold
-        the ratio is known to reach; one sweep solves the unsolved edges
-        whose upper bound reaches it, and the ratio is the largest
-        memoized finding, as in :meth:`evaluate`.
+        The pruned sweep of :meth:`evaluate` with keep = 1: the ratio is
+        the largest memoized finding afterwards.
         """
         loaded = self._loaded(routing.load_coefficients(list(self._pairs)))
-        pending = self._pending(loaded)
-        if pending:
-            dense = self._rows(pending)
-            lower = self._lower_bounds(dense)
-            threshold = max(self._ratio(loaded), float(lower.max()))
-            self._fill({
-                key: entry
-                for (key, entry), row, bound in zip(pending.items(), dense, lower)
-                if bound == threshold
-                or self._upper_bound(entry[0], row) * (1.0 + BOUND_MARGIN) >= threshold
-            })
+        self._sweep(loaded, 1)
         return self._ratio(loaded)
 
-    def evaluate_within(
-        self,
-        routing: Routing,
-        limit: float,
-        order: Mapping[Edge, float] | None = None,
-    ) -> OracleResult | None:
+    def evaluate_within(self, routing: Routing, limit: float) -> OracleResult | None:
         """``evaluate(routing)`` if its ratio is at most ``limit``, else None.
 
         A memoized finding past ``limit``, or an unsolved edge's lower
         bound past it by :data:`BOUND_MARGIN`, settles the None before
-        any solve.  Otherwise edges are swept in descending ``order``
-        (e.g. an incumbent's ``per_edge``; edges it lacks go last), and
+        any solve.  Otherwise the sweep of :meth:`evaluate` runs, and
         every thread stops as soon as one edge passes ``limit``, which
         settles the None.
         """
         loaded = self._loaded(routing.load_coefficients(list(self._pairs)))
-        if self._ratio(loaded) > limit:
+        if self._sweep(loaded, CUTS_PER_ROUND, limit):
             return None
-        hottest = loaded
-        if order is not None:
-            hottest = sorted(loaded, key=lambda item: order.get(item[0], -math.inf), reverse=True)
-        pending = self._pending(hottest)
-        if pending:
-            lower = self._lower_bounds(self._rows(pending))
-            if lower.max() > limit * (1.0 + BOUND_MARGIN) or self._fill(pending, limit):
-                return None
         result = self._result(loaded)
         return None if result.ratio > limit else result
 
@@ -365,14 +405,8 @@ class WorstCaseOracle:
         order = np.argsort(columns)
         return columns[order].tobytes() + values[order].tobytes()
 
-    def _loaded(
-        self, coefficients: Mapping[Edge, Mapping[Pair, float]]
-    ) -> list[tuple[Edge, dict[int, float], bytes | None]]:
-        """(edge, objective, memo key) per loaded finite-capacity edge.
-
-        The key is None for an empty objective, whose result is (0.0, no
-        demand) without a solve.
-        """
+    def _loaded(self, coefficients: Mapping[Edge, Mapping[Pair, float]]) -> Loaded:
+        """(edge, objective, memo key) per loaded finite-capacity edge."""
         loaded = []
         for edge in self.network.finite_capacity_edges():
             coeffs = coefficients.get(edge)
@@ -381,7 +415,7 @@ class WorstCaseOracle:
                 loaded.append((edge, objective, self._key(objective) if objective else None))
         return loaded
 
-    def _pending(self, loaded: list[tuple[Edge, dict[int, float], bytes | None]]) -> Pending:
+    def _pending(self, loaded: Loaded) -> Pending:
         """The distinct objectives of ``loaded`` missing from the memo, in order."""
         pending: Pending = {}
         for edge, objective, key in loaded:
@@ -389,14 +423,18 @@ class WorstCaseOracle:
                 pending.setdefault(key, (edge, objective))
         return pending
 
-    def _ratio(self, loaded: list[tuple[Edge, dict[int, float], bytes | None]]) -> float:
-        """The largest memoized finding among ``loaded``'s objectives, or 0.0."""
-        ratio = 0.0
+    def _findings(self, loaded: Loaded) -> list[float]:
+        """The memoized findings among ``loaded``, one per edge."""
+        findings = []
         for _edge, _objective, key in loaded:
             result = self._memo.get(key) if key is not None else None
             if result is not None and result[1].any():
-                ratio = max(ratio, result[0])
-        return ratio
+                findings.append(result[0])
+        return findings
+
+    def _ratio(self, loaded: Loaded) -> float:
+        """The largest memoized finding among ``loaded``'s objectives, or 0.0."""
+        return max(self._findings(loaded), default=0.0)
 
     def _row(self, objective: Mapping[int, float]) -> np.ndarray:
         """An objective as a dense row over the adversary pairs."""
@@ -409,21 +447,49 @@ class WorstCaseOracle:
         return np.array([self._row(objective) for _edge, objective in pending.values()])
 
     def _lower_bounds(self, dense: np.ndarray) -> np.ndarray:
-        """Per objective row, its best value at a memoized worst-case demand."""
+        """Per objective row, a lower bound on its value as a finding.
+
+        Its best value at a memoized worst-case demand, or -inf when that
+        is too small to prove the solve's demand non-empty: entries up to
+        1e-10 are dropped, so a value up to ``1e-10 * sum(c)`` may come
+        with an empty demand.
+        """
         demands = self._demands.array
         if not len(demands):
             return np.full(len(dense), -math.inf)
-        return (dense @ demands.T).max(axis=1)
+        lower = (dense @ demands.T).max(axis=1)
+        return np.where(lower > 1e-9 * dense.sum(axis=1), lower, -math.inf)
 
     def _upper_bound(self, edge: Edge, row: np.ndarray) -> float:
-        """The least upper bound on the objective ``row``'s value from ``edge``'s sources."""
+        """The least upper bound on the objective ``row``'s value.
+
+        The box bound ``c . M`` and, per memoized objective of ``edge``,
+        the capped bound at its weighted-median breakpoint (see the
+        module docstring).
+        """
+        support = np.flatnonzero(row)
+        c, caps = row[support], self._caps[support]
+        box = float(c @ caps)
         sources = self._upper.get(edge)
         if sources is None:
-            return math.inf
-        support = np.flatnonzero(row)
-        with np.errstate(divide="ignore"):
-            scaled = row[support] / sources.array[:, support]
-        return float(scaled.max(axis=1).min())
+            return box
+        s = sources.array[:, support]
+        covered = s > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            breakpoints = np.where(covered, c / s, math.inf)
+            weights = np.where(covered, s * caps, 0.0)
+        order = np.argsort(-breakpoints, axis=1, kind="stable")
+        reached = np.cumsum(np.take_along_axis(weights, order, axis=1), axis=1) >= 1.0
+        first = reached.argmax(axis=1)
+        alpha = np.where(
+            reached.any(axis=1),
+            np.take_along_axis(breakpoints, order, axis=1)[np.arange(len(s)), first],
+            0.0,
+        )
+        excess = np.maximum(c - alpha[:, None] * s, 0.0)
+        with np.errstate(invalid="ignore"):
+            spill = np.where(excess > 0.0, excess * caps, 0.0).sum(axis=1)
+        return min(float((alpha + spill).min()), box)
 
     def _remember(
         self, key: bytes, edge: Edge, objective: dict[int, float], result: tuple[float, np.ndarray]
@@ -437,23 +503,29 @@ class WorstCaseOracle:
         if demand.any():
             self._demands.append(demand)
 
-    def _result(self, loaded: list[tuple[Edge, dict[int, float], bytes | None]]) -> OracleResult:
-        """The evaluation of a routing whose ``loaded`` objectives are all memoized.
-
-        Its cuts are the distinct demands of the :data:`CUTS_PER_ROUND`
-        most-violated edges.
-        """
+    def _result(self, loaded: Loaded) -> OracleResult:
+        """The evaluation of a routing after :meth:`_sweep` with keep =
+        :data:`CUTS_PER_ROUND`: every edge at or above its keep-th
+        finding is memoized, and ``per_edge`` holds exactly those."""
+        floor = _kth_largest(np.array(self._findings(loaded)), CUTS_PER_ROUND)
         per_edge: dict[Edge, float] = {}
         findings: list[tuple[float, Edge, np.ndarray]] = []
         for edge, _objective, key in loaded:
-            if key is None:
-                per_edge[edge] = 0.0
+            result = self._memo.get(key) if key is not None else (0.0, None)
+            if result is None or result[0] < floor:
                 continue
-            utilization, demand = self._memo[key]
+            utilization, demand = result
             per_edge[edge] = utilization
-            if demand.any():
+            if demand is not None and demand.any():
                 findings.append((utilization, edge, demand))
-        findings.sort(key=lambda item: item[0], reverse=True)
+        return self._outcome(findings, per_edge)
+
+    def _outcome(
+        self, findings: list[tuple[float, Edge, np.ndarray]], per_edge: dict[Edge, float]
+    ) -> OracleResult:
+        """The result with these findings: its cuts are the distinct
+        demands of the :data:`CUTS_PER_ROUND` most-violated edges."""
+        findings = sorted(findings, key=lambda item: item[0], reverse=True)
         cuts: list[DemandMatrix] = []
         for _u, _e, demand in findings[:CUTS_PER_ROUND]:
             matrix = self._demand_matrix(demand)
@@ -477,64 +549,117 @@ class WorstCaseOracle:
         pairs = self._pairs
         return DemandMatrix({pairs[i]: float(demand[i]) for i in np.flatnonzero(demand)})
 
-    def _fill(self, pending: Pending, limit: float | None = None) -> bool:
-        """Solve the ``pending`` objectives, in order, in one sweep.
+    def _sweep(self, loaded: Loaded, keep: int, limit: float | None = None) -> bool:
+        """Solve the unsolved edges of ``loaded`` that could reach its
+        ``keep``-th largest finding, one share per usable core.
 
-        With a ``limit`` the sweep stops once a solve passes it; returns
-        whether one did.  Results enter the memo here, on the calling
-        thread, after the sweep.
+        Edges are taken in descending lower bound (then upper bound);
+        before each solve a share skips the edge if both its bounds,
+        times ``1 + BOUND_MARGIN``, fall below the running keep-th
+        largest of the memoized findings, this sweep's findings and the
+        unsolved edges' lower bounds (shared under a lock).  The calling
+        thread solves on the oracle's own instance, helper threads each
+        on one of their own; per-edge solves are isolated, so no result
+        depends on which thread solved it.  With a ``limit``, returns
+        True, and stops every share, once a finding passes it or an
+        unsolved edge's lower bound passes it by the margin.  Results
+        enter the memo on the calling thread, after the sweep.
         """
+        known = np.array(self._findings(loaded))
+        if limit is not None and len(known) and known.max() > limit:
+            return True
+        pending = self._pending(loaded)
         if not pending:
             return False
-        results = self._sweep([objective for _edge, objective in pending.values()], limit)
+        dense = self._rows(pending)
+        lower = self._lower_bounds(dense)
+        if limit is not None and lower.max() > limit * (1.0 + BOUND_MARGIN):
+            return True
+        edges = [edge for edge, _objective in pending.values()]
+        upper = np.array([self._upper_bound(edge, row) for edge, row in zip(edges, dense)])
+        skip_below = np.maximum(lower, upper) * (1.0 + BOUND_MARGIN)
+        # Per unsolved objective: how many loaded edges share it, and the
+        # best lower bound on its finding so far (its value once solved).
+        index = {key: i for i, key in enumerate(pending)}
+        counts = np.bincount(
+            [index[key] for _edge, _objective, key in loaded if key in index],
+            minlength=len(pending),
+        )
+        bound = lower.copy()
+        objectives = [objective for _edge, objective in pending.values()]
+        queue = iter(np.lexsort((-upper, -lower)).tolist())
+        results: list[tuple[float, np.ndarray] | None] = [None] * len(pending)
+        lock = threading.Lock()
+        stop = threading.Event()
         passed = False
+
+        def threshold() -> float:
+            return _kth_largest(np.concatenate([known, np.repeat(bound, counts)]), keep)
+
+        def solve_share(reusable: ReusableLP) -> None:
+            nonlocal passed
+            try:
+                while not stop.is_set():
+                    with lock:
+                        item = next(queue, None)
+                        if item is None:
+                            return
+                        if skip_below[item] < threshold():
+                            continue
+                    result = self._solve(objectives[item], reusable)
+                    with lock:
+                        results[item] = result
+                        bound[item] = result[0] if result[1].any() else -math.inf
+                    if limit is not None and _passes(result, limit):
+                        passed = True
+                        stop.set()
+            except BaseException:
+                stop.set()
+                raise
+
+        shares = min(lp_backend.lp_threads(), len(pending))
+        if shares <= 1:
+            solve_share(self._reusable)
+        else:
+            while len(self._helper_lps) < shares - 1:
+                self._helper_lps.append(self._compiled.reusable())
+            # Leaving the block waits for every helper, even when share 0
+            # raised, so no helper still holds its instance after a sweep.
+            with ThreadPoolExecutor(shares - 1, thread_name_prefix="lp-sweep") as pool:
+                futures = [pool.submit(solve_share, lp) for lp in self._helper_lps[: shares - 1]]
+                solve_share(self._reusable)
+            for future in futures:
+                future.result()
         for (key, (edge, objective)), result in zip(pending.items(), results):
             if result is not None:
                 self._remember(key, edge, objective, result)
-                passed = passed or (limit is not None and _passes(result, limit))
         return passed
 
-    def _sweep(
-        self, objectives: list[dict[int, float]], limit: float | None = None
-    ) -> list[tuple[float, np.ndarray] | None]:
-        """Solve the per-edge LPs, one strided share per usable core.
 
-        The calling thread solves share 0 on the oracle's own instance;
-        helper threads solve the others, each on an instance of its own.
-        Results land by index, so the list is the serial sweep's, bit
-        for bit: per-edge solves are isolated.  With a ``limit``, one
-        shared flag stops every share once a result passes it; the
-        entries left unsolved stay None.
-        """
-        results: list[tuple[float, np.ndarray] | None] = [None] * len(objectives)
-        stop = threading.Event()
+def evaluate_reference(oracle: WorstCaseOracle, routing: Routing) -> OracleResult:
+    """The every-edge evaluation the pruned sweep must match (tests only).
 
-        def solve_share(share: int, shares: int, reusable: ReusableLP) -> None:
-            for index in range(share, len(objectives), shares):
-                if stop.is_set():
-                    return
-                result = self._solve(objectives[index], reusable)
-                results[index] = result
-                if limit is not None and _passes(result, limit):
-                    stop.set()
-
-        shares = min(lp_backend.lp_threads(), len(objectives))
-        if shares <= 1:
-            solve_share(0, 1, self._reusable)
-            return results
-        while len(self._helper_lps) < shares - 1:
-            self._helper_lps.append(self._compiled.reusable())
-        # Leaving the block waits for every helper, even when share 0
-        # raised, so no helper still holds its instance after a sweep.
-        with ThreadPoolExecutor(shares - 1, thread_name_prefix="lp-sweep") as pool:
-            futures = [
-                pool.submit(solve_share, share, shares, self._helper_lps[share - 1])
-                for share in range(1, shares)
-            ]
-            solve_share(0, shares, self._reusable)
-        for future in futures:
-            future.result()
-        return results
+    Solves, serially, every loaded edge the oracle's memo lacks, and
+    reports every loaded edge in ``per_edge``; ratio, edge, demand and
+    cuts are :meth:`WorstCaseOracle.evaluate`'s bit for bit, and its
+    ``per_edge`` is this one's restricted to values at or above the
+    :data:`CUTS_PER_ROUND`-th largest finding.
+    """
+    per_edge: dict[Edge, float] = {}
+    findings: list[tuple[float, Edge, np.ndarray]] = []
+    for edge, objective, key in oracle._loaded(routing.load_coefficients(oracle.demand_pairs)):
+        if key is None:
+            per_edge[edge] = 0.0
+            continue
+        result = oracle._memo.get(key)
+        if result is None:
+            result = oracle._solve(objective, oracle._reusable)
+            oracle._remember(key, edge, objective, result)
+        utilization, demand = result
+        per_edge[edge] = utilization
+        if demand.any():
+            findings.append((utilization, edge, demand))
+    return oracle._outcome(findings, per_edge)
 
 
 def evaluate_on_matrices(

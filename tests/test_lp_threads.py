@@ -21,7 +21,12 @@ from repro.ecmp.weights import inverse_capacity_weights
 from repro.exceptions import SolverError
 from repro.experiments.common import SCHEME_COLUMNS
 from repro.lp import backend as lp_backend
-from repro.lp.worst_case import OracleResult, WorstCaseOracle
+from repro.lp.worst_case import (
+    CUTS_PER_ROUND,
+    OracleResult,
+    WorstCaseOracle,
+    evaluate_reference,
+)
 from repro.runner.executor import run_sweep
 from repro.runner.faults import FailurePolicy
 from repro.runner.spec import SweepCell, SweepSpec
@@ -88,12 +93,20 @@ def snapshot(result: OracleResult) -> tuple:
 
 @pytest.mark.parametrize("witness", sorted(WITNESSES))
 def test_thread_count_cannot_change_results(witness):
-    oracle, routing = WITNESSES[witness]()
+    # A fresh oracle per thread count, so each sweep solves (and prunes)
+    # on its own threads; the serial reference solves every edge.
+    reference, routing = WITNESSES[witness]()
+    full = evaluate_reference(reference, routing)
     snapshots = {}
     for threads in THREAD_COUNTS:
+        oracle, _routing = WITNESSES[witness]()
         lp_backend.set_lp_threads(threads)
         snapshots[threads] = snapshot(oracle.evaluate(routing))
-    assert len(snapshots[1][3]) > 4
+    findings = sorted(full.per_edge.values(), reverse=True)
+    assert len(snapshots[1][3]) >= CUTS_PER_ROUND
+    floor = findings[CUTS_PER_ROUND - 1]
+    assert snapshots[1][3] == {edge: u for edge, u in full.per_edge.items() if u >= floor}
+    assert snapshots[1][:3] == snapshot(full)[:3] and snapshots[1][4] == snapshot(full)[4]
     for threads in THREAD_COUNTS[1:]:
         assert snapshots[threads] == snapshots[1], f"{threads} threads differ"
 

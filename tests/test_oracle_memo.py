@@ -1,13 +1,14 @@
-"""The worst-case oracle's per-objective memo and its bounded evaluations.
+"""The worst-case oracle's per-objective memo and its pruned sweeps.
 
-An oracle solves each distinct per-edge objective once,
-``evaluate_within`` stops its sweep as soon as an edge passes a limit,
-and ``ratio`` solves only the edges the memo's bounds cannot rule out.
-None may change a result: every memoized answer must equal a fresh
-solve bit for bit, ``ratio`` must equal ``evaluate(...).ratio`` bit for
-bit whatever the memo holds, and every experiment that now shares one
-oracle between the robust solve and its scores must report what
-scoring each scheme on a fresh oracle reports.
+An oracle solves each distinct per-edge objective once; ``evaluate``,
+``ratio`` and ``evaluate_within`` solve only the edges the memo's bounds
+cannot rule out of the top findings, and ``evaluate_within`` stops its
+sweep as soon as an edge passes a limit.  None may change a result:
+every memoized answer must equal a fresh solve bit for bit; all three
+must match the every-edge reference (``evaluate_reference``) bit for bit
+whatever the memo holds and however many threads sweep; and every
+experiment that now shares one oracle between the robust solve and its
+scores must report what scoring each scheme on a fresh oracle reports.
 """
 
 import functools
@@ -34,7 +35,12 @@ from repro.experiments.running_example import example_dag, fig1b_routing
 from repro.lp import backend as lp_backend
 from repro.lp.dag_flow import optimal_dag_routing
 from repro.lp.model import ReusableLP
-from repro.lp.worst_case import OracleResult, WorstCaseOracle
+from repro.lp.worst_case import (
+    CUTS_PER_ROUND,
+    OracleResult,
+    WorstCaseOracle,
+    evaluate_reference,
+)
 from repro.routing.splitting import Routing
 from repro.runner.memo import clear_all_memos
 from repro.runner.spec import SweepCell, freeze_params
@@ -67,20 +73,36 @@ def solves(monkeypatch):
 
 
 def score_on_fresh_oracles(monkeypatch) -> None:
-    """Make every ``evaluate`` and ``ratio`` run a full evaluation on a
-    brand-new oracle (no shared memo)."""
-    evaluate = WorstCaseOracle.evaluate
+    """Make every ``evaluate`` and ``ratio`` run the every-edge reference
+    evaluation on a brand-new oracle (no shared memo, no pruning)."""
 
-    def on_a_fresh_oracle(self, routing, *args, **kwargs):
+    def on_a_fresh_oracle(self, routing):
         fresh = WorstCaseOracle(
             self.network, self.uncertainty, dags=self.dags, config=self.config
         )
-        return evaluate(fresh, routing, *args, **kwargs)
+        return evaluate_reference(fresh, routing)
 
     monkeypatch.setattr(WorstCaseOracle, "evaluate", on_a_fresh_oracle)
     monkeypatch.setattr(
         WorstCaseOracle, "ratio", lambda self, routing: on_a_fresh_oracle(self, routing).ratio
     )
+
+
+def top_edges(oracle: WorstCaseOracle, routing: Routing, per_edge: dict) -> dict:
+    """``per_edge`` restricted to values at or above the routing's
+    ``CUTS_PER_ROUND``-th largest finding, as ``oracle``'s memo holds it."""
+    coefficients = routing.load_coefficients(oracle.demand_pairs)
+    memoized = [oracle._memo[key] for _e, _o, key in oracle._loaded(coefficients) if key]
+    findings = sorted((value for value, demand in memoized if demand.any()), reverse=True)
+    floor = findings[CUTS_PER_ROUND - 1] if len(findings) >= CUTS_PER_ROUND else -math.inf
+    return {edge: value for edge, value in per_edge.items() if value >= floor}
+
+
+def reference_snapshot(oracle: WorstCaseOracle, routing: Routing) -> tuple:
+    """The reference's snapshot with the pruned sweep's ``per_edge``."""
+    result = evaluate_reference(oracle, routing)
+    result.per_edge = top_edges(oracle, routing, result.per_edge)
+    return snapshot(result)
 
 
 def snapshot(result: OracleResult) -> tuple:
@@ -118,8 +140,14 @@ def _oracle(setup) -> WorstCaseOracle:
 class TestMemo:
     def test_a_second_evaluate_solves_nothing(self, abilene, solves):
         oracle = _oracle(abilene)
+        solves.clear()  # the oracle's own build solves one LP for its caps
         first = oracle.evaluate(abilene["base"])
-        assert len(solves) == len(first.per_edge) > 4
+        # Each solve is one memo entry; the edges the result reports are
+        # among them, and the sweep skipped some edges.
+        coefficients = abilene["base"].load_coefficients(oracle.demand_pairs)
+        loaded = oracle._loaded(coefficients)
+        assert len(first.per_edge) >= CUTS_PER_ROUND
+        assert len(first.per_edge) <= len(solves) == len(oracle._memo) < len(loaded)
         solves.clear()
         second = oracle.evaluate(abilene["base"])
         assert solves == []
@@ -172,25 +200,30 @@ class TestEvaluateWithin:
     @pytest.mark.parametrize("threads", (1, 2, 4))
     def test_matches_evaluate_around_the_ratio(self, abilene, threads):
         lp_backend.set_lp_threads(threads)
-        order = _oracle(abilene).evaluate(abilene["base"]).per_edge
         for scheme in ("ecmp", "base"):
-            full = _oracle(abilene).evaluate(abilene[scheme])
-            ratio = full.ratio
+            full = reference_snapshot(_oracle(abilene), abilene[scheme])
+            ratio = full[0]
             limits = (math.nextafter(ratio, -math.inf), ratio, math.nextafter(ratio, math.inf))
             for limit in limits:
-                for edge_order in (None, order):
-                    result = _oracle(abilene).evaluate_within(abilene[scheme], limit, edge_order)
-                    case = (scheme, limit, edge_order is None)
+                # On a fresh oracle, and on one whose memo holds the other
+                # scheme's solves (so its bounds prune the sweep).
+                for warm in (False, True):
+                    oracle = _oracle(abilene)
+                    if warm:
+                        oracle.evaluate(abilene["base" if scheme == "ecmp" else "ecmp"])
+                    result = oracle.evaluate_within(abilene[scheme], limit)
+                    case = (scheme, limit, warm)
                     assert (result is None) == (ratio > limit), case
                     if result is not None:
-                        assert snapshot(result) == snapshot(full), case
+                        assert snapshot(result) == full, case
 
     def test_stops_at_the_first_edge_past_the_limit(self, abilene, solves):
         lp_backend.set_lp_threads(1)
         full = _oracle(abilene).evaluate(abilene["ecmp"])
-        solves.clear()
         oracle = _oracle(abilene)
-        assert oracle.evaluate_within(abilene["ecmp"], full.ratio / 2, full.per_edge) is None
+        solves.clear()
+        # The sweep takes the edge with the largest (box) upper bound first.
+        assert oracle.evaluate_within(abilene["ecmp"], full.ratio / 2) is None
         assert len(solves) == 1
         # The memoized hot edge alone now settles the same question.
         solves.clear()
@@ -198,12 +231,13 @@ class TestEvaluateWithin:
         assert solves == []
 
     def test_a_result_leaves_every_edge_solved(self, abilene, solves):
+        # Every edge the evaluation needs: a later evaluate solves nothing.
         oracle = _oracle(abilene)
-        fresh = _oracle(abilene).evaluate(abilene["ecmp"])
+        fresh = reference_snapshot(_oracle(abilene), abilene["ecmp"])
         solves.clear()
-        assert snapshot(oracle.evaluate_within(abilene["ecmp"], fresh.ratio)) == snapshot(fresh)
+        assert snapshot(oracle.evaluate_within(abilene["ecmp"], fresh[0])) == fresh
         solves.clear()
-        assert snapshot(oracle.evaluate(abilene["ecmp"])) == snapshot(fresh)
+        assert snapshot(oracle.evaluate(abilene["ecmp"])) == fresh
         assert solves == []
 
     def test_a_ratio_without_findings_is_zero(self, running_example):
@@ -218,19 +252,28 @@ class TestEvaluateWithin:
 
 
 def test_early_exit_under_thread_stress(abilene):
-    """Eight threads, frequent switches: answers and memo entries stay exact."""
+    """Eight threads, frequent switches: answers and memo entries stay exact.
+
+    The threads share the sweep's threshold; a lost update to it could
+    skip an edge that reaches the top findings and change a result.
+    """
     lp_backend.set_lp_threads(1)
     reference = _oracle(abilene)
-    ratios = {scheme: reference.evaluate(abilene[scheme]).ratio for scheme in ("ecmp", "base")}
+    expected = {
+        scheme: reference_snapshot(reference, abilene[scheme]) for scheme in ("ecmp", "base")
+    }
     lp_backend.set_lp_threads(8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for scheme, ratio in ratios.items():
+        for scheme, full in expected.items():
+            ratio = full[0]
+            assert snapshot(_oracle(abilene).evaluate(abilene[scheme])) == full
             for limit in (ratio / 2, math.nextafter(ratio, -math.inf), ratio, ratio * 2):
                 oracle = _oracle(abilene)
                 result = oracle.evaluate_within(abilene[scheme], limit)
                 assert (result is None) == (ratio > limit)
+                assert result is None or snapshot(result) == full
                 for key, (utilization, demand) in oracle._memo.items():
                     expected_utilization, expected_demand = reference._memo[key]
                     assert utilization == expected_utilization
@@ -274,10 +317,49 @@ def _scoring_oracle(topology: str, cone: str) -> WorstCaseOracle:
 
 
 @functools.cache
-def _full_ratios(topology: str, cone: str) -> dict[str, float]:
-    """Each routing's ``evaluate(...).ratio``, each on a fresh oracle."""
+def _references(topology: str, cone: str) -> dict[str, tuple]:
+    """Each routing's reference snapshot (see ``reference_snapshot``), each
+    on a fresh oracle."""
     routings = _scoring_instance(topology)["routings"]
-    return {name: _scoring_oracle(topology, cone).evaluate(r).ratio for name, r in routings.items()}
+    return {
+        name: reference_snapshot(_scoring_oracle(topology, cone), routing)
+        for name, routing in routings.items()
+    }
+
+
+def _full_ratios(topology: str, cone: str) -> dict[str, float]:
+    """Each routing's every-edge ratio, each on a fresh oracle."""
+    return {name: reference[0] for name, reference in _references(topology, cone).items()}
+
+
+class TestReference:
+    """``evaluate``, ``ratio`` and ``evaluate_within`` against the every-edge
+    reference, bit for bit, on memos filled in three orders."""
+
+    @pytest.mark.parametrize("threads", (1, 2, 4))
+    @pytest.mark.parametrize("cone", ("margin", "oblivious"))
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_pruned_sweeps_match_the_reference(self, topology, cone, threads):
+        references = _references(topology, cone)
+        lp_backend.set_lp_threads(threads)
+        routings = _scoring_instance(topology)["routings"]
+        names = list(routings)
+        for order in (names, names[::-1], names[1:] + names[:1]):
+            oracle = _scoring_oracle(topology, cone)
+            # Each routing meets a different entry point at a different
+            # memo state; a rejected bounded check leaves a partial memo.
+            for index, name in enumerate(order):
+                routing, reference = routings[name], references[name]
+                case = (order, name)
+                if index % 3 == 0:
+                    assert snapshot(oracle.evaluate(routing)) == reference, case
+                elif index % 3 == 1:
+                    assert oracle.ratio(routing) == reference[0], case
+                else:
+                    assert oracle.evaluate_within(routing, reference[0] / 2) is None, case
+                    assert snapshot(oracle.evaluate_within(routing, reference[0])) == reference
+            for name in order:
+                assert snapshot(oracle.evaluate(routings[name])) == references[name], (order, name)
 
 
 class TestRatio:
@@ -317,7 +399,7 @@ class TestRatio:
         oracle = partial.evaluator
         for routing in self._table(margin_setup, partial):
             fresh = WorstCaseOracle(oracle.network, oracle.uncertainty, dags=oracle.dags)
-            assert oracle.ratio(routing) == fresh.evaluate(routing).ratio, routing.name
+            assert oracle.ratio(routing) == evaluate_reference(fresh, routing).ratio, routing.name
 
     def test_table_scoring_skips_most_solves(self, margin_setup, solves):
         # Serial solves leave the same memo on both runs of the solve.
@@ -325,12 +407,12 @@ class TestRatio:
         schemes = self._table(margin_setup, coyote_partial_for_margin(margin_setup, 2.0))[:3]
         evaluated = coyote_partial_for_margin(margin_setup, 2.0).evaluator
         solves.clear()
-        full = [evaluated.evaluate(routing).ratio for routing in schemes]
+        full = [evaluate_reference(evaluated, routing).ratio for routing in schemes]
         full_solves = len(solves)
         bounded = coyote_partial_for_margin(margin_setup, 2.0).evaluator
         solves.clear()
         assert [bounded.ratio(routing) for routing in schemes] == full
-        assert len(solves) <= 0.6 * full_solves, (len(solves), full_solves)
+        assert len(solves) <= 0.35 * full_solves, (len(solves), full_solves)
 
     def test_a_lower_bound_past_the_limit_rejects_without_solving(self, abilene, solves):
         oracle = _oracle(abilene)
@@ -346,7 +428,7 @@ class TestRatio:
         solves.clear()
         assert oracle.evaluate_within(ecmp, lower / 2) is None
         assert solves == []
-        assert _oracle(abilene).evaluate(ecmp).ratio > lower / 2
+        assert evaluate_reference(_oracle(abilene), ecmp).ratio > lower / 2
 
 
 class TestSharedOracleResults:
@@ -461,3 +543,5 @@ class TestRobustLoopOracle:
         solves.clear()
         assert snapshot(result.evaluator.evaluate(result.routing)) == snapshot(result.oracle)
         assert solves == []
+        fresh = WorstCaseOracle(network, users, dags=dags)
+        assert snapshot(result.oracle) == reference_snapshot(fresh, result.routing)
