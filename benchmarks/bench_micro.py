@@ -13,7 +13,7 @@ from repro.ecmp.routing import ecmp_routing
 from repro.ecmp.weights import unit_weights
 from repro.lp.mcf import min_congestion
 from repro.lp.model import ReusableLP
-from repro.lp.backend import lp_threads
+from repro.lp.backend import set_lp_threads
 from repro.lp.worst_case import CUTS_PER_ROUND, WorstCaseOracle
 from repro.ospf.domain import OspfDomain
 from repro.topologies.zoo import load_topology
@@ -40,23 +40,45 @@ def test_slave_lp_sweep(benchmark, monkeypatch):
         return solve(self, *args, **kwargs)
 
     monkeypatch.setattr(ReusableLP, "solve", counted)
-    starts = []
+    results, timed = [], []
 
     def fresh_oracle():
         # An oracle memoizes its per-edge results, so every round scores
         # ECMP on a new one; otherwise later rounds would time memo hits.
-        starts.append(len(solves))
         return (WorstCaseOracle(network, cone, dags=dags), ecmp), {}
 
-    result = benchmark.pedantic(WorstCaseOracle.evaluate, setup=fresh_oracle, rounds=5)
+    def evaluate(oracle, routing):
+        start = len(solves)
+        results.append(oracle.evaluate(routing))
+        timed.append(len(solves) - start)
+        return results[-1]
+
+    result = benchmark.pedantic(evaluate, setup=fresh_oracle, rounds=5)
     assert result.ratio >= 1.0
-    # Every round solves at least the top findings on its empty memo.  On
-    # threads the pruned sweep's count varies with timing, so only a
-    # serial sweep repeats it exactly.
-    per_round = [end - start for start, end in zip(starts, [*starts[1:], len(solves)])]
-    assert min(per_round) >= CUTS_PER_ROUND, per_round
-    if lp_threads() == 1:
-        assert len(set(per_round)) == 1, per_round
+    # Every timed round solves at least the top findings, and since the
+    # pruned sweep's result is the same at any thread count, returns the
+    # first round's.
+    assert min(timed) >= CUTS_PER_ROUND, timed
+    first = results[0]
+    for other in results[1:]:
+        assert (other.ratio, other.edge, other.cuts, other.per_edge) == (
+            first.ratio,
+            first.edge,
+            first.cuts,
+            first.per_edge,
+        )
+    # Which edges threads skip depends on timing; a serial sweep on an
+    # empty memo repeats its solve count exactly.
+    set_lp_threads(1)
+    try:
+        per_round = []
+        for _ in range(3):
+            start = len(solves)
+            WorstCaseOracle(network, cone, dags=dags).evaluate(ecmp)
+            per_round.append(len(solves) - start)
+    finally:
+        set_lp_threads(None)
+    assert per_round[0] >= CUTS_PER_ROUND and len(set(per_round)) == 1, per_round
 
 
 def test_ospf_convergence(benchmark):

@@ -164,6 +164,12 @@ CUTS_PER_ROUND = 4
 #: ``tests/test_oracle_bounds.py`` checks it on fixed routings).
 BOUND_MARGIN = 2e-4
 
+#: Worst-case demand entries at or below this are dropped from a solve's
+#: demand, so a solve valued up to ``DEMAND_FLOOR * sum(c)`` may come
+#: with an empty demand (no finding); lower bounds below ten times that
+#: are not counted as findings.
+DEMAND_FLOOR = 1e-10
+
 #: One loaded finite-capacity edge: (edge, objective, memo key); the key
 #: is None for an empty objective, whose result is (0.0, no demand).
 Loaded = list[tuple[Edge, dict[int, float], bytes | None]]
@@ -450,29 +456,28 @@ class WorstCaseOracle:
         """Per objective row, a lower bound on its value as a finding.
 
         Its best value at a memoized worst-case demand, or -inf when that
-        is too small to prove the solve's demand non-empty: entries up to
-        1e-10 are dropped, so a value up to ``1e-10 * sum(c)`` may come
-        with an empty demand.
+        is too small to prove the solve's demand non-empty (see
+        :data:`DEMAND_FLOOR`).
         """
         demands = self._demands.array
         if not len(demands):
             return np.full(len(dense), -math.inf)
         lower = (dense @ demands.T).max(axis=1)
-        return np.where(lower > 1e-9 * dense.sum(axis=1), lower, -math.inf)
+        return np.where(lower > 10 * DEMAND_FLOOR * dense.sum(axis=1), lower, -math.inf)
 
     def _upper_bound(self, edge: Edge, row: np.ndarray) -> float:
         """The least upper bound on the objective ``row``'s value.
 
-        The box bound ``c . M`` and, per memoized objective of ``edge``,
-        the capped bound at its weighted-median breakpoint (see the
-        module docstring).
+        Per memoized objective of ``edge``, the capped bound at its
+        weighted-median breakpoint, its minimum, so (up to rounding) at
+        most the box bound ``c . M`` it takes at ``alpha = 0`` (see the
+        module docstring); the box bound alone when ``edge`` has none.
         """
         support = np.flatnonzero(row)
         c, caps = row[support], self._caps[support]
-        box = float(c @ caps)
         sources = self._upper.get(edge)
         if sources is None:
-            return box
+            return float(c @ caps)
         s = sources.array[:, support]
         covered = s > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -489,7 +494,7 @@ class WorstCaseOracle:
         excess = np.maximum(c - alpha[:, None] * s, 0.0)
         with np.errstate(invalid="ignore"):
             spill = np.where(excess > 0.0, excess * caps, 0.0).sum(axis=1)
-        return min(float((alpha + spill).min()), box)
+        return float((alpha + spill).min())
 
     def _remember(
         self, key: bytes, edge: Edge, objective: dict[int, float], result: tuple[float, np.ndarray]
@@ -542,7 +547,7 @@ class WorstCaseOracle:
         """One per-edge solve: (utilization, worst-case demand per pair)."""
         solution = reusable.solve(objective, maximize=True)
         demand = solution.values[self._demand_columns]
-        return float(solution.objective), np.where(demand > 1e-10, demand, 0.0)
+        return float(solution.objective), np.where(demand > DEMAND_FLOOR, demand, 0.0)
 
     def _demand_matrix(self, demand: np.ndarray) -> DemandMatrix:
         """The sparse matrix of a dense per-pair demand array (zeros dropped)."""
