@@ -13,9 +13,10 @@ margin's "ECMP" and "ideal" columns; a cell with ``budget=k`` produces
 its "k NHs" column.  All cells of one topology share the
 margin-independent :func:`~repro.experiments.common.shared_setup`, and
 cells of one margin additionally share the memoized worst-case oracle
-and ideal (COYOTE-pk) routing, so a chunked worker pays the expensive
-robust optimization once per margin.  The runner merges the cells of
-each margin into a single table row.
+and ideal (COYOTE-pk) routing; the runner keeps each (setup, margin) on
+one lane, so one worker pays the expensive robust optimization once per
+margin.  The runner merges the cells of each margin into a single table
+row.
 """
 
 from __future__ import annotations

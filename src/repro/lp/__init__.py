@@ -10,7 +10,7 @@ problem-specific builders:
 * :mod:`repro.lp.dag_flow` — demands-aware optimum restricted to DAGs;
 * :mod:`repro.lp.worst_case` — the per-edge adversarial ("slave") LP;
 * :mod:`repro.lp.cutting_plane` — the adversarial cutting-plane loop;
-* :mod:`repro.lp.oblivious_lp` — unconstrained (Applegate-Cohen) oblivious routing;
+* :mod:`repro.lp.oblivious_lp` — the exact unconstrained (Applegate-Cohen) oblivious LP;
 * :mod:`repro.lp.certificate` — the Theorem 5 dual certificate.
 
 Numerical contract (details in ``docs/lp_backends.md``): the engine

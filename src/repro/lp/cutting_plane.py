@@ -4,9 +4,8 @@ A *master* optimizes a routing against a finite demand set ``T``; the
 *oracle* certifies its worst case over the whole cone and proposes the
 worst-case demands of its most-violated edges as cuts; each new cut,
 normalized to unit optimum, joins ``T``.  COYOTE's robust splitting
-(:mod:`repro.core.robust`) and the Applegate–Cohen baseline
-(:mod:`repro.lp.oblivious_lp`) both run on :func:`cutting_plane`, so the
-cut and stop policy lives here only.
+(:mod:`repro.core.robust`) runs on :func:`cutting_plane`, so the cut and
+stop policy lives here only.
 """
 
 from __future__ import annotations

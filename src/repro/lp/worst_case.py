@@ -345,19 +345,7 @@ class WorstCaseOracle:
         # (repro.kernel.coefficients); any change to how they are derived
         # is a solver-semantics change — bump CACHE_VERSION in
         # repro.runner.spec.
-        return self.evaluate_coefficients(routing.load_coefficients(list(self._pairs)))
-
-    def evaluate_coefficients(
-        self, coefficients: Mapping[Edge, Mapping[Pair, float]]
-    ) -> OracleResult:
-        """:meth:`evaluate` of a fixed routing given by its load coefficients.
-
-        Args:
-            coefficients: edge -> {pair: fraction of that pair's demand
-                crossing the edge}; any fixed routing, per destination or
-                per pair.
-        """
-        loaded = self._loaded(coefficients)
+        loaded = self._loaded(routing.load_coefficients(list(self._pairs)))
         self._sweep(loaded, CUTS_PER_ROUND)
         return self._result(loaded)
 

@@ -1,17 +1,17 @@
 """Pull-based sweep execution: one store-aware frontier, reassembled in order.
 
 Every sweep, at any job count, runs through one *frontier* of unresolved
-cells and one pump that pulls work from it as capacity frees up:
+cells and one pump that hands them to *lanes* as lanes become idle:
 
 1. **Probe** — every cell is checked against the store first; hits are
    recorded as ``cache-hit`` lifecycle events and never scheduled.
    Cells with a persisted *deterministic* failure record are
    quarantined up front instead of re-attempted (see
    :mod:`repro.runner.faults`).
-2. **Pull** — chunks are dispatched one at a time as workers become
-   idle.  Immediately before dispatch each chunk is *re*-probed against
-   the store, so a cell another sweep on the same store has stored
-   since step 1 is served as a hit instead of solved again.
+2. **Pull** — an idle lane takes one cell at a time.  Immediately before
+   dispatch the cell is *re*-probed against the store, so a cell another
+   sweep on the same store has stored since step 1 is served as a hit
+   instead of solved again.
 3. **Record** — results are stored as they arrive (not at sweep end),
    so a killed run preserves every solved cell and a resumed run
    re-solves none of them.
@@ -20,16 +20,20 @@ Two sweeps sharing one store need no coordination: a cell both miss is
 solved twice, and since entries are content-addressed and written
 atomically, the second write replaces an identical entry.
 
-The job count only picks what a chunk is and where it runs.  ``jobs ==
-1`` queues one chunk per cell and solves each in-process the moment it
-is dispatched, sharing one
-:class:`~repro.experiments.common.ExperimentSetup` per topology through
-the per-process memo.  ``jobs > 1`` fans chunks of same-setup cells over
-a :class:`concurrent.futures.ProcessPoolExecutor`, so the expensive
-margin-independent setup (DAG construction, ECMP projection, the
-oblivious optimization) is built once per chunk; the LRU memo (see
-:mod:`repro.runner.memo`) additionally shares setups between chunks that
-land on the same long-lived worker.
+**Lanes.**  The pump runs ``min(jobs, cells)`` lanes, each solving one
+cell at a time: at ``jobs == 1`` the one lane solves in-process, and at
+``jobs > 1`` each lane owns a one-process
+:class:`concurrent.futures.ProcessPoolExecutor`.  A lane's process is
+long-lived, so the per-process memo (see :mod:`repro.runner.memo`)
+keeps the expensive margin-independent
+:class:`~repro.experiments.common.ExperimentSetup` (DAG construction,
+ECMP projection, the oblivious optimization) warm across its cells.  To
+keep it warm, an idle lane prefers, in order, a cell with the same
+(setup key, margin) as its last cell, a cell with the same setup, and a
+cell whose setup no other lane holds; only a lane that holds nothing
+yet takes a cell of another lane's setup.  No lane takes a cell whose
+(setup, margin) another lane holds, so per-margin state beyond the
+setup (fig10's oracle and ideal routing) is built by one worker only.
 
 **Failure domain.**  A failing cell does not sink the sweep outright:
 
@@ -39,16 +43,15 @@ land on the same long-lived worker.
   policy's ``max_attempts``; *deterministic* errors (``ValueError``
   bugs, LP infeasibility) quarantine immediately.  A cell waiting out
   its backoff never blocks other cells.
-* A dead worker (``BrokenProcessPool`` — segfault, OOM kill) costs only
-  its in-flight chunks, which are **bisected** and re-queued so one
-  poison cell is isolated instead of failing its setup-sharing
-  siblings; the pool is replaced and the sweep continues.
+* A dead worker (``BrokenProcessPool`` — segfault, OOM kill) costs one
+  attempt of the one cell its lane was solving; the lane gets a fresh
+  process and no other lane notices.
 * A stuck solve is bounded by a per-cell wall-clock budget
   (``--cell-timeout`` or the kind's :attr:`~repro.runner.spec.CellKind.
-  timeout`): a **watchdog** deadline on each dispatched chunk kills the
-  pool's workers when exceeded, re-queues the innocent chunks, and
-  retries (then quarantines) the overdue cell.  Budgets apply with
-  ``jobs > 1`` only — an in-process solve has no worker to kill.
+  timeout`): a **watchdog** deadline on each dispatched cell kills that
+  lane's worker when exceeded and retries (then quarantines) the cell.
+  Budgets apply with ``jobs > 1`` only — an in-process solve has no
+  worker to kill.
 * Quarantining a cell persists a failure record in the store and emits
   a ``quarantined`` event.  By default any
   quarantine aborts the sweep with the original error once in-flight
@@ -78,7 +81,6 @@ import os
 import signal
 import time
 import traceback
-from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -108,24 +110,23 @@ def solve_cell(cell: SweepCell) -> dict[str, float]:
     return cell_kind(cell.kind).solve(cell)
 
 
-def _solve_chunk(
+def _solve_one(
     solve: Callable[[SweepCell], dict[str, float]],
-    cells: list[tuple[str, SweepCell]],
+    key: str,
+    cell: SweepCell,
     lp_threads: int | None = None,
-) -> list[tuple[str, object, str | None, dict[str, float]]]:
-    """Solve same-setup cells serially in one worker, stopping at a failure.
+) -> tuple[str, object, str | None, dict[str, float]]:
+    """Solve one cell in a lane, returning its outcome instead of raising.
 
-    ``cells`` carries each cell's content key alongside it so the worker
-    can fire key-addressed injected faults (:func:`repro.runner.faults.
-    trigger`) without re-deriving keys.  Returns per-cell ("ok", ratios,
-    None, timings) / ("error", exception, detail, {}) outcomes so the
-    parent still records and caches every cell solved before a failure.
-    ``detail`` carries the failing cell's identity and the worker-side
-    traceback, which pickling the exception alone would lose;
-    ``timings`` carries the per-phase durations the worker recorded
-    (see :mod:`repro.runner.timing`).
+    ``key`` is the cell's content key, so the worker can fire
+    key-addressed injected faults (:func:`repro.runner.faults.trigger`)
+    without re-deriving it.  Returns ("ok", ratios, None, timings) or
+    ("error", exception, detail, {}).  ``detail`` carries the cell's
+    identity and the worker-side traceback, which pickling the exception
+    alone would lose; ``timings`` carries the per-phase durations the
+    worker recorded (see :mod:`repro.runner.timing`).
 
-    ``lp_threads`` is this worker's share of the coordinator's LP sweep
+    ``lp_threads`` is this lane's share of the coordinator's LP sweep
     threads (:func:`repro.lp.backend.set_lp_threads`), so ``jobs``
     workers sweeping at once do not oversubscribe the host.  ``None``
     (an in-process ``jobs == 1`` solve) leaves the caller's own setting
@@ -135,59 +136,16 @@ def _solve_chunk(
         from repro.lp.backend import set_lp_threads
 
         set_lp_threads(lp_threads)
-    outcomes: list[tuple[str, object, str | None, dict[str, float]]] = []
-    for key, cell in cells:
-        try:
-            faults.trigger("solve", key)
-            ratios, timings = timed_solve(solve, cell)
-            outcomes.append(("ok", ratios, None, timings))
-        except Exception as error:
-            detail = (
-                f"cell {cell.topology}/{cell.demand_model} margin={cell.margin:g} "
-                f"kind={cell.kind} failed in worker:\n{traceback.format_exc()}"
-            )
-            outcomes.append(("error", error, detail, {}))
-            break
-    return outcomes
-
-
-def _split_chunk(
-    chunk: list[tuple[int, SweepCell]],
-) -> list[list[tuple[int, SweepCell]]]:
-    """Split one chunk in two, preferring a margin boundary near the middle.
-
-    Cells of one margin can share per-margin state beyond the setup
-    (fig10's worst-case oracle and ideal routing), so a mid-margin split
-    would rebuild that state in both workers; the boundary nearest the
-    midpoint keeps each margin's cells together at no cost to balance.
-    """
-    half = len(chunk) // 2
-    boundaries = [
-        i for i in range(1, len(chunk)) if chunk[i - 1][1].margin != chunk[i][1].margin
-    ]
-    split = min(boundaries, key=lambda i: abs(i - half)) if boundaries else half
-    return [chunk[:split], chunk[split:]]
-
-
-def _chunk_pending(
-    pending: list[tuple[int, SweepCell]], workers: int
-) -> list[list[tuple[int, SweepCell]]]:
-    """Group unsolved cells by setup key, splitting groups to fill workers.
-
-    One chunk = one pullable unit of work: its cells share a setup, so
-    the expensive margin-independent preparation runs once per chunk.
-    Groups are split in two (largest first, at margin boundaries where
-    possible) only while workers would otherwise be idle.
-    """
-    groups: dict[tuple, list[tuple[int, SweepCell]]] = {}
-    for index, cell in pending:
-        groups.setdefault(cell.setup_key(), []).append((index, cell))
-    chunks = list(groups.values())
-    while len(chunks) < workers and any(len(chunk) > 1 for chunk in chunks):
-        chunks.sort(key=len)
-        largest = chunks.pop()
-        chunks += _split_chunk(largest)
-    return chunks
+    try:
+        faults.trigger("solve", key)
+        ratios, timings = timed_solve(solve, cell)
+        return "ok", ratios, None, timings
+    except Exception as error:
+        detail = (
+            f"cell {cell.topology}/{cell.demand_model} margin={cell.margin:g} "
+            f"kind={cell.kind} failed in worker:\n{traceback.format_exc()}"
+        )
+        return "error", error, detail, {}
 
 
 def _row_value(cell: SweepCell, column: str, *, display: bool):
@@ -388,10 +346,11 @@ class SweepReport:
 class _Frontier:
     """One sweep's per-cell state machine, shared by every job count.
 
-    The pump moves each runnable cell through :meth:`prepare` (re-probe),
-    a solve, and then :meth:`record` or :meth:`fail`.  Everything the run
-    knows about its cells — resolved and quarantined ones, attempt
-    counts, and the error that aborts the sweep — lives here.
+    The pump moves each runnable cell through :meth:`probe` (again at
+    dispatch), a solve, and then :meth:`record` or :meth:`fail`.
+    Everything the run knows about its cells — resolved and quarantined
+    ones, attempt counts, and the error that aborts the sweep — lives
+    here.
     """
 
     keys: list[str]
@@ -411,10 +370,6 @@ class _Frontier:
         self.events.emit(self.keys[index], "cache-hit")
         self.resolved[index] = CellResult(cell=cell, key=self.keys[index], ratios=hit, cached=True)
         return True
-
-    def live(self, chunk: list[tuple[int, SweepCell]]) -> list[tuple[int, SweepCell]]:
-        """The chunk's cells that are neither resolved nor quarantined."""
-        return [(i, c) for i, c in chunk if i not in self.resolved and i not in self.failed]
 
     def budget(self, cell: SweepCell) -> float | None:
         """The effective wall-clock budget for one cell, if any."""
@@ -485,14 +440,6 @@ class _Frontier:
             return delay
         self.quarantine(index, cell, error, label, detail)
         return None
-
-    def prepare(self, batch: list[tuple[int, SweepCell]]) -> list[tuple[int, SweepCell]]:
-        """Frontier gate: re-probe the store just before dispatch.
-
-        Another sweep on the same store may have stored a cell since
-        the first probe; serving it as a hit here saves the solve.
-        """
-        return [(i, c) for i, c in self.live(batch) if not self.probe(i, c)]
 
     # Results are stored as they arrive, not after the sweep completes, so
     # an interrupted or partially failed run preserves every solved cell.
@@ -616,10 +563,10 @@ def run_sweep(
 
 
 class _InProcessExecutor:
-    """The ``jobs == 1`` pool: ``submit`` runs the chunk at once, here.
+    """The ``jobs == 1`` pool: ``submit`` runs the cell at once, here.
 
     A single-job sweep stays in-process, so an injected ``solve`` needs
-    no pickling, and anything the chunk does not catch (such as
+    no pickling, and anything the solve does not catch (such as
     ``KeyboardInterrupt``) propagates straight out of ``submit``.
     """
 
@@ -632,108 +579,123 @@ class _InProcessExecutor:
         """No-op: no work outlives its ``submit``."""
 
 
+@dataclass
+class _Lane:
+    """One worker slot: a one-process pool that solves one cell at a time.
+
+    ``last`` is the cell the lane was last given; the lane *holds* its
+    (setup key, margin) until it takes another cell.  ``running`` is the
+    cell in flight, with its ``future`` and watchdog ``deadline``.
+    """
+
+    pool: ProcessPoolExecutor | _InProcessExecutor | None = None
+    last: SweepCell | None = None
+    running: tuple[int, SweepCell] | None = None
+    future: Future | None = None
+    deadline: float | None = None
+
+    def release(self) -> tuple[int, SweepCell]:
+        """Take the in-flight cell off the lane."""
+        running = self.running
+        self.running = self.future = self.deadline = None
+        return running
+
+    def retire(self, *, kill: bool = False) -> None:
+        """Shut the lane's pool down and join its threads.
+
+        ``kill`` abandons a cell still running (a watchdog strike, or an
+        interrupted sweep): it SIGKILLs the worker and does not wait.
+        ``_processes`` is private executor state, but there is no public
+        kill; without it the stuck worker leaks until the sweep exits,
+        which is still bounded.  Joining an idle or dead lane's pool
+        keeps its threads from racing interpreter exit.
+        """
+        if self.pool is None:
+            return
+        if kill:
+            for pid in list(getattr(self.pool, "_processes", None) or {}):
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except OSError:
+                    pass
+        self.pool.shutdown(wait=not kill, cancel_futures=True)
+        self.pool = None
+
+
+def _pick(lane: _Lane, lanes: list[_Lane], queue: list[tuple[int, SweepCell]]) -> int | None:
+    """The queue position of the cell an idle lane takes next, if any.
+
+    Preference keeps setups warm: the lane's last (setup key, margin),
+    then its last setup, then a setup no other lane holds; ties go to
+    the earliest queued.  A cell whose (setup, margin) another lane
+    holds is never taken.  A cell of a setup another lane holds is taken
+    only by a lane that holds nothing yet, so idle lanes share a sweep's
+    first setups but never build a second copy of a setup to take its
+    last cells.
+    """
+    held = {
+        (other.last.setup_key(), other.last.margin)
+        for other in lanes
+        if other is not lane and other.last is not None
+    }
+    held_setups = {setup for setup, _ in held}
+    mine = None if lane.last is None else (lane.last.setup_key(), lane.last.margin)
+
+    def rank(cell: SweepCell) -> int | None:
+        setup = cell.setup_key()
+        if (setup, cell.margin) in held:
+            return None
+        if mine is not None and setup == mine[0]:
+            return 0 if cell.margin == mine[1] else 1
+        if setup not in held_setups:
+            return 2
+        return 3 if mine is None else None
+
+    ranked = ((rank(cell), position) for position, (_, cell) in enumerate(queue))
+    return min(((r, p) for r, p in ranked if r is not None), default=(0, None))[1]
+
+
 def _pump(
     frontier: _Frontier,
     worklist: list[tuple[int, SweepCell]],
     jobs: int,
     solve: Callable[[SweepCell], dict[str, float]],
 ) -> None:
-    """The frontier pump: dispatch, retries, watchdog, bisection.
+    """The frontier pump: lanes, dispatch, retries, watchdog.
 
-    ``jobs == 1`` queues one chunk per cell, in worklist order, on an
-    :class:`_InProcessExecutor`: each cell is re-probed just before it
-    runs, the coordinator's LP-thread cap is left alone, and no
-    deadline is set (there is no worker to kill).
-    ``jobs > 1`` queues same-setup chunks on a process pool and owns the
-    pool's whole lifecycle — including *replacing* it after a worker
-    death (``BrokenProcessPool`` poisons every in-flight future) or a
-    watchdog strike (the stuck worker is SIGKILLed, which breaks the
-    pool the same way).  At any job count a cell waiting out its retry
-    backoff does not hold up the others.
+    ``jobs == 1`` runs one lane on an :class:`_InProcessExecutor`: each
+    cell is re-probed just before it runs, the coordinator's LP-thread
+    cap is left alone, and no deadline is set (there is no worker to
+    kill).  ``jobs > 1`` runs up to ``jobs`` lanes, each on its own
+    one-process pool.  A worker death (``BrokenProcessPool``) or a
+    watchdog strike (the stuck worker is SIGKILLed) charges the lane's
+    one cell and replaces that lane's pool only; the other lanes keep
+    their workers and memos.  At any job count a cell waiting out its
+    retry backoff does not hold up the others.
     """
     from repro.lp.backend import lp_threads
 
     keys, events = frontier.keys, frontier.events
     in_process = jobs == 1
-    if in_process:
-        queue = deque([item] for item in worklist)
-        workers, lp_budget = 1, None
-    else:
-        queue = deque(_chunk_pending(worklist, jobs))
-        workers = min(jobs, len(queue))
-        lp_budget = max(1, lp_threads() // workers)
+    lanes = [_Lane() for _ in range(min(jobs, len(worklist)))]
+    lp_budget = None if in_process else max(1, lp_threads() // len(lanes))
+    queue = list(worklist)
     # Retries wait out their backoff in this heap (ready-time ordered)
     # without blocking dispatch of other work; the tickets break ties.
-    retries: list[tuple[float, int, list[tuple[int, SweepCell]]]] = []
+    retries: list[tuple[float, int, tuple[int, SweepCell]]] = []
     tickets = itertools.count()
-    in_flight: dict[Future, tuple[list[tuple[int, SweepCell]], float | None]] = {}
-    pool: ProcessPoolExecutor | _InProcessExecutor | None = None
 
-    def chunk_deadline(chunk: list[tuple[int, SweepCell]]) -> float | None:
-        """When the watchdog gives up on a dispatched chunk.
+    def schedule_retry(index: int, cell: SweepCell, delay: float) -> None:
+        heapq.heappush(retries, (time.monotonic() + delay, next(tickets), (index, cell)))
 
-        A chunk solves its cells serially, so its budget is the *sum* of
-        per-cell budgets; one unbudgeted cell disables the deadline (the
-        watchdog cannot attribute overrun without a full budget).
+    def strike(lane: _Lane, death: Exception | None) -> None:
+        """The lane's worker died (``death``) or its cell blew its deadline (None).
+
+        Either way the lane's one cell is charged an attempt and only
+        this lane's worker is replaced.
         """
-        if in_process:
-            return None
-        total = 0.0
-        for _, cell in chunk:
-            budget = frontier.budget(cell)
-            if budget is None:
-                return None
-            total += budget
-        return time.monotonic() + total
-
-    def schedule_retry(singleton: list[tuple[int, SweepCell]], delay: float) -> None:
-        heapq.heappush(retries, (time.monotonic() + delay, next(tickets), singleton))
-
-    def retire_pool() -> None:
-        nonlocal pool
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-            pool = None
-
-    def kill_pool_workers() -> None:
-        """SIGKILL the pool's worker processes (watchdog strike).
-
-        ``_processes`` is private executor state, but there is no public
-        kill; the fallback (no attribute) degrades to pool abandonment —
-        the stuck worker leaks until the sweep exits, which is still
-        bounded.
-        """
-        processes = getattr(pool, "_processes", None) or {}
-        for pid in list(processes):
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except OSError:
-                pass
-
-    def strike(chunk: list[tuple[int, SweepCell]], death: Exception | None) -> None:
-        """A chunk lost its worker (``death``) or blew its deadline (None).
-
-        A multi-cell chunk is bisected and re-queued, which isolates a
-        crashing or stuck cell in O(log n) strikes instead of discarding
-        (or endlessly re-running) its setup-sharing siblings.  Only a
-        *singleton* chunk's strike counts as an attempt against its cell
-        — a multi-cell strike doesn't identify the culprit, and charging
-        innocents could quarantine them.
-        """
-        live = frontier.live(chunk)
-        if len(live) > 1:
-            if death is not None:
-                event, detail = "retried", "worker died; chunk bisected to isolate the poison cell"
-            else:
-                event = "timed-out"
-                detail = "chunk exceeded its combined budget; split to isolate the slow cell"
-            for index, _ in live:
-                events.emit(keys[index], event, detail=detail)
-            queue.extend(_split_chunk(live))
-            return
-        if not live:
-            return
-        [(index, cell)] = live
+        index, cell = lane.release()
+        lane.retire(kill=death is None)
         where = (
             f"cell {keys[index]} ({cell.topology}/{cell.demand_model} "
             f"margin={cell.margin:g} kind={cell.kind})"
@@ -756,129 +718,97 @@ def _pump(
             detail, label = "", "timeout"
         delay = frontier.fail(index, cell, error, detail, label=label)
         if delay is not None:
-            schedule_retry(live, delay)
+            schedule_retry(index, cell, delay)
 
-    def process_outcomes(
-        chunk: list[tuple[int, SweepCell]],
-        outcomes: list[tuple[str, object, str | None, dict[str, float]]],
-    ) -> None:
-        for (index, cell), (status, value, detail, timings) in zip(chunk, outcomes):
-            if status == "ok":
-                frontier.record(index, cell, value, timings)
-                continue
-            events.emit(keys[index], "failed", detail=type(value).__name__)
-            if not in_process:
-                # Re-attach the worker-side context lost to pickling:
-                # raising the error then chains the original traceback
-                # and failing-cell identity as its cause.
-                value.__cause__ = RuntimeError(detail)
-            delay = frontier.fail(index, cell, value, detail or "")
-            if delay is not None:
-                schedule_retry([(index, cell)], delay)
-        # A failed chunk stops mid-way; its unreached cells are innocent
-        # — re-queue them as one chunk.
-        rest = frontier.live(chunk[len(outcomes):])
-        if rest:
-            queue.append(rest)
+    def finish(lane: _Lane) -> None:
+        try:
+            status, value, detail, timings = lane.future.result()
+        except Exception as death:  # BrokenProcessPool: the lane's worker died
+            strike(lane, death)
+            return
+        index, cell = lane.release()
+        if status == "ok":
+            frontier.record(index, cell, value, timings)
+            return
+        events.emit(keys[index], "failed", detail=type(value).__name__)
+        if not in_process:
+            # Re-attach the worker-side context lost to pickling:
+            # raising the error then chains the original traceback
+            # and failing-cell identity as its cause.
+            value.__cause__ = RuntimeError(detail)
+        delay = frontier.fail(index, cell, value, detail or "")
+        if delay is not None:
+            schedule_retry(index, cell, delay)
 
-    def pull() -> None:
-        """Dispatch frontier chunks while workers are idle.
+    def dispatch(lane: _Lane) -> None:
+        """Give an idle lane its next cell, if the frontier has one for it.
 
-        A worker can die between two submits: the pool then refuses the
-        next one (``BrokenProcessPool``) before its in-flight futures
-        report the death.  The refused chunk never ran, so it goes back to
-        the front of the queue uncharged; the death path replaces the pool
-        once those futures fail, or right away when none are in flight.
+        The lane's idle worker can die between two cells: once its pool
+        has noticed, it refuses the submit (``BrokenProcessPool``).
+        That cell never ran, so it goes back to the front of the queue
+        uncharged and the lane starts a fresh pool.
         """
-        while (
-            queue and pool is not None and len(in_flight) < workers
-            and frontier.first_error is None
-        ):
-            runnable = frontier.prepare(queue.popleft())
-            if not runnable:
-                continue
-            try:
-                future = pool.submit(
-                    _solve_chunk, solve, [(keys[i], c) for i, c in runnable], lp_budget
-                )
-            except BrokenProcessPool:
-                queue.appendleft(runnable)
-                if not in_flight:
-                    retire_pool()
+        while queue and frontier.first_error is None:
+            position = _pick(lane, lanes, queue)
+            if position is None:
                 return
-            in_flight[future] = (runnable, chunk_deadline(runnable))
+            index, cell = queue.pop(position)
+            # Re-probe: another sweep on the same store may have stored
+            # the cell since the first probe.
+            if frontier.probe(index, cell):
+                continue
+            lane.last = cell
+            if lane.pool is None:
+                lane.pool = (
+                    _InProcessExecutor() if in_process else ProcessPoolExecutor(max_workers=1)
+                )
+            try:
+                lane.future = lane.pool.submit(_solve_one, solve, keys[index], cell, lp_budget)
+            except BrokenProcessPool:
+                queue.insert(0, (index, cell))
+                lane.retire()
+                continue
+            lane.running = (index, cell)
+            budget = None if in_process else frontier.budget(cell)
+            lane.deadline = None if budget is None else time.monotonic() + budget
+            return
 
     try:
         while True:
             now = time.monotonic()
             while retries and retries[0][0] <= now and frontier.first_error is None:
                 queue.append(heapq.heappop(retries)[2])
-            if frontier.first_error is None and (queue or retries) and pool is None:
-                pool = (
-                    _InProcessExecutor() if in_process
-                    else ProcessPoolExecutor(max_workers=workers)
-                )
-            pull()
-            if not in_flight:
-                if frontier.first_error is not None or not (queue or retries):
+            for lane in lanes:
+                if lane.future is None:
+                    dispatch(lane)
+            # Every queued cell has a lane that takes it once idle: the
+            # lane holding its (setup, margin) or its setup, or any lane
+            # if none does.  So with every lane idle the queue is empty
+            # and only backoff sleepers can remain.
+            busy = [lane for lane in lanes if lane.future is not None]
+            if not busy:
+                if frontier.first_error is not None or not retries:
                     break
-                if queue:
-                    continue  # prepare() resolved the popped chunks without dispatching
-                # Only backoff sleepers remain; wait for the earliest.
                 time.sleep(max(0.0, retries[0][0] - time.monotonic()))
                 continue
-            wake_times = [
-                deadline for _, deadline in in_flight.values() if deadline is not None
-            ]
+            wake_times = [lane.deadline for lane in busy if lane.deadline is not None]
             if retries and frontier.first_error is None:
                 wake_times.append(retries[0][0])
             timeout = (
                 max(0.0, min(wake_times) - time.monotonic()) if wake_times else None
             )
-            done, _ = wait(list(in_flight), timeout=timeout, return_when=FIRST_COMPLETED)
-            death: Exception | None = None
-            for future in done:
-                chunk, _deadline = in_flight.pop(future)
-                try:
-                    outcomes = future.result()
-                except Exception as error:  # BrokenProcessPool: a worker died
-                    death = error
-                    strike(chunk, death)
-                    continue
-                process_outcomes(chunk, outcomes)
-            if death is not None:
-                # One dead worker breaks the whole pool: every other
-                # in-flight future is poisoned too.  Requeue their live
-                # cells through the same bisection path and start fresh.
-                for future in list(in_flight):
-                    chunk, _deadline = in_flight.pop(future)
-                    strike(chunk, death)
-                retire_pool()
-                continue
+            done, _ = wait(
+                [lane.future for lane in busy], timeout=timeout, return_when=FIRST_COMPLETED
+            )
             now = time.monotonic()
-            overdue = [
-                future
-                for future, (_, deadline) in in_flight.items()
-                if deadline is not None and now >= deadline
-            ]
-            if overdue:
-                # Watchdog strike.  There is no per-task kill in
-                # ProcessPoolExecutor, so the whole pool goes: overdue
-                # chunks are charged/split, innocent in-flight chunks
-                # requeue unchanged, and the next loop iteration builds
-                # a replacement pool.
-                for future in overdue:
-                    chunk, _deadline = in_flight.pop(future)
-                    strike(chunk, None)
-                for future in list(in_flight):
-                    chunk, _deadline = in_flight.pop(future)
-                    live = frontier.live(chunk)
-                    if live:
-                        queue.append(live)
-                kill_pool_workers()
-                retire_pool()
-            # Keep pulling: chunks already in flight when an error hits
+            for lane in busy:
+                if lane.future in done:
+                    finish(lane)
+                elif lane.deadline is not None and now >= lane.deadline:
+                    strike(lane, None)
+            # Keep pulling: cells already in flight when an error hits
             # still complete and cache their results; we just stop
             # feeding the frontier.
     finally:
-        retire_pool()
+        for lane in lanes:
+            lane.retire(kill=lane.future is not None)

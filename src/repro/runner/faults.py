@@ -99,9 +99,9 @@ class FaultError(ReproError):
 class WorkerCrashError(ReproError):
     """A worker process died (segfault/OOM/kill) while solving a cell.
 
-    Synthesized by the executor from ``BrokenProcessPool`` once chunk
-    bisection has isolated the crash to a single cell; classified
-    transient (a retry gets a fresh worker).
+    Synthesized by the executor from ``BrokenProcessPool`` for the one
+    cell the dead worker's lane was solving; classified transient (a
+    retry gets a fresh worker).
     """
 
 

@@ -1,7 +1,7 @@
 """Bounded per-process LRU memo for expensive worker-side state.
 
-Sweep workers are long-lived processes that solve cells from many
-chunks; cells that share a setup key reuse one
+Sweep lanes are long-lived processes that solve many cells one at a
+time; cells that share a setup key reuse one
 :class:`~repro.experiments.common.ExperimentSetup` through an
 :class:`LruMemo`.  Eviction is least-recently-*used*, not
 least-recently-inserted: a hit refreshes the entry, so two setups that

@@ -43,8 +43,8 @@ T = TypeVar("T")
 #: occurrence.  "cache-hit": served from the store without solving;
 #: "solved": result produced and stored; "failed": one solve attempt
 #: raised; "retried": a failed/crashed/timed-out cell
-#: was re-queued with backoff; "timed-out": the cell (or its chunk)
-#: exceeded its wall-clock budget and the watchdog killed the worker;
+#: was re-queued with backoff; "timed-out": the cell exceeded its
+#: wall-clock budget and the watchdog killed its lane's worker;
 #: "quarantined": attempts are exhausted (or the failure is
 #: deterministic) — a failure record is persisted and the cell becomes
 #: a ``SkippedCell(reason="failed")``.

@@ -1,8 +1,11 @@
 """Tests for the sweep failure domain: classification, retries, timeouts,
 quarantine, failure records, fault injection, and resume after a killed run."""
 
+import functools
 import json
 import multiprocessing
+import os
+import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -418,6 +421,19 @@ class TestParallelRetries(RetryContract):
     jobs = 2
 
 
+def _logged_solve(log, seconds, cell):
+    """Log the cell's start to ``log``, then sleep as ``seconds`` says.
+
+    ``seconds`` maps ``topology@margin`` (or a bare topology) to a solve
+    time; the log counts solve starts across worker processes.
+    """
+    name = f"{cell.topology}@{cell.margin:g}"
+    with open(log, "a") as handle:
+        handle.write(name + "\n")
+    time.sleep(seconds.get(name, seconds.get(cell.topology, 0.0)))
+    return _stub_solve(cell)
+
+
 def _injected_solve(cell):
     """Worker-side stub; injected faults fire via the executor's trigger."""
     return {scheme: cell.margin + i for i, scheme in enumerate(SCHEME_COLUMNS)}
@@ -439,28 +455,76 @@ class TestParallelFaults:
         for cell in spec.cells:
             assert store.get(cell) is not None
 
-    def test_worker_death_between_submits_requeues_the_refused_chunk(
-        self, tmp_path, monkeypatch
-    ):
-        """The first chunk's worker dies before the coordinator submits the
-        second chunk (a busy host can deschedule the coordinator that
-        long): the broken pool refuses the submit.  That chunk never ran,
-        so the sweep requeues it and still loses no result."""
+    def test_idle_worker_death_requeues_the_refused_submit(self, tmp_path, monkeypatch):
+        """A lane's worker dies while idle between two cells (an OOM kill,
+        say), so its pool refuses the lane's next submit.  That cell never
+        ran: the sweep requeues it uncharged on a fresh pool and loses no
+        result."""
+        refused = []
 
-        class DeathBeforeSecondSubmit(ProcessPoolExecutor):
-            submits = 0
-
-            def submit(self, *args, **kwargs):
-                type(self).submits += 1
-                if type(self).submits == 2:
+        class IdleDeathPool(ProcessPoolExecutor):
+            def submit(self, fn, solve, key, cell, *args):
+                self.submits = getattr(self, "submits", 0) + 1
+                if self.submits == 2 and not refused:
+                    for pid in list(self._processes):
+                        os.kill(pid, signal.SIGKILL)
                     deadline = time.monotonic() + 60.0
                     while not self._broken and time.monotonic() < deadline:
                         time.sleep(0.01)
-                    assert self._broken, "the poison cell's worker never died"
-                return super().submit(*args, **kwargs)
+                    assert self._broken, "the idle worker's death went unnoticed"
+                    refused.append(key)
+                return super().submit(fn, solve, key, cell, *args)
 
-        monkeypatch.setattr(executor, "ProcessPoolExecutor", DeathBeforeSecondSubmit)
-        self.test_injected_worker_kill_loses_no_results(tmp_path, monkeypatch)
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", IdleDeathPool)
+        spec = make_spec(margins=(1.0, 2.0, 3.0, 4.0))
+        store = DirStore(tmp_path)
+        report = run_sweep(spec, jobs=2, cache=store, solve=_injected_solve,
+                           failures=FailurePolicy(max_attempts=1))
+        assert len(refused) == 1 and refused[0] in {result.key for result in report.results}
+        assert report.complete and report.solved == 4
+        assert report.lifecycle_counts() == {"solved": 4}  # nothing charged
+        for cell in spec.cells:
+            assert store.get(cell) is not None
+
+    def test_worker_death_charges_only_its_cell(self, tmp_path, monkeypatch):
+        """A worker dies while another lane is mid-solve on another setup:
+        only the dead worker's cell is charged; the other cell solves."""
+        poison, innocent = make_cell(topology="abilene"), make_cell(topology="nsf")
+        spec = SweepSpec(experiment="test", title="two setups", cells=(poison, innocent))
+        monkeypatch.setenv(FAULTS_ENV, f"site=solve,action=kill,key={cell_key(poison)[:12]}")
+        log = tmp_path / "starts"
+        report = run_sweep(
+            spec, jobs=2, cache=DirStore(tmp_path / "store"),
+            solve=functools.partial(_logged_solve, log, {"nsf": 2.0}),
+            failures=FailurePolicy(max_attempts=1, keep_going=True),
+        )
+        assert [skip.key for skip in report.skipped] == [cell_key(poison)]
+        assert report.skipped[0].detail == "worker-death"
+        assert [result.key for result in report.results] == [cell_key(innocent)]
+        assert log.read_text().split() == ["nsf@1"]
+
+    def test_watchdog_strike_spares_the_other_lanes(self, tmp_path, monkeypatch):
+        """A hung cell's worker is killed while another lane is mid-solve:
+        that lane's cell is neither killed nor requeued, so it is solved
+        exactly once."""
+        hung = make_cell(topology="abilene")
+        fast, slow = make_cell(topology="nsf"), make_cell(topology="nsf", margin=2.0)
+        spec = SweepSpec(experiment="test", title="hang", cells=(hung, fast, slow))
+        monkeypatch.setenv(
+            FAULTS_ENV, f"site=solve,action=hang,seconds=30,key={cell_key(hung)[:12]}"
+        )
+        log = tmp_path / "starts"
+        # The hung cell's 3 s deadline falls inside the slow cell's solve
+        # (from about 1.5 s to 3.5 s), which is itself well within budget.
+        report = run_sweep(
+            spec, jobs=2, cache=DirStore(tmp_path / "store"),
+            solve=functools.partial(_logged_solve, log, {"nsf": 1.5, "nsf@2": 2.0}),
+            failures=FailurePolicy(max_attempts=1, keep_going=True, cell_timeout=3.0),
+        )
+        assert [skip.key for skip in report.skipped] == [cell_key(hung)]
+        assert report.skipped[0].detail == "timeout"
+        assert [result.key for result in report.results] == [cell_key(fast), cell_key(slow)]
+        assert sorted(log.read_text().split()) == ["nsf@1", "nsf@2"]
 
     def test_persistent_kill_quarantines_as_worker_death(self, tmp_path, monkeypatch):
         spec = make_spec(margins=(1.0, 2.0, 3.0))

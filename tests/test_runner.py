@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import time
 from dataclasses import replace
 
@@ -20,7 +21,8 @@ from repro.experiments.margin_sweep import margin_sweep_experiment, margin_sweep
 from repro.experiments.registry import experiment_spec, sweepable_experiment_ids
 from repro.exceptions import ExperimentError
 from repro.runner.artifacts import write_artifacts
-from repro.runner.executor import CellResult, SweepReport, _chunk_pending, run_sweep
+from repro.runner import executor
+from repro.runner.executor import CellResult, SweepReport, run_sweep
 from repro.runner.memo import LruMemo
 from repro.runner.store import DirStore, default_cache_dir
 from repro.runner.spec import (
@@ -565,40 +567,49 @@ class TestAtomicJson:
         assert list(tmp_path.glob("*.tmp")) == []
 
 
-class TestChunking:
-    def test_same_setup_cells_share_a_chunk(self):
-        pending = list(enumerate(
-            make_cell(margin=m, topology=t)
-            for t in ("abilene", "nsf") for m in (1.0, 2.0, 3.0)
-        ))
-        chunks = _chunk_pending(pending, workers=2)
-        assert len(chunks) == 2
-        for chunk in chunks:
-            assert len({cell.setup_key() for _, cell in chunk}) == 1
-        assert sorted(index for chunk in chunks for index, _ in chunk) == list(range(6))
+def _pid_solve(cell: SweepCell) -> dict[str, float]:
+    """Report which worker process solved the cell."""
+    time.sleep(0.05)
+    return {"pid": float(os.getpid())}
 
-    def test_groups_split_to_fill_idle_workers(self):
-        pending = list(enumerate(make_cell(margin=m) for m in (1.0, 2.0, 3.0, 4.0)))
-        chunks = _chunk_pending(pending, workers=4)
-        assert len(chunks) == 4
-        assert sorted(index for chunk in chunks for index, _ in chunk) == list(range(4))
 
-    def test_singleton_groups_cannot_split_further(self):
-        pending = [(0, make_cell(topology="abilene")), (1, make_cell(topology="nsf"))]
-        assert len(_chunk_pending(pending, workers=8)) == 2
+class TestLaneAffinity:
+    def test_lanes_keep_setups_and_margins_warm(self, monkeypatch):
+        # fig10-shaped: one setup, 3 margins x 4 cells.  Per-margin state
+        # (fig10's oracle and ideal routing) must be built by one worker.
+        spec = SweepSpec(
+            experiment="test", title="fig10-shaped", cells=tuple(
+                make_cell(margin=m, params=freeze_params({"budget": b}))
+                for m in (1.0, 2.0, 3.0) for b in (None, 3, 5, 10)
+            ),
+        )
+        report = run_sweep(spec, jobs=2, solve=_pid_solve)
+        assert report.complete and report.solved == 12
+        pids: dict[float, set[float]] = {}
+        for result in report.results:
+            pids.setdefault(result.cell.margin, set()).add(result.ratios["pid"])
+        assert all(len(workers) == 1 for workers in pids.values()), pids
+        assert len(set().union(*pids.values())) == 2  # both lanes worked
 
-    def test_splits_fall_on_margin_boundaries(self):
-        # fig10-style group: several cells per margin sharing one setup.
-        # Splitting mid-margin would rebuild the per-margin oracle/ideal
-        # state in two workers, so the split must land between margins.
-        pending = list(enumerate(
-            make_cell(margin=m, params=freeze_params({"budget": b}))
-            for m in (1.0, 2.0) for b in (None, 3, 10)
-        ))
-        chunks = _chunk_pending(pending, workers=2)
-        assert len(chunks) == 2
-        for chunk in chunks:
-            assert len({cell.margin for _, cell in chunk}) == 1
+        # table1-shaped: 3 topologies x 3 margins, topology-major.  The
+        # second lane starts on a setup the first does not hold.
+        submitted: list[SweepCell] = []
+
+        class RecordingPool(executor.ProcessPoolExecutor):
+            def submit(self, fn, solve, key, cell, *args):
+                submitted.append(cell)
+                return super().submit(fn, solve, key, cell, *args)
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", RecordingPool)
+        spec = SweepSpec(
+            experiment="test", title="table1-shaped", cells=tuple(
+                make_cell(margin=m, topology=t)
+                for t in ("abilene", "nsf", "geant") for m in (1.0, 2.0, 3.0)
+            ),
+        )
+        report = run_sweep(spec, jobs=2, solve=_pid_solve)
+        assert report.complete and len(submitted) == 9
+        assert submitted[0].setup_key() != submitted[1].setup_key()
 
 
 class TestArtifacts:
