@@ -10,7 +10,7 @@ from conftest import run_once
 
 from repro.demands.uncertainty import oblivious_pairs
 from repro.experiments.hardness import direct_link_routing
-from repro.lp.oblivious_lp import exact_unconstrained_oblivious
+from repro.lp.theorem5 import exact_unconstrained_oblivious
 from repro.lp.worst_case import WorstCaseOracle
 from repro.topologies.generators import path_sink_network
 from repro.utils.tables import Table

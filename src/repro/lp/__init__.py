@@ -10,8 +10,8 @@ problem-specific builders:
 * :mod:`repro.lp.dag_flow` — demands-aware optimum restricted to DAGs;
 * :mod:`repro.lp.worst_case` — the per-edge adversarial ("slave") LP;
 * :mod:`repro.lp.cutting_plane` — the adversarial cutting-plane loop;
-* :mod:`repro.lp.oblivious_lp` — the exact unconstrained (Applegate-Cohen) oblivious LP;
-* :mod:`repro.lp.certificate` — the Theorem 5 dual certificate.
+* :mod:`repro.lp.theorem5` — the slave LP's Theorem 5 dual: fixed-flow
+  certificates, the exact Applegate-Cohen LP, the in-DAG lower bound.
 
 Numerical contract (details in ``docs/lp_backends.md``): the engine
 runs HiGHS at its default tolerances (1e-7 primal/dual feasibility),

@@ -12,9 +12,9 @@ Design goals, in order:
    persistent solver instance that keeps the assembled engine model
    across objective/RHS swaps (each solve is still an isolated cold
    solve).
-3. *Duals.* The Theorem 5 certificate and the cutting-plane machinery need
-   constraint marginals, which the engine returns in scipy's sign
-   convention (marginals of the minimized problem).
+3. *Duals.* Solutions carry constraint marginals in scipy's sign convention
+   (marginals of the minimized problem).  Only tests read them: Theorem 5's
+   certificate is an LP of its own (:mod:`repro.lp.theorem5`).
 
 Constraints accumulate directly into flat CSR buffers (one ``float`` and
 one ``int32`` append per nonzero): no dense ``(num_vars,)`` row is ever

@@ -195,6 +195,16 @@ def _kth_largest(values: np.ndarray, k: int) -> float:
     return float(np.partition(values, len(values) - k)[len(values) - k])
 
 
+def adversary_pairs(
+    network: Network, uncertainty: UncertaintySet, dags: Mapping[Node, Dag] | None
+) -> list[Pair]:
+    """The cone's pairs the witness can carry: the slave LP's demand variables."""
+    pairs = [(s, t) for (s, t) in uncertainty.pairs if s != t]
+    if dags is None:
+        return [(s, t) for (s, t) in pairs if network.has_node(s) and network.has_node(t)]
+    return [(s, t) for (s, t) in pairs if t in dags and dags[t].has_node(s)]
+
+
 class _Rows:
     """A float matrix grown one row at a time (its capacity doubles)."""
 
@@ -238,20 +248,12 @@ class WorstCaseOracle:
 
     # -- construction ---------------------------------------------------
 
-    def _pair_allowed(self, source: Node, destination: Node) -> bool:
-        if source == destination:
-            return False
-        if self.dags is not None:
-            dag = self.dags.get(destination)
-            return dag is not None and dag.has_node(source)
-        return self.network.has_node(source) and self.network.has_node(destination)
-
     def _build(self) -> None:
         model = Model("slave")
-        self._demand_vars: dict[Pair, Variable] = {}
-        for (s, t) in self.uncertainty.pairs:
-            if self._pair_allowed(s, t):
-                self._demand_vars[(s, t)] = model.add_var(f"d[{s},{t}]")
+        self._demand_vars: dict[Pair, Variable] = {
+            (s, t): model.add_var(f"d[{s},{t}]")
+            for (s, t) in adversary_pairs(self.network, self.uncertainty, self.dags)
+        }
 
         destinations = sorted({t for (_s, t) in self._demand_vars}, key=str)
         flow_vars: dict[Node, dict[Edge, Variable]] = {}

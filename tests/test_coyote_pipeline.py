@@ -13,6 +13,7 @@ from repro.demands.gravity import gravity_matrix
 from repro.demands.uncertainty import margin_box, oblivious_set
 from repro.exceptions import SolverError
 from repro.fibbing.controller import FibbingController
+from repro.lp.theorem5 import certified_ratios, in_dag_lower_bound
 from repro.lp.worst_case import WorstCaseOracle
 from repro.topologies.generators import ring_network
 
@@ -39,7 +40,10 @@ class TestPipeline:
         On each small topology and cone the certified ratio is at least
         1, at most the ECMP projection's on the run's own oracle (the
         fallback guarantee), and at least the finite-set objective of
-        the returned routing.
+        the returned routing.  Theorem 5 checks it from outside: the
+        routing's fixed-flow certificate equals it on every edge the
+        oracle reports, and it is at least the in-DAG lower bound, whose
+        own flows the certificate puts at exactly that bound.
         """
         network = ring_network(6) if topology == "ring" else request.getfixturevalue(topology)
         if cone == "margin":
@@ -54,6 +58,18 @@ class TestPipeline:
         assert result.robust.objective <= ratio * (1 + 1e-6)
         oracle = WorstCaseOracle(network, uncertainty, dags=result.dags, config=FAST)
         assert ratio <= oracle.evaluate(result.ecmp).ratio + 1e-6
+
+        pairs = oracle.demand_pairs
+        certified = certified_ratios(
+            network, result.dags, uncertainty, result.routing.load_coefficients(pairs)
+        )
+        assert max(certified.values()) == pytest.approx(ratio, rel=1e-6)
+        for edge, utilization in result.oracle.per_edge.items():
+            assert certified.get(edge, 0.0) == pytest.approx(utilization, rel=1e-6, abs=1e-9)
+        bound = in_dag_lower_bound(network, result.dags, uncertainty)
+        assert ratio >= bound.ratio - 1e-9
+        own = certified_ratios(network, result.dags, uncertainty, bound.load_coefficients())
+        assert max(own.values()) == pytest.approx(bound.ratio, rel=1e-6)
 
     def test_augmented_dags_contain_sp_dags(self, abilene):
         base = gravity_matrix(abilene)

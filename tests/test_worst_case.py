@@ -4,10 +4,11 @@ import pytest
 
 from repro.demands.matrix import DemandMatrix
 from repro.demands.uncertainty import margin_box, oblivious_pairs
-from repro.lp.certificate import best_certificate_for_edge, certified_oblivious_ratio
+from repro.lp.theorem5 import certified_ratios
 from repro.lp.worst_case import (
     WorstCaseOracle,
     evaluate_on_matrices,
+    evaluate_reference,
     normalize_to_unit_optimum,
 )
 from repro.experiments.running_example import fig1b_routing, fig1c_routing, example_dag
@@ -117,30 +118,46 @@ class TestCertificate:
         net, dag, oracle = example_setup
         for routing in (fig1b_routing(net), fig1c_routing(net)):
             primal = oracle.evaluate(routing).ratio
-            dual = certified_oblivious_ratio(net, {"t": dag}, routing, USER_PAIRS)
-            assert dual == pytest.approx(primal, rel=1e-6)
+            dual = certified_ratios(
+                net, {"t": dag}, oracle.uncertainty, routing.load_coefficients(USER_PAIRS)
+            )
+            assert max(dual.values()) == pytest.approx(primal, rel=1e-6)
 
     def test_per_edge_certificate_bounds_edge_utilization(self, example_setup):
         net, dag, oracle = example_setup
         routing = fig1c_routing(net)
         result = oracle.evaluate(routing)
-        cert = best_certificate_for_edge(
-            net, {"t": dag}, routing, ("v", "t"), USER_PAIRS
+        certified = certified_ratios(
+            net, {"t": dag}, oracle.uncertainty, routing.load_coefficients(USER_PAIRS)
         )
-        assert cert.ratio == pytest.approx(result.per_edge[("v", "t")], rel=1e-6)
+        assert certified[("v", "t")] == pytest.approx(result.per_edge[("v", "t")], rel=1e-6)
 
     def test_all_pairs_certificate_dominates(self, example_setup):
         """The fully oblivious certificate covers more demands, so it is
         at least as large as the two-user one."""
-        net, dag, _ = example_setup
+        net, dag, oracle = example_setup
         routing = fig1b_routing(net)
-        restricted = certified_oblivious_ratio(net, {"t": dag}, routing, USER_PAIRS)
-        full = certified_oblivious_ratio(net, {"t": dag}, routing)
-        assert full >= restricted - 1e-9
-
-    def test_certificate_weights_nonnegative(self, example_setup):
-        net, dag, _ = example_setup
-        cert = best_certificate_for_edge(
-            net, {"t": dag}, fig1b_routing(net), ("v", "t"), USER_PAIRS
+        everyone = [(s, "t") for s in dag.nodes() if s != "t"]
+        restricted = certified_ratios(
+            net, {"t": dag}, oracle.uncertainty, routing.load_coefficients(USER_PAIRS)
         )
-        assert all(w >= -1e-12 for w in cert.weights.values())
+        full = certified_ratios(
+            net, {"t": dag}, oblivious_pairs(everyone), routing.load_coefficients(everyone)
+        )
+        assert max(full.values()) >= max(restricted.values()) - 1e-9
+
+    def test_margin_certificate_matches_slave_lp(self, example_setup):
+        """In margin cones too, every loaded edge's certificate is its
+        worst-case utilization."""
+        net, dag, _ = example_setup
+        base = DemandMatrix({("s1", "t"): 1.0, ("s2", "t"): 2.0})
+        for margin in (1.0, 1.5, 3.0):
+            oracle = WorstCaseOracle(net, margin_box(base, margin), dags={"t": dag})
+            for routing in (fig1b_routing(net), fig1c_routing(net)):
+                reference = evaluate_reference(oracle, routing)
+                certified = certified_ratios(
+                    net, {"t": dag}, oracle.uncertainty, routing.load_coefficients(USER_PAIRS)
+                )
+                for edge, utilization in reference.per_edge.items():
+                    expected = pytest.approx(utilization, rel=1e-6, abs=1e-9)
+                    assert certified.get(edge, 0.0) == expected
