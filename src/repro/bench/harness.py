@@ -27,7 +27,7 @@ from repro.config import ExperimentConfig
 from repro.runner.executor import SweepCell, SweepReport, run_sweep, solve_cell
 from repro.runner.faults import FailurePolicy
 from repro.runner.spec import CACHE_VERSION, spec_fingerprint
-from repro.runner.store import CellStore
+from repro.runner.store import DirStore
 from repro.utils.jsonio import write_json_atomic
 
 #: Payload format tag; bump when the BENCH_*.json shape changes.
@@ -114,7 +114,7 @@ def run_benchmark(
     config: ExperimentConfig | None = None,
     *,
     jobs: int = 1,
-    cache: CellStore | None = None,
+    cache: DirStore | None = None,
     solve: Callable[[SweepCell], dict[str, float]] = solve_cell,
     failures: FailurePolicy | None = None,
 ) -> BenchResult:

@@ -44,7 +44,7 @@ class Benchmark:
     def grid_summary(self, config: ExperimentConfig) -> str:
         """Human-readable grid size + schemes at the given config."""
         spec = self.spec(config)
-        columns = ", ".join(spec.resolved_value_columns())
+        columns = ", ".join(spec.value_columns())
         return f"{len(spec.cells)} cells -> [{columns}]"
 
 

@@ -19,6 +19,14 @@ def full_scale() -> bool:
     return os.environ.get("REPRO_FULL", "") not in ("", "0", "false", "False")
 
 
+#: Weight of the mean-utilization tie-breaker added to the smoothed-minimax
+#: objective.  Worst-case-optimal solutions are massively degenerate (many
+#: routings share the same max); the tie-breaker steers toward solutions
+#: that are also good on average, matching the balanced configurations the
+#: paper's GP solver produces.
+REGULARIZATION = 5e-3
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Tolerances and iteration caps shared by the optimization stack.
@@ -36,19 +44,12 @@ class SolverConfig:
             not a restart count.
         smoothing_temperatures: annealing schedule for the smoothed-minimax
             optimizer; higher temperature approximates ``max`` more tightly.
-        regularization: weight of the mean-utilization tie-breaker added
-            to the smoothed-minimax objective.  Worst-case-optimal
-            solutions are massively degenerate (many routings share the
-            same max); the tie-breaker steers toward solutions that are
-            also good on average, matching the balanced configurations
-            the paper's GP solver produces.
     """
 
     ratio_tolerance: float = 1e-3
     max_adversarial_rounds: int = 12
     max_inner_iterations: int = 60
     smoothing_temperatures: tuple[float, ...] = (8.0, 32.0, 128.0)
-    regularization: float = 5e-3
 
     def scaled_down(self) -> "SolverConfig":
         """A cheaper configuration for coarse searches and fast benchmarks.

@@ -75,8 +75,6 @@ class Coyote:
         network: Network,
         uncertainty: UncertaintySet | None = None,
         dag_heuristic: str = "inverse_capacity",
-        augment: bool = True,
-        optimizer: str = "softmax",
         config: SolverConfig = DEFAULT_CONFIG,
     ):
         if dag_heuristic not in DAG_HEURISTICS:
@@ -86,8 +84,6 @@ class Coyote:
         self.network = network
         self.uncertainty = uncertainty or oblivious_set(network.nodes())
         self.dag_heuristic = dag_heuristic
-        self.augment = augment
-        self.optimizer = optimizer
         self.config = config
 
     # -- stages -----------------------------------------------------------
@@ -103,7 +99,7 @@ class Coyote:
 
     def compute_dags(self, weights: Mapping[Edge, float]) -> dict[Node, Dag]:
         """Steps I+II: shortest-path DAGs, then augmentation."""
-        return build_dags(self.network, weights, augment=self.augment)
+        return build_dags(self.network, weights, augment=True)
 
     def run(self) -> CoyoteResult:
         """Execute the full pipeline and return the optimized routing."""
@@ -125,7 +121,6 @@ class Coyote:
             dags,
             self.uncertainty,
             config=self.config,
-            optimizer=self.optimizer,
             extra_starts=starts,
             fallbacks=[ecmp_projection],
             name="COYOTE",

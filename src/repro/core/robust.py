@@ -4,10 +4,14 @@ The paper handles infinite demand sets through dualization (Appendix C).
 We realize the same guarantee in oracle form, the standard equivalent for
 robust optimization, on the shared loop
 :func:`repro.lp.cutting_plane.cutting_plane`.  Its master here is the
-inner splitting optimizer over a *finite* set ``T`` of demand matrices
-(each normalized to unit within-DAG optimum, so the raw worst
-utilization equals the performance ratio), warm-started from the
-previous round; its oracle is the slave LP over the *whole* cone.
+smoothed-minimax splitting optimizer
+(:func:`~repro.core.softmax_opt.optimize_splitting_softmax`) over a
+*finite* set ``T`` of demand matrices (each normalized to unit
+within-DAG optimum, so the raw worst utilization equals the performance
+ratio), warm-started from the previous round; its oracle is the slave
+LP over the *whole* cone.  The paper's GP finite-set solver
+(:mod:`repro.core.gp`) solves the same master problem and is called
+directly, never from this loop.
 
 The oracle ratio is an upper bound on the optimal robust ratio
 achievable with these DAGs.  The finite-set objective is *not* a lower
@@ -36,11 +40,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.config import DEFAULT_CONFIG, SolverConfig
-from repro.core.softmax_opt import (
-    SplittingSolution,
-    optimize_splitting_softmax,
-    polish_balanced,
-)
+from repro.core.softmax_opt import optimize_splitting_softmax, polish_balanced
 from repro.demands.matrix import DemandMatrix
 from repro.demands.uncertainty import UncertaintySet, representative_matrix
 from repro.exceptions import SolverError
@@ -83,40 +83,11 @@ class RobustResult:
     matrices: list[DemandMatrix] = field(default_factory=list)
 
 
-def _inner_optimize(
-    optimizer: str,
-    network: Network,
-    dags: Mapping[Node, Dag],
-    matrices: Sequence[DemandMatrix],
-    config: SolverConfig,
-    starts: Sequence[Mapping[Node, Mapping[Edge, float]]],
-    name: str,
-) -> SplittingSolution:
-    if optimizer == "softmax":
-        return optimize_splitting_softmax(
-            network, dags, matrices, config, initial_ratios=starts, name=name
-        )
-    if optimizer == "gp":
-        from repro.core.gp import optimize_splitting_gp
-
-        best: SplittingSolution | None = None
-        for start in list(starts) or [None]:
-            solution = optimize_splitting_gp(
-                network, dags, matrices, config, initial_ratios=start, name=name
-            )
-            if best is None or solution.objective < best.objective:
-                best = solution
-        assert best is not None
-        return best
-    raise SolverError(f"unknown splitting optimizer {optimizer!r}")
-
-
 def optimize_robust_splitting(
     network: Network,
     dags: Mapping[Node, Dag],
     uncertainty: UncertaintySet,
     config: SolverConfig = DEFAULT_CONFIG,
-    optimizer: str = "softmax",
     initial_matrices: Sequence[DemandMatrix] = (),
     extra_starts: Sequence[Mapping[Node, Mapping[Edge, float]]] = (),
     fallbacks: Sequence[Routing] = (),
@@ -129,8 +100,6 @@ def optimize_robust_splitting(
         dags: per-destination (augmented) forwarding DAGs.
         uncertainty: the demand cone (margin box or fully oblivious).
         config: tolerances / iteration caps.
-        optimizer: ``"softmax"`` (scalable) or ``"gp"`` (paper-faithful,
-            small instances).
         initial_matrices: seed demand matrices for ``T`` (a representative
             matrix of the cone is always added).
         extra_starts: warm-start ratio assignments for the inner solver.
@@ -176,7 +145,9 @@ def optimize_robust_splitting(
         if previous is not None:
             induced = induced_splitting_ratios(dags, mcf_solver.solve(demand_set[-1]))
             starts = [previous.ratios, induced, *starts]
-        solution = _inner_optimize(optimizer, network, dags, demand_set, config, starts, name)
+        solution = optimize_splitting_softmax(
+            network, dags, demand_set, config, initial_ratios=starts, name=name
+        )
         previous = solution.routing
         return solution.objective, solution.routing
 
@@ -188,7 +159,7 @@ def optimize_robust_splitting(
     # Balance polish: among (near-)worst-case-optimal routings prefer one
     # with low average utilization (see polish_balanced).  Accepted only
     # if the oracle confirms the worst case did not regress.
-    if optimizer == "softmax" and matrices:
+    if matrices:
         if not balance:
             raise SolverError("the cone's representative matrix loads no DAG destination")
 

@@ -43,7 +43,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.optimize._lbfgsb import setulb
 
-from repro.config import DEFAULT_CONFIG, SolverConfig
+from repro.config import DEFAULT_CONFIG, REGULARIZATION, SolverConfig
 from repro.demands.matrix import DemandMatrix
 from repro.exceptions import SolverError
 from repro.graph.dag import Dag
@@ -295,7 +295,7 @@ class _Problem:
             if regularization > 0.0:
                 values[row] += regularization * (float(own.sum()) / own.size)
         # psi[e][k] = dS/dload = (w / exp_sum) / c_e, plus the mean-
-        # utilization regularizer's uniform share (see SolverConfig).
+        # utilization regularizer's uniform share (see REGULARIZATION).
         gradient = weights / (exp_sums[rows, np.newaxis] * capacity)
         if regularization > 0.0:
             entries = np.bincount(rows, minlength=len(spans)) * entry_loads.shape[1]
@@ -441,7 +441,7 @@ def optimize_splitting_softmax(
     starts.extend(problem.theta_from_ratios(ratios) for ratios in initial_ratios)
 
     def smoothed(thetas: np.ndarray, temperatures: list[float]):
-        return problem.smoothed(thetas, temperatures, config.regularization)
+        return problem.smoothed(thetas, temperatures, REGULARIZATION)
 
     paths = _lbfgsb(smoothed, starts, config.max_inner_iterations, config.smoothing_temperatures)
     # Candidates in (start, stage) order: each start, then its stages' ends.

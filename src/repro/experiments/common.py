@@ -24,7 +24,6 @@ that all setup-sharing kinds (margin, Fig. 10's approximation, Fig.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from repro.config import SolverConfig
 from repro.core.dag_builder import build_dags
@@ -38,7 +37,7 @@ from repro.ecmp.routing import ecmp_routing
 from repro.ecmp.weights import inverse_capacity_weights
 from repro.exceptions import ExperimentError
 from repro.graph.dag import Dag
-from repro.graph.network import Edge, Network, Node
+from repro.graph.network import Network, Node
 from repro.lp.dag_flow import optimal_dag_routing
 from repro.routing.splitting import Routing
 from repro.runner.memo import LruMemo
@@ -70,36 +69,25 @@ class ExperimentSetup:
 
     network: Network
     base: DemandMatrix
-    weights: dict[Edge, float]
     dags: dict[Node, Dag]
     ecmp: Routing
     ecmp_projection: Routing
     base_routing: Routing
     coyote_oblivious: Routing
     config: SolverConfig
-    optimizer: str
 
 
-def prepare_setup(
-    network: Network,
-    base: DemandMatrix,
-    config: SolverConfig,
-    weights: Mapping[Edge, float] | None = None,
-    optimizer: str = "softmax",
-) -> ExperimentSetup:
-    """Build DAGs and the margin-independent schemes.
+def prepare_setup(network: Network, base: DemandMatrix, config: SolverConfig) -> ExperimentSetup:
+    """Build reverse-capacity DAGs and the margin-independent schemes.
 
     Args:
         network: the topology under evaluation.
         base: the base demand matrix (gravity or bimodal).
         config: solver knobs (iteration caps drive runtime).
-        weights: link weights; default is the reverse-capacity heuristic.
-            The local-search experiments pass Algorithm 1's weights here.
-        optimizer: inner splitting optimizer ("softmax" or "gp").
     """
-    weight_map = dict(weights) if weights is not None else inverse_capacity_weights(network)
-    dags = build_dags(network, weight_map, augment=True)
-    ecmp = ecmp_routing(network, weight_map)
+    weights = inverse_capacity_weights(network)
+    dags = build_dags(network, weights, augment=True)
+    ecmp = ecmp_routing(network, weights)
     projection = project_ecmp_into_dags(ecmp, dags)
     base_routing = optimal_dag_routing(network, dags, base, name="Base")
 
@@ -111,7 +99,6 @@ def prepare_setup(
         dags,
         oblivious_set(network.nodes()),
         config=config,
-        optimizer=optimizer,
         initial_matrices=[base],
         extra_starts=[projection.ratios, base_routing.ratios],
         fallbacks=[projection],
@@ -121,14 +108,12 @@ def prepare_setup(
     return ExperimentSetup(
         network=network,
         base=base,
-        weights=weight_map,
         dags=dags,
         ecmp=ecmp,
         ecmp_projection=projection,
         base_routing=base_routing,
         coyote_oblivious=oblivious,
         config=config,
-        optimizer=optimizer,
     )
 
 
@@ -147,7 +132,6 @@ def coyote_partial_for_margin(setup: ExperimentSetup, margin: float) -> RobustRe
             setup.dags,
             uncertainty,
             config=setup.config,
-            optimizer=setup.optimizer,
             initial_matrices=[setup.base],
             extra_starts=[setup.ecmp_projection.ratios, setup.base_routing.ratios],
             fallbacks=[setup.ecmp_projection],
@@ -181,8 +165,8 @@ def shared_setup(cell: SweepCell) -> ExperimentSetup:
 
     Keyed by :meth:`~repro.runner.spec.SweepCell.setup_key`, so cells of
     *different* kinds over the same (topology, demand model, seed,
-    solver, optimizer) — e.g. a Table I margin cell and a Fig. 11
-    stretch cell — share one :class:`ExperimentSetup`.
+    solver) — e.g. a Table I margin cell and a Fig. 11 stretch cell —
+    share one :class:`ExperimentSetup`.
     """
 
     def build() -> ExperimentSetup:
@@ -191,7 +175,7 @@ def shared_setup(cell: SweepCell) -> ExperimentSetup:
         with phase("setup"):
             network = load_topology(cell.topology)
             base = base_matrix_for(network, cell.demand_model, cell.seed)
-            return prepare_setup(network, base, cell.solver, optimizer=cell.optimizer)
+            return prepare_setup(network, base, cell.solver)
 
     return _SETUP_MEMO.get_or_create(cell.setup_key(), build)
 

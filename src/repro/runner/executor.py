@@ -99,7 +99,7 @@ from repro.runner.faults import (
 )
 from repro.runner.memo import clear_all_memos
 from repro.runner.spec import SweepCell, SweepSpec, cell_key, cell_kind
-from repro.runner.store import CellStore
+from repro.runner.store import DirStore
 from repro.runner.timing import CellEvent, EventLog, timed_solve
 from repro.topologies.zoo import topology_info
 from repro.utils.tables import Table
@@ -282,7 +282,7 @@ class SweepReport:
             tuple(_row_value(skip.cell, column, display=False) for column in spec.row_columns)
             for skip in self.skipped
         }
-        value_columns = spec.resolved_value_columns()
+        value_columns = spec.value_columns()
         table = Table(spec.title, list(spec.columns()))
         groups: list[tuple[tuple, SweepCell, dict[str, float]]] = []
         for result in self.results:
@@ -356,7 +356,7 @@ class _Frontier:
     keys: list[str]
     events: EventLog
     policy: FailurePolicy
-    cache: CellStore | None
+    cache: DirStore | None
     resolved: dict[int, CellResult] = field(default_factory=dict)
     failed: dict[int, SkippedCell] = field(default_factory=dict)
     attempts: dict[int, int] = field(default_factory=dict)
@@ -466,7 +466,7 @@ def run_sweep(
     spec: SweepSpec,
     *,
     jobs: int = 1,
-    cache: CellStore | None = None,
+    cache: DirStore | None = None,
     solve: Callable[[SweepCell], dict[str, float]] = solve_cell,
     failures: FailurePolicy | None = None,
 ) -> SweepReport:

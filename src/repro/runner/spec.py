@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from repro.config import SolverConfig
+from repro.config import REGULARIZATION, SolverConfig
 from repro.exceptions import ExperimentError
 
 #: Version tag folded into every cache key.  Bump whenever solver or
@@ -52,7 +52,9 @@ from repro.exceptions import ExperimentError
 #: became the only engine and ``linprog`` a test-only reference, and the
 #: LP-tolerance, ratio-floor and seed fields of ``SolverConfig``, which
 #: no solver read: that changed every key but no result, so the version
-#: stayed.)
+#: stayed.  When the ``optimizer`` setting and ``SolverConfig.regularization``
+#: became constants, both stayed in fingerprints at their one value, so
+#: every key stayed too; the next bump drops them.)
 CACHE_VERSION = "runner-v5"
 
 
@@ -158,7 +160,6 @@ class SweepCell:
         margin: uncertainty margin for the worst-case oracle.
         seed: RNG seed forwarded to the demand sampler.
         solver: solver knobs; every field participates in the cache key.
-        optimizer: inner splitting optimizer ("softmax" or "gp").
         kind: registered :class:`CellKind` name that solves this cell.
         params: kind-specific parameters as sorted (name, value) pairs
             (build with :func:`freeze_params`); every entry participates
@@ -171,7 +172,6 @@ class SweepCell:
     margin: float
     seed: int
     solver: SolverConfig
-    optimizer: str = "softmax"
     kind: str = "margin"
     params: tuple[tuple[str, Any], ...] = ()
 
@@ -203,13 +203,18 @@ class SweepCell:
             "demand_model": self.demand_model,
             "margin": self.margin,
             "seed": self.seed,
-            "optimizer": self.optimizer,
+            # The robust loop's master optimizer and the regularization
+            # weight still determine the result, but they are constants of
+            # the code, not settings.  They stay in the key only so that
+            # entries stored while they were settings keep their keys;
+            # the next CACHE_VERSION bump drops them.
+            "optimizer": "softmax",
             "solver": {
                 "ratio_tolerance": self.solver.ratio_tolerance,
                 "max_adversarial_rounds": self.solver.max_adversarial_rounds,
                 "max_inner_iterations": self.solver.max_inner_iterations,
                 "smoothing_temperatures": list(self.solver.smoothing_temperatures),
-                "regularization": self.solver.regularization,
+                "regularization": REGULARIZATION,
             },
         }
 
@@ -223,7 +228,7 @@ class SweepCell:
         a Table I margin cell over the same (topology, model, seed,
         solver) build — and therefore share — the identical setup.
         """
-        return (self.topology, self.demand_model, self.seed, self.solver, self.optimizer)
+        return (self.topology, self.demand_model, self.seed, self.solver)
 
 
 def fingerprint_key(fingerprint: Mapping[str, Any]) -> str:
@@ -244,8 +249,10 @@ def cell_key(cell: SweepCell) -> str:
     Keys are process- and platform-independent: they hash the canonical
     JSON encoding of :meth:`SweepCell.fingerprint`, so any change to the
     kind, its params or declared columns, the topology name, demand
-    model, margin, seed, optimizer, any :class:`SolverConfig` field, or
+    model, margin, seed, any :class:`SolverConfig` field, or
     :data:`CACHE_VERSION` produces a new key and therefore a cache miss.
+    (The fingerprint also carries the optimizer name and the
+    regularization weight as constants; see :meth:`SweepCell.fingerprint`.)
     """
     return fingerprint_key(cell.fingerprint())
 
@@ -265,8 +272,6 @@ class SweepSpec:
             resolves to the topology's paper label, "margin" to the
             cell's margin; any other name is looked up in the cell's
             params.
-        value_columns: result columns, in display order; ``None`` derives
-            them from the cells' kinds (first-seen order).
         notes: free-form table annotations, appended after the rows.
         footer: optional hook deriving extra notes from the completed
             :class:`~repro.runner.executor.SweepReport` (e.g. Fig. 9's
@@ -277,19 +282,11 @@ class SweepSpec:
     title: str
     cells: tuple[SweepCell, ...]
     row_columns: tuple[str, ...] = ("margin",)
-    value_columns: tuple[str, ...] | None = None
     notes: tuple[str, ...] = ()
     footer: Callable[..., Sequence[str]] | None = None
 
-    @property
-    def with_topology_column(self) -> bool:
-        """Whether rows are prefixed with the topology's paper label."""
-        return "network" in self.row_columns
-
-    def resolved_value_columns(self) -> tuple[str, ...]:
-        """The result columns, derived from the cells when not declared."""
-        if self.value_columns is not None:
-            return self.value_columns
+    def value_columns(self) -> tuple[str, ...]:
+        """The result columns, in the first-seen order of the cells' kinds."""
         seen: dict[str, None] = {}
         for cell in self.cells:
             for column in cell.cell_columns():
@@ -297,12 +294,7 @@ class SweepSpec:
         return tuple(seen)
 
     def columns(self) -> tuple[str, ...]:
-        return (*self.row_columns, *self.resolved_value_columns())
-
-    def with_solver(self, solver: SolverConfig) -> "SweepSpec":
-        """A copy of the spec with every cell's solver config replaced."""
-        cells = tuple(replace(cell, solver=solver) for cell in self.cells)
-        return replace(self, cells=cells)
+        return (*self.row_columns, *self.value_columns())
 
 
 def spec_fingerprint(spec: SweepSpec) -> str:
@@ -328,7 +320,6 @@ def grid_cells(
     margins: Iterable[float],
     solver: SolverConfig,
     seed: int,
-    optimizer: str = "softmax",
     kind: str = "margin",
     params: Mapping[str, Any] | None = None,
 ) -> tuple[SweepCell, ...]:
@@ -349,7 +340,6 @@ def grid_cells(
             margin=margin,
             seed=seed,
             solver=solver,
-            optimizer=optimizer,
             kind=kind,
             params=frozen,
         )

@@ -1,17 +1,18 @@
 """Cell stores: where sweeps keep solved cells and resume from.
 
-A :class:`CellStore` is the get/put contract the sweep runner caches
-solved cells through.  :class:`DirStore` is the canonical on-disk layout
-(one JSON document per cell, content-addressed)::
+:class:`DirStore` is the store the sweep runner caches solved cells
+through: one JSON document per cell, content-addressed::
 
     <root>/<key[:2]>/<key>.json
 
 where ``key`` is :func:`repro.runner.spec.cell_key` — a hash over the
 cell kind and its params, the topology, demand model, margin, seed,
-optimizer, every :class:`~repro.config.SolverConfig` field, and the
-runner's :data:`~repro.runner.spec.CACHE_VERSION` tag.  Any of those
-changing yields a different key, so stale results are never returned;
-they are simply never looked up again.
+every :class:`~repro.config.SolverConfig` field, and the runner's
+:data:`~repro.runner.spec.CACHE_VERSION` tag.  Any of those changing
+yields a different key, so stale results are never returned; they are
+simply never looked up again.  (The key also hashes the optimizer name
+and the regularization weight, constants of the code since they
+stopped being settings; the next ``CACHE_VERSION`` bump drops them.)
 
 Each entry stores the full cell fingerprint alongside the result, so a
 (vanishingly unlikely) hash collision is detected by comparing
@@ -49,7 +50,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -82,61 +82,6 @@ def default_cache_dir() -> Path:
     return Path("~/.cache/repro").expanduser()
 
 
-class CellStore(ABC):
-    """Get/put solved cell results keyed by content hash.
-
-    Implementations must make ``put`` atomic per entry (readers observe
-    either no entry or a complete one, never a torn write) — that
-    guarantee is what lets several executors share one store with no
-    coordination at all.
-    """
-
-    @abstractmethod
-    def get(self, cell: SweepCell) -> dict[str, float] | None:
-        """The stored column->value dict for ``cell``, or None on a miss."""
-
-    @abstractmethod
-    def put(self, cell: SweepCell, result: dict[str, float]) -> Path:
-        """Atomically store ``result`` for ``cell``; returns the entry path."""
-
-    @abstractmethod
-    def contains(self, cell: SweepCell) -> bool:
-        """Whether an entry exists for ``cell`` (no validation performed)."""
-
-    @abstractmethod
-    def entry_keys(self) -> Iterator[str]:
-        """Every entry key present in the store."""
-
-    @abstractmethod
-    def describe(self) -> str:
-        """Human-readable identity for logs and CLI output."""
-
-    # Failure records are optional store behavior: the no-op defaults
-    # keep third-party CellStore implementations working unchanged (a
-    # store that never remembers failures simply re-attempts them).
-
-    def get_failure(self, cell: SweepCell) -> dict | None:
-        """The persisted failure record for ``cell``, or None."""
-        return None
-
-    def put_failure(self, cell: SweepCell, record: dict) -> None:
-        """Persist ``record`` as the failure record for ``cell``."""
-
-    def clear_failure(self, cell: SweepCell) -> None:
-        """Drop ``cell``'s failure record, if any (idempotent)."""
-
-    def failure_records(self) -> Iterator[tuple[str, dict]]:
-        """Every ``(key, record)`` failure pair present in the store."""
-        return iter(())
-
-    def clear_failures(self) -> int:
-        """Drop every failure record; returns how many were removed."""
-        return 0
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.entry_keys())
-
-
 def _is_entry(path: Path) -> bool:
     """True iff ``path`` is a ``<xx>/<key>.json`` cell-entry leaf.
 
@@ -153,13 +98,19 @@ def _is_entry(path: Path) -> bool:
     )
 
 
-class DirStore(CellStore):
-    """The canonical one-directory store (``<root>/<key[:2]>/<key>.json``)."""
+class DirStore:
+    """The canonical one-directory store (``<root>/<key[:2]>/<key>.json``).
+
+    ``put`` is atomic per entry (readers observe either no entry or a
+    complete one, never a torn write) — that guarantee is what lets
+    several executors share one store with no coordination at all.
+    """
 
     def __init__(self, root: str | Path):
         self.root = Path(root).expanduser()
 
     def describe(self) -> str:
+        """Human-readable identity for logs and CLI output."""
         return str(self.root)
 
     def path_for_key(self, key: str) -> Path:
@@ -219,6 +170,7 @@ class DirStore(CellStore):
             return None
 
     def put(self, cell: SweepCell, result: dict[str, float]) -> Path:
+        """Atomically store ``result`` for ``cell``; returns the entry path."""
         key = cell_key(cell)
         faults.trigger("store.put", key)
         payload = {
@@ -230,6 +182,7 @@ class DirStore(CellStore):
         return write_json_atomic(self.path_for_key(key), payload, sort_keys=True)
 
     def contains(self, cell: SweepCell) -> bool:
+        """Whether an entry exists for ``cell`` (no validation performed)."""
         return self.path_for(cell).is_file()
 
     def failure_path_for_key(self, key: str) -> Path:
@@ -254,9 +207,11 @@ class DirStore(CellStore):
         return payload if isinstance(payload, dict) else None
 
     def put_failure(self, cell: SweepCell, record: dict) -> None:
+        """Persist ``record`` as the failure record for ``cell``."""
         write_json_atomic(self.failure_path_for_key(cell_key(cell)), record, sort_keys=True)
 
     def clear_failure(self, cell: SweepCell) -> None:
+        """Drop ``cell``'s failure record, if any (idempotent)."""
         try:
             self.failure_path_for_key(cell_key(cell)).unlink()
         except OSError:
@@ -276,6 +231,7 @@ class DirStore(CellStore):
                 yield path
 
     def failure_records(self) -> Iterator[tuple[str, dict]]:
+        """Every ``(key, record)`` failure pair present in the store."""
         for path in self.failure_paths():
             key = path.name[: -len(FAILURE_SUFFIX)]
             try:
@@ -287,6 +243,7 @@ class DirStore(CellStore):
                 yield key, payload
 
     def clear_failures(self) -> int:
+        """Drop every failure record; returns how many were removed."""
         cleared = 0
         for path in list(self.failure_paths()):
             try:
@@ -305,8 +262,12 @@ class DirStore(CellStore):
                 yield path
 
     def entry_keys(self) -> Iterator[str]:
+        """Every entry key present in the store."""
         for path in self.entry_paths():
             yield path.stem
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self.entry_keys())
 
     def load_entry(self, key: str) -> dict:
         """The raw JSON payload stored under ``key`` (no validation)."""

@@ -85,19 +85,6 @@ class EventLog:
         self.events.append(record)
         return record
 
-    def counts(self) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for record in self.events:
-            totals[record.event] = totals.get(record.event, 0) + 1
-        return totals
-
-#: The phase names the experiment kinds record, in pipeline order.
-PHASES = ("setup", "solve", "evaluate")
-
-#: Sub-phases nested inside a pipeline phase (name -> owning phase).
-#: Their durations break the owner down and must not be summed with it.
-SUB_PHASES = {"weight_step": "solve"}
-
 #: Key under which :func:`timed_solve` stores the whole solve's duration.
 TOTAL = "total"
 

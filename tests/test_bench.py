@@ -110,7 +110,7 @@ class TestRegistry:
         for name in benchmark_names():
             spec = BENCHMARKS[name].spec(config)
             assert spec.cells, name
-            assert spec.resolved_value_columns(), name
+            assert spec.value_columns(), name
 
     def test_grid_summary_mentions_cells_and_schemes(self):
         summary = get_benchmark("fig6").grid_summary(TINY_CONFIG)

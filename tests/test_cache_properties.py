@@ -17,6 +17,8 @@ import.
 from __future__ import annotations
 
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.runner.spec as spec_module
-from repro.config import SolverConfig
+from repro.config import ExperimentConfig, SolverConfig
+from repro.experiments.registry import experiment_spec
 from repro.runner.store import DirStore
 from repro.runner.spec import (
     CellKind,
@@ -34,7 +37,10 @@ from repro.runner.spec import (
     cell_key,
     freeze_params,
     register_cell_kind,
+    spec_fingerprint,
 )
+
+BASELINES = Path(__file__).resolve().parents[1] / "benchmarks" / "baselines"
 
 SOLVER = SolverConfig(max_adversarial_rounds=2, max_inner_iterations=10)
 
@@ -152,6 +158,23 @@ class TestCacheVersion:
         # changed cache semantics — update it *and* leave a
         # CHANGES/ROADMAP note explaining the invalidation.
         assert spec_module.CACHE_VERSION == "runner-v5"
+
+    def test_reduced_table1_key_is_pinned(self):
+        # A key that moves without a CACHE_VERSION bump orphans every
+        # stored entry silently; a deliberate churn updates this pin.
+        first = experiment_spec("table1", ExperimentConfig.reduced()).cells[0]
+        assert (first.topology, first.demand_model, first.margin, first.seed) == (
+            "abilene", "gravity", 1.0, 20161101,
+        )
+        assert cell_key(first) == "c938a2ddcd0b7515f1c434958b3fe9e9"
+
+    @pytest.mark.parametrize("name", ["fig9", "fig11"])
+    def test_bench_baselines_match_their_workload(self, name):
+        # A key churn makes the committed baselines incomparable, which
+        # otherwise only a bench run against them would notice.
+        baseline = json.loads((BASELINES / f"BENCH_{name}.json").read_text())
+        spec = experiment_spec(name, ExperimentConfig.reduced())
+        assert baseline["config_fingerprint"] == spec_fingerprint(spec)
 
     @settings(max_examples=25)
     @given(version=st.text(min_size=1, max_size=16),

@@ -134,20 +134,6 @@ class TestRobustLoop:
         # Bounded uncertainty is easier than oblivious.
         assert result.oracle.ratio <= GOLDEN + 0.02
 
-    def test_gp_backend(self, running_example):
-        dags = {"t": example_dag(running_example)}
-        users = oblivious_pairs([("s1", "t"), ("s2", "t")])
-        result = optimize_robust_splitting(
-            running_example, dags, users, optimizer="gp"
-        )
-        assert result.oracle.ratio == pytest.approx(GOLDEN, abs=0.02)
-
-    def test_unknown_optimizer_rejected(self, running_example):
-        dags = {"t": example_dag(running_example)}
-        users = oblivious_pairs([("s1", "t"), ("s2", "t")])
-        with pytest.raises(SolverError, match="unknown splitting optimizer"):
-            optimize_robust_splitting(running_example, dags, users, optimizer="magic")
-
     def test_history_is_recorded(self, running_example):
         dags = {"t": example_dag(running_example)}
         users = oblivious_pairs([("s1", "t"), ("s2", "t")])

@@ -264,25 +264,3 @@ def test_a_worker_resolves_any_kind_through_the_registry():
                           "after": "repro.experiments.registry" in sys.modules}))
     """)
     assert result == {"before": False, "name": "fig9-local-search", "after": True}
-
-
-def test_the_gp_optimizer_loads_on_its_branch():
-    result = _fresh("""
-        import json, sys
-        from repro.core.robust import optimize_robust_splitting
-        from repro.demands.uncertainty import oblivious_pairs
-        from repro.graph.dag import Dag
-        from repro.topologies.generators import running_example_network
-        before = "repro.core.gp" in sys.modules
-        network = running_example_network()
-        dag = Dag("t", [("s1", "s2"), ("s1", "v"), ("s2", "t"), ("s2", "v"), ("v", "t")],
-                  network)
-        result = optimize_robust_splitting(
-            network, {"t": dag}, oblivious_pairs([("s1", "t"), ("s2", "t")]),
-            optimizer="gp",
-        )
-        print(json.dumps({"before": before, "ratio": result.oracle.ratio,
-                          "after": "repro.core.gp" in sys.modules}))
-    """)
-    assert result["before"] is False and result["after"] is True
-    assert abs(result["ratio"] - (5**0.5 - 1)) <= 0.02

@@ -90,7 +90,6 @@ class TestCellKey:
             {"max_adversarial_rounds": 5},
             {"max_inner_iterations": 11},
             {"smoothing_temperatures": (8.0,)},
-            {"regularization": 1e-2},
         ):
             tweaked = replace(TINY_SOLVER, **change)
             assert cell_key(make_cell(solver=tweaked)) != base, change
@@ -286,7 +285,8 @@ class TestRunSweep:
         cache = DirStore(tmp_path)
         spec = make_spec()
         run_sweep(spec, cache=cache, solve=_stub_solve)
-        tweaked = spec.with_solver(replace(TINY_SOLVER, max_inner_iterations=11))
+        solver = replace(TINY_SOLVER, max_inner_iterations=11)
+        tweaked = replace(spec, cells=tuple(replace(c, solver=solver) for c in spec.cells))
         report = run_sweep(tweaked, cache=cache, solve=_stub_solve)
         assert report.solved == 3 and report.cached == 0
 
@@ -350,7 +350,7 @@ class TestSpecs:
     def test_table1_grid_is_topology_major(self):
         config = ExperimentConfig(margins=(1.0, 2.0), solver=TINY_SOLVER)
         spec = experiment_spec("table1", config)
-        assert spec.with_topology_column
+        assert "network" in spec.row_columns
         assert [(c.topology, c.margin) for c in spec.cells] == [
             ("abilene", 1.0), ("abilene", 2.0),
             ("nsf", 1.0), ("nsf", 2.0),
@@ -375,7 +375,7 @@ class TestSpecs:
         config = ExperimentConfig(margins=(1.0,), solver=TINY_SOLVER)
         spec = margin_sweep_spec("nsf", "gravity", config)
         assert [c.topology for c in spec.cells] == ["nsf"]
-        assert not spec.with_topology_column
+        assert "network" not in spec.row_columns
         assert spec.columns() == ("margin", *SCHEME_COLUMNS)
 
     def test_margin_sweep_spec_does_not_build_topology(self, monkeypatch):
